@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     ModelFormatError,
     NonConvergenceError,
     SolverError,
+    StochasticityError,
 )
 from .modelio import parse_model, serialize_model, word_key
 from .perron import perron
@@ -179,6 +181,19 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _bounded(kind, low, strict: bool = False):
+    """argparse type: a finite ``kind`` number >= low (> low when strict)."""
+
+    def number(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            bound = "greater than" if strict else "at least"
+            raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
+        return value
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="markovspectra",
@@ -189,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pressure", help="topological pressure and Perron data")
     p.add_argument("model")
-    p.add_argument("--oracle-depth", type=int, default=None)
+    p.add_argument("--oracle-depth", type=_bounded(int, 2), default=None)
     p.set_defaults(handler=cmd_pressure)
 
     p = sub.add_parser("spectrum", help="sample the entropy spectrum curve")
     p.add_argument("model")
     p.add_argument("--qmin", type=float, default=-10.0)
     p.add_argument("--qmax", type=float, default=10.0)
-    p.add_argument("--qstep", type=float, default=0.5)
+    p.add_argument("--qstep", type=_bounded(float, 0.0, strict=True), default=0.5)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=cmd_spectrum)
 
@@ -212,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gibbs-audit", help="audit the defining Gibbs inequality")
     p.add_argument("model")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_bounded(int, 1), default=12)
     p.set_defaults(handler=cmd_gibbs_audit)
 
     p = sub.add_parser("sample", help="Monte-Carlo local entropy exponents")
     p.add_argument("model")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--n", type=_bounded(int, 1), default=10_000)
+    p.add_argument("--trials", type=_bounded(int, 100), default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="histogram CSV output path")
     p.set_defaults(handler=cmd_sample)
@@ -232,7 +247,7 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NonConvergenceError, SolverError) as exc:
+    except (NonConvergenceError, SolverError, StochasticityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except EnumerationCapError as exc:

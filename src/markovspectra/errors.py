@@ -14,7 +14,7 @@ class EnumerationCapError(MarkovSpectraError):
 
 
 class NonConvergenceError(MarkovSpectraError):
-    """An iterative solver hit its iteration cap."""
+    """A solver's result failed its acceptance check."""
 
 
 class SingularSystemError(MarkovSpectraError):

@@ -1,5 +1,9 @@
 """Perron-Frobenius numerics for primitive non-negative matrices.
 
+``perron`` solves primitive 2x2 matrices in closed form and larger ones
+with one dense LAPACK ``dgeev`` eigen-solve per eigenvector, each refined by
+one Newton step so that every entry is accurate relative to its own size.
+
 Normalization convention used throughout the library: the right eigenvector
 v has unit coordinate sum and the left eigenvector u satisfies u . v = 1.
 With this choice the Gibbs-Markov stationary vector is u_i v_i directly.
@@ -11,13 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonConvergenceError, SingularSystemError, StochasticityError
 from .shiftspace import TransitionMatrix
 
 DEFAULT_TOL = 1e-13
-MAX_ITERATIONS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,13 +39,11 @@ class PositiveMatrixOnSupport:
         arr.setflags(write=False)
         return cls(base, arr)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class PerronTriple:
+    """Output of ``perron``: ``iterations`` is 0 for the 2x2 closed form, 1 for dgeev."""
+
     root: float
     left: np.ndarray
     right: np.ndarray
@@ -55,16 +55,44 @@ def _as_entries(A) -> np.ndarray:
     return A.entries if isinstance(A, PositiveMatrixOnSupport) else np.asarray(A, dtype=float)
 
 
-def perron(
-    A: PositiveMatrixOnSupport,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> PerronTriple:
-    """Perron root and positive left/right eigenvectors by power iteration.
+def _perron_vector(B: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root and right eigenvector of B, accurate in every entry.
 
-    The matrix is diagonally balanced first so the stopping test is scale
-    invariant; the reported residual is recomputed against the original
-    matrix.  Deterministic: the iteration starts from the all-ones vector.
+    dgeev's error is normwise, so entries far below the largest may carry
+    large relative errors.  One Newton step fixes them in the basis scaled
+    by the dgeev vector v, where the Perron vector of D^-1 B D (D = diag(v))
+    is close to all ones.
+    """
+    values, vectors = np.linalg.eig(B)
+    k = int(np.argmax(values.real))
+    mu, v = values[k], vectors[:, k].real
+    v = v if v.sum() >= 0 else -v
+    if not (mu.imag == 0 and mu.real > 0 and (v > 0).all()):
+        raise NonConvergenceError(f"dominant eigenpair is not positive: root {mu}, least entry {v.min():.3e}")
+    mu = float(mu.real)
+    # Newton step from (w, mu) = (1, mu) for C w = mu w with sum(dw) = 0.
+    n = len(v)
+    C = B * v[np.newaxis, :] / v[:, np.newaxis]
+    J = np.ones((n + 1, n + 1))
+    J[:n, :n] = C - mu * np.eye(n)
+    J[:n, n], J[n, n] = -1.0, 0.0
+    try:
+        step = np.linalg.solve(J, np.append(mu - C.sum(axis=1), 0.0))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"Perron root is not simple: {exc}") from exc
+    return mu + float(step[n]), v * (1.0 + step[:n])
+
+
+def perron(A: PositiveMatrixOnSupport, tol: float = DEFAULT_TOL) -> PerronTriple:
+    """Perron root and positive left/right eigenvectors.
+
+    Primitive 2x2 matrices use the quadratic closed form; larger ones are
+    scaled to M / max(M) and solved by dgeev (which balances them itself)
+    for the right vector and on the transpose for the left one.  The result
+    must pass an acceptance check, else NonConvergenceError is raised: a
+    real positive root, strictly positive eigenvectors, and for both vectors
+    a max-normalized residual max|Mx - root x| / max|x| (against M, kept as
+    ``residual``) of at most ``tol * root``.
     """
     M = _as_entries(A)
     n = M.shape[0]
@@ -76,63 +104,33 @@ def perron(
         s = np.hypot(a - d, 2.0 * np.sqrt(b * c))
         # root - a without cancellation (conjugate form when a dominates)
         gap = 2.0 * b * c / (s + (a - d)) if a >= d else ((d - a) + s) / 2.0
-        root = a + gap
-        right = np.array([b, gap])
-        left = np.array([c, gap])
-        right = right / right.sum()
-        left = left / float(left @ right)
-        residual = max(
-            float(np.max(np.abs(M @ right - root * right)) / np.max(np.abs(right))),
-            float(np.max(np.abs(left @ M - root * left)) / np.max(np.abs(left))),
-        )
-        return PerronTriple(float(root), left, right, residual, 0)
-    # Work on M / max(M): the root scales linearly and extreme magnitudes
-    # (e.g. strongly tilted matrices) stay inside the balancing routine's
-    # comfortable exponent range.
-    magnitude = float(np.max(M))
-    if magnitude <= 0 or not np.isfinite(magnitude):
-        raise NonConvergenceError("matrix has no positive finite entries")
-    # Extreme tilts can overflow intermediate quantities inside the balancing
-    # routine; the stopping rule below validates the result regardless.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        balanced, scale = scipy.linalg.matrix_balance(M / magnitude, permute=False)
-    d = np.diag(scale)
-    # A diagonal shift keeps the eigenvectors and moves the Perron root away
-    # from the rest of the spectrum, so nearly period-2 weightings (where a
-    # real eigenvalue close to -lambda stalls plain power iteration) still
-    # converge.  The shift cancels in the residual: (B + cI)v - (mu)v = Bv - lam v.
-    shift = float(np.max(balanced))
-    shifted = balanced + shift * np.eye(n)
-
-    v = np.ones(n)
-    u = np.ones(n)
-    lam = 1.0
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        bv = shifted @ v
-        ub = u @ shifted
-        lam = float(u @ bv) / float(u @ v) - shift
-        res_r = np.max(np.abs(bv - (lam + shift) * v)) / np.max(np.abs(v))
-        res_l = np.max(np.abs(ub - (lam + shift) * u)) / np.max(np.abs(u))
-        v = bv / np.max(np.abs(bv))
-        u = ub / np.max(np.abs(ub))
-        if lam > 0 and max(res_r, res_l) <= tol * lam:
-            break
+        root = float(a + gap)
+        right, left = np.array([b, gap]), np.array([c, gap])
+        iterations = 0
     else:
-        raise NonConvergenceError(
-            f"power iteration did not reach tol={tol} in {max_iterations} iterations"
-        )
-
-    lam *= magnitude
-    right = d * v
-    left = u / d
+        # Work on M / max(M): the root scales linearly and extreme
+        # magnitudes (e.g. strongly tilted matrices) stay representable.
+        magnitude = float(np.max(M))
+        if magnitude <= 0 or not np.isfinite(magnitude):
+            raise NonConvergenceError("matrix has no positive finite entries")
+        B = M / magnitude
+        mu, right = _perron_vector(B)
+        _, left = _perron_vector(B.T)
+        root = mu * magnitude
+        iterations = 1
     right = right / right.sum()
     left = left / float(left @ right)
+    # Plain-list minimum: cheap enough for the closed form, which runs
+    # hundreds of times per request.  NaN entries fail the residual check.
+    if not min(right.tolist() + left.tolist()) > 0:
+        raise NonConvergenceError("Perron eigenvectors are not strictly positive")
     residual = max(
-        float(np.max(np.abs(M @ right - lam * right)) / np.max(np.abs(right))),
-        float(np.max(np.abs(left @ M - lam * left)) / np.max(np.abs(left))),
+        float(np.abs(M @ right - root * right).max() / right.max()),
+        float(np.abs(left @ M - root * left).max() / left.max()),
     )
-    return PerronTriple(lam, left, right, residual, iterations)
+    if not residual <= tol * root:
+        raise NonConvergenceError(f"Perron residual {residual:.3e} exceeds tol={tol} times the root")
+    return PerronTriple(root, left, right, residual, iterations)
 
 
 def perron_vector_by_linear_solve(A, lam: float) -> np.ndarray:

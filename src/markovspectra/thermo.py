@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
-
-from .errors import EnumerationCapError, WordLengthError
+from .errors import EnumerationCapError, StochasticityError, WordLengthError
 from .perron import (
     PerronTriple,
     PositiveMatrixOnSupport,
@@ -115,6 +113,14 @@ def pressure(f: Potential) -> float:
     return math.log(triple.root)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, shifted by the finite maximum."""
+    peak = np.max(a, axis=-1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - peak), axis=-1)) + peak[..., 0]
+
+
 def pressure_by_preimages(f: Potential, terminal_symbol: int, depth: int) -> float:
     """Pressure estimate from weighted preimage sums ending at one symbol.
 
@@ -133,9 +139,9 @@ def pressure_by_preimages(f: Potential, terminal_symbol: int, depth: int) -> flo
     log_col[terminal_symbol - 1] = 0.0
     prev_sum = None
     for _ in range(depth):
-        prev_sum = logsumexp(log_col)
-        log_col = logsumexp(logA + log_col[np.newaxis, :], axis=1)
-    return float(logsumexp(log_col) - prev_sum)
+        prev_sum = _logsumexp(log_col)
+        log_col = _logsumexp(logA + log_col[np.newaxis, :])
+    return float(_logsumexp(log_col) - prev_sum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +173,9 @@ def gibbs_markov(f: Potential) -> MarkovMeasure:
     P = A * v[np.newaxis, :] / (triple.root * v[:, np.newaxis])
     defect = np.max(np.abs(P.sum(axis=1) - 1.0))
     if defect > 1e-8:
-        raise ValueError(f"Gibbs matrix rows stochastic only within {defect:.3e}")
+        raise StochasticityError(f"Gibbs matrix rows stochastic only within {defect:.3e}")
+    if np.count_nonzero(P) < np.count_nonzero(A):
+        raise StochasticityError("Gibbs transition probabilities underflow to 0 on the support")
     # absorb the last few ulps of eigenvector error so the rows are exactly
     # stochastic for downstream consumers
     P = P / P.sum(axis=1, keepdims=True)

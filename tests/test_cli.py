@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import markovspectra
 from markovspectra.cli import (
     EXIT_AUDIT,
+    EXIT_MATH,
     EXIT_OK,
     EXIT_PARSE,
     main,
@@ -16,6 +22,7 @@ P1_QUARTER = "models/full2_p1_quarter.json"
 P2_THIRD = "models/full2_p2_third.json"
 GOLDEN = "models/golden_zero.json"
 MEMBER = "models/full2_member_example.json"
+RING_40_VALUES = (40.0, -40.0, 40.0, -40.0, -40.0, -40.0)
 
 
 def run(capsys, *argv):
@@ -189,3 +196,48 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", P1_THIRD, "--qstep", "0"),
+            ("pressure", P1_THIRD, "--oracle-depth", "1"),
+            ("sample", P1_THIRD, "--trials", "5"),
+            ("gibbs-audit", P1_THIRD, "--depth", "0"),
+        ],
+        ids=["qstep", "oracle-depth", "trials", "depth"],
+    )
+    def test_out_of_range_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == "" and f"argument {argv[2]}" in out.err
+
+    def test_numerical_failure_exits_math(self, capsys, tmp_path):
+        # Values of +-40 tilted to |q| >= 5 put Gibbs transition probabilities
+        # or Perron vector entries below the smallest double.
+        words = ("12", "13", "21", "23", "31", "32")
+        model = {
+            "transition": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "potential": {"order": 2, "values": dict(zip(words, RING_40_VALUES))},
+        }
+        path = tmp_path / "ring3_40.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert code == EXIT_MATH
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(markovspectra.__file__).resolve().parents[1]
+    probe = "import sys, markovspectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"

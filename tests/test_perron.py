@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from markovspectra import (
+    BetaFunction,
     PositiveMatrixOnSupport,
     TransitionMatrix,
     cycle_mean_extremes,
@@ -12,8 +13,8 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.errors import SingularSystemError, StochasticityError
-from conftest import random_support_matrix
+from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
+from conftest import random_potential, random_support_matrix
 
 PHI = (1 + 5**0.5) / 2
 
@@ -70,6 +71,26 @@ class TestPerron:
         t = perron(on(full2, entries))
         lam_np = max(abs(np.linalg.eigvals(entries)))
         assert t.root == pytest.approx(lam_np, rel=1e-12)
+
+    def test_iterations_tell_closed_form_from_dense_solve(self, full2, ring):
+        assert perron(on(full2, [[1.0, 2.0], [3.0, 4.0]])).iterations == 0
+        assert perron(on(ring, np.where(ring.entries == 1, 0.7, 0.0))).iterations == 1
+
+    def test_small_entries_accurate_to_their_own_size(self, full2):
+        # Order-5 recoding tilted to q = -9.5: the Perron vectors span ten
+        # decades and dgeev alone leaves defects near 1e-6 in the small entries.
+        M = BetaFunction(random_potential(full2, seed=5, scale=0.5, order=5)).matrix(-9.5)
+        t = perron(M)
+        assert t.right.min() / t.right.max() < 1e-8
+        assert np.abs(M @ t.right / (t.root * t.right) - 1).max() <= 1e-12
+        assert np.abs(t.left @ M / (t.root * t.left) - 1).max() <= 1e-12
+
+    def test_underflowing_perron_vector_rejected(self):
+        # 1 -> 2 -> 3 -> 1 with two weights of 1e-200: the right vector's
+        # second entry is ~1e-400, below the smallest double.
+        M = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1e-200], [1e-200, 0.0, 0.0]])
+        with pytest.raises(NonConvergenceError):
+            perron(M)
 
 
 class TestLinearSolve:

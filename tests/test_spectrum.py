@@ -203,6 +203,17 @@ class TestSampleSpectrum:
         for f in test_potentials:
             sample_spectrum(f, [-4.0, -1.0, 0.0, 1.0, 3.0])
 
+    def test_order5_potential_on_default_grid(self, full2):
+        # Perron vectors of this recoding span ten decades at |q| ~ 10; with
+        # too few correct digits in the small entries the Gibbs matrix failed
+        # its row-sum check ("rows stochastic only within 9.3e-06").
+        f = random_potential(full2, seed=5, scale=0.5, order=5)
+        curve = sample_spectrum(f, np.arange(-10.0, 10.25, 0.5))
+        assert len(curve.samples) == 41
+        for s in curve.samples:
+            assert s.entropy == pytest.approx(s.beta + s.q * s.alpha, abs=1e-12)
+            assert -1e-12 <= s.entropy <= math.log(2) + 1e-12
+
 
 class TestSpectraEqual:
     def test_twins_equal(self, f_p1_third, f_p2_third):
