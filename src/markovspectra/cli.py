@@ -2,7 +2,8 @@
 
 Structured results go to stdout as JSON; curves and histograms go to CSV
 files.  Exit codes: 0 success, 2 parse/validation error, 3 solver
-non-convergence, 4 Gibbs-audit violation, 5 resource cap exceeded.
+non-convergence or a potential out of floating-point range, 4 Gibbs-audit
+violation, 5 resource cap exceeded.
 Verdict-carrying commands (compare, classify) always exit 0 on valid input.
 """
 
@@ -21,6 +22,7 @@ from .errors import (
     EnumerationCapError,
     ModelFormatError,
     NonConvergenceError,
+    PotentialRangeError,
     SolverError,
     StochasticityError,
 )
@@ -77,6 +79,8 @@ def cmd_spectrum(args) -> int:
     model = parse_model(args.model)
     bf = BetaFunction(model.potential)
     grid = np.arange(args.qmin, args.qmax + args.qstep / 2, args.qstep)
+    if grid.size == 0:
+        raise ValueError(f"empty q grid: --qmin {args.qmin} exceeds --qmax {args.qmax}")
     curve = sample_spectrum(bf, grid)
     if args.out:
         with open(args.out, "w", newline="") as handle:
@@ -244,10 +248,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ModelFormatError as exc:
+    except (ModelFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NonConvergenceError, SolverError, StochasticityError) as exc:
+    except (NonConvergenceError, PotentialRangeError, SolverError, StochasticityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except EnumerationCapError as exc:

@@ -17,6 +17,10 @@ class NonConvergenceError(MarkovSpectraError):
     """A solver's result failed its acceptance check."""
 
 
+class PotentialRangeError(MarkovSpectraError):
+    """exp of a potential value overflows or underflows to 0."""
+
+
 class SingularSystemError(MarkovSpectraError):
     """No row deletion of the eigenvector system yields an invertible matrix."""
 

@@ -23,13 +23,18 @@ class Model:
     labels: dict
 
 
+def _is_integer(x) -> bool:
+    """JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_word_key(key, n_symbols: int) -> Word:
     if isinstance(key, str):
         if not key.isdigit():
             raise ModelFormatError(f"potential key {key!r} is not a digit string")
         return tuple(int(c) for c in key)
     if isinstance(key, (list, tuple)):
-        if not all(isinstance(s, int) for s in key):
+        if not all(_is_integer(s) for s in key):
             raise ModelFormatError(f"potential key {key!r} must contain integers")
         return tuple(key)
     raise ModelFormatError(f"potential key {key!r} has unsupported type")
@@ -70,7 +75,7 @@ def parse_model(source) -> Model:
     if not isinstance(pot, dict) or "order" not in pot or "values" not in pot:
         raise ModelFormatError("key 'potential' must be an object with 'order' and 'values'")
     order = pot["order"]
-    if not isinstance(order, int) or order < 1:
+    if not _is_integer(order) or order < 1:
         raise ModelFormatError("key 'potential.order' must be a positive integer")
 
     raw = pot["values"]
@@ -83,7 +88,7 @@ def parse_model(source) -> Model:
     table = {}
     for key, value in items:
         word = _parse_word_key(key, base.n_symbols)
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ModelFormatError(f"potential value for {key!r} is not a number")
         table[word] = float(value)
     try:

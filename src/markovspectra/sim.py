@@ -41,26 +41,36 @@ def _log_masses(
     """Sample paths of length n from `sampler`, accumulate log-mass under
     `evaluator`.  Vectorized over a batch of trials."""
     P = sampler.P.entries
-    cum_pi = np.cumsum(sampler.pi)
-    cum_P = np.cumsum(P, axis=1)
+    # A uniform at or above the last cumulative sum (1 up to rounding) must
+    # not index past the alphabet, so only the first n-1 sums are thresholds.
+    cut_pi = np.cumsum(sampler.pi)[:-1]
+    cut_P = np.cumsum(P, axis=1)[:, :-1]
     with np.errstate(divide="ignore"):
         log_pi_eval = np.log(evaluator.pi)
         log_P_eval = np.log(evaluator.P.entries)
 
+    def draw(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+        if cuts.shape[-1] == 1:
+            return (u >= cuts[..., 0]).astype(np.intp)
+        return (u[:, None] >= cuts).sum(axis=1)
+
+    # Step k reads row k of one contiguous (n, batch) block.
     batch = len(trials)
-    U = np.stack([_trial_uniforms(seed, key, t, n) for t in trials])
-    state = (U[:, 0][:, None] >= cum_pi[None, :]).sum(axis=1)
+    U = np.empty((n, batch))
+    for b, t in enumerate(trials):
+        U[:, b] = _trial_uniforms(seed, key, t, n)
+    state = draw(U[0], cut_pi)
     log_mass = log_pi_eval[state]
-    words = np.empty((batch, n), dtype=np.int64) if return_words else None
+    words = np.empty((n, batch), dtype=np.int64) if return_words else None
     if return_words:
-        words[:, 0] = state + 1
+        words[0] = state + 1
     for k in range(1, n):
-        nxt = (U[:, k][:, None] >= cum_P[state]).sum(axis=1)
+        nxt = draw(U[k], cut_P[state])
         log_mass = log_mass + log_P_eval[state, nxt]
         state = nxt
         if return_words:
-            words[:, k] = state + 1
-    return log_mass, words
+            words[k] = state + 1
+    return log_mass, words.T if return_words else None
 
 
 def sample_path(mu: MarkovMeasure, n: int, seed: int, trial: int = 0) -> PathSample:

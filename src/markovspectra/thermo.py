@@ -12,7 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .errors import EnumerationCapError, StochasticityError, WordLengthError
+from .errors import (
+    EnumerationCapError,
+    PotentialRangeError,
+    StochasticityError,
+    WordLengthError,
+)
 from .perron import (
     PerronTriple,
     PositiveMatrixOnSupport,
@@ -98,7 +103,15 @@ def edge_matrix(f: Potential) -> PositiveMatrixOnSupport:
     n = f.base.n_symbols
     entries = np.zeros((n, n))
     for (i, j), v in f.values.items():
-        entries[i - 1, j - 1] = math.exp(v)
+        try:
+            weight = math.exp(v)
+        except OverflowError:
+            weight = math.inf
+        if not 0.0 < weight < math.inf:
+            raise PotentialRangeError(
+                f"exp of the potential value {v!r} on edge {(i, j)} is out of floating-point range"
+            )
+        entries[i - 1, j - 1] = weight
     return PositiveMatrixOnSupport.on_support(f.base, entries)
 
 
@@ -218,7 +231,12 @@ def birkhoff_sum(f: Potential, w: Word, m: int) -> float:
         raise WordLengthError(
             f"word of length {len(w)} cannot determine S_{m} of an order-{f.order} potential"
         )
-    return sum(f.values[w[k : k + f.order]] for k in range(m))
+    # an explicit left-to-right fold: sum() compensates float sums on
+    # Python >= 3.12, and the Gibbs audit accumulates in this order
+    total = 0.0
+    for k in range(m):
+        total += f.values[w[k : k + f.order]]
+    return total
 
 
 def normalize_potential(f: Potential) -> Potential:
@@ -308,6 +326,7 @@ def gibbs_constant_audit(f: Potential, depth: int = 12, cap: int = ENUMERATION_C
     A = edge_matrix(f2).entries
     pi, v = mu.pi, triple.right
     n = f2.base.n_symbols
+    support = A > 0
 
     # Attainable start->end pairs: a path of length m-1 for some m in 1..depth.
     reach = np.eye(n, dtype=bool)
@@ -315,28 +334,40 @@ def gibbs_constant_audit(f: Potential, depth: int = 12, cap: int = ENUMERATION_C
     for _ in range(depth - 1):
         reach = reach.astype(np.int64) @ f2.base.entries > 0
         attain |= reach
-    theo_values = [
-        pi[i] / v[i] * v[j] * triple.root / A[j, k]
-        for i in range(n)
-        for j in range(n)
-        if attain[i, j]
-        for k in range(n)
-        if A[j, k] > 0
-    ]
-    theo_min, theo_max = float(min(theo_values)), float(max(theo_values))
+    with np.errstate(divide="ignore"):
+        closed_form = (pi / v)[:, None, None] * v[None, :, None] * triple.root / A[None]
+    theo_values = closed_form[attain[:, :, None] & support[None]]
+    theo_min, theo_max = float(theo_values.min()), float(theo_values.max())
     constant = max(theo_max, 1.0 / theo_min)
 
+    # Level-m frontier: every admissible word u of length m, as parallel
+    # arrays of its last symbol, log mu([u]) and S_{m-1} f(u), in
+    # lexicographic order.  Each audited word w = u j extends the frontier by
+    # one edge; sums run left to right like the per-word formulas, and the
+    # logs come from math.log, so every log-ratio is bit-identical to them.
+    log_P = np.full((n, n), -np.inf)
+    f_table = np.zeros((n, n))
+    for i, j in f2.base.edges():
+        log_P[i - 1, j - 1] = math.log(mu.P.entries[i - 1, j - 1])
+        f_table[i - 1, j - 1] = f2.values[(i, j)]
+    symbols = np.arange(n)
+    last = symbols
+    log_mu = np.array([math.log(p) for p in pi])
+    birkhoff = np.zeros(n)
     observed_min, observed_max = np.inf, -np.inf
-    words = [(i,) for i in range(1, n + 1)]
     for m in range(1, depth + 1):
-        words = [w + (j,) for w in words for j in range(1, n + 1) if f2.base.has_edge(w[-1], j)]
-        for w in words:
-            log_ratio = (
-                log_cylinder_measure(mu, w[:m]) + m * P_press - birkhoff_sum(f2, w, m)
-            )
-            ratio = math.exp(log_ratio)
-            observed_min = min(observed_min, ratio)
-            observed_max = max(observed_max, ratio)
+        parent = np.repeat(np.arange(last.size), n)
+        nxt = np.tile(symbols, last.size)
+        keep = support[last[parent], nxt]
+        parent, nxt = parent[keep], nxt[keep]
+        edge = (last[parent], nxt)
+        birkhoff = birkhoff[parent] + f_table[edge]
+        log_ratio = log_mu[parent] + m * P_press - birkhoff
+        # exp is monotone, so exp of the extreme log-ratio is the extreme ratio
+        observed_min = min(observed_min, math.exp(log_ratio.min()))
+        observed_max = max(observed_max, math.exp(log_ratio.max()))
+        log_mu = log_mu[parent] + log_P[edge]
+        last = nxt
 
     slack = 1e-10 * max(1.0, constant)
     within = bool(

@@ -228,6 +228,27 @@ class TestExitCodes:
         assert code == EXIT_MATH
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
+    def test_json_boolean_exits_parse(self, capsys):
+        model = '{"transition":[[1,1],[1,1]],"potential":{"order":true,"values":{"1":true,"2":0.5}}}'
+        code, out, err = run(capsys, "pressure", model)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [800.0, -800.0])
+    def test_exp_out_of_range_exits_math(self, capsys, value):
+        model = json.dumps(
+            {"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": {"1": value, "2": 0.5}}}
+        )
+        code, out, err = run(capsys, "pressure", model)
+        assert code == EXIT_MATH
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "out of floating-point range" in err
+
+    def test_library_value_error_exits_parse(self, capsys):
+        code, out, err = run(capsys, "spectrum", P1_THIRD, "--qmin", "5", "--qmax", "-5")
+        assert code == EXIT_PARSE
+        assert out == "" and err == "error: empty q grid: --qmin 5.0 exceeds --qmax -5.0\n"
+
 
 def test_cli_import_loads_no_scipy():
     src = Path(markovspectra.__file__).resolve().parents[1]

@@ -78,6 +78,21 @@ class TestParseModel:
         with pytest.raises(ModelFormatError, match=needle):
             parse_model(data)
 
+    @pytest.mark.parametrize(
+        "potential,needle",
+        [
+            ({"order": True, "values": {"1": 0.1, "2": 0.5}}, "order"),
+            ({"order": 1, "values": {"1": True, "2": 0.5}}, "value for '1'"),
+            ({"order": 1, "values": [[[True], 0.1], [[2], 0.5]]}, "integers"),
+        ],
+        ids=["order", "value", "pair-key-symbol"],
+    )
+    def test_json_booleans_rejected(self, potential, needle):
+        # bool is a subclass of int, so true/false must be refused explicitly
+        data = {"transition": [[1, 1], [1, 1]], "potential": potential}
+        with pytest.raises(ModelFormatError, match=needle):
+            parse_model(json.loads(json.dumps(data)))
+
 
 class TestSerializeModel:
     def test_round_trip_exact(self, golden, ring):

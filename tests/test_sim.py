@@ -16,6 +16,8 @@ from markovspectra import (
     log_p1_potential,
     sample_path,
 )
+from markovspectra.sim import _log_masses, _trial_uniforms
+from conftest import random_potential
 
 PHI = (1 + 5**0.5) / 2
 
@@ -146,3 +148,36 @@ class TestEmpiricalSpectrumHistogram:
         a = empirical_spectrum_histogram(f_p1_third, 100, 150, [0.0, 1.0], seed=9)
         b = empirical_spectrum_histogram(f_p1_third, 100, 150, [0.0, 1.0], seed=9)
         assert a == b
+
+
+def reference_log_masses(sampler, evaluator, n, trials, seed, key=()):
+    """The (trials, n) column-by-column sampler with a full cumulative-sum
+    compare for every alphabet size."""
+    cum_pi = np.cumsum(sampler.pi)
+    cum_P = np.cumsum(sampler.P.entries, axis=1)
+    with np.errstate(divide="ignore"):
+        log_pi_eval = np.log(evaluator.pi)
+        log_P_eval = np.log(evaluator.P.entries)
+    U = np.stack([_trial_uniforms(seed, key, t, n) for t in trials])
+    state = (U[:, 0][:, None] >= cum_pi[None, :]).sum(axis=1)
+    log_mass = log_pi_eval[state]
+    words = np.empty((len(trials), n), dtype=np.int64)
+    words[:, 0] = state + 1
+    for k in range(1, n):
+        nxt = (U[:, k][:, None] >= cum_P[state]).sum(axis=1)
+        log_mass = log_mass + log_P_eval[state, nxt]
+        state = nxt
+        words[:, k] = state + 1
+    return log_mass, words
+
+
+class TestLogMassesOracle:
+    @pytest.mark.parametrize("support", ["full2", "golden", "ring"])
+    def test_identical_to_column_loop(self, request, support):
+        f = random_potential(request.getfixturevalue(support), seed=4, scale=1.0)
+        mu, tilted = gibbs_markov(f), gibbs_markov(f.scale(-1.5))
+        for sampler, evaluator in ((mu, mu), (tilted, mu)):
+            got = _log_masses(sampler, evaluator, 300, range(5, 80), seed=6, key=(2,), return_words=True)
+            want = reference_log_masses(sampler, evaluator, 300, range(5, 80), seed=6, key=(2,))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])

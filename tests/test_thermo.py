@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from markovspectra import (
+    GibbsAudit,
     MarkovMeasure,
     Potential,
     birkhoff_sum,
     cylinder_measure,
     edge_matrix,
+    full_shift,
     eigen_measure_cylinder,
     entropy_rate,
     gibbs_constant_audit,
@@ -20,8 +22,10 @@ from markovspectra import (
     pressure,
     pressure_by_preimages,
     reduce_to_order2,
+    word_count,
 )
-from markovspectra.errors import WordLengthError
+from markovspectra.errors import EnumerationCapError, WordLengthError
+from markovspectra.thermo import _reduced_triple
 from conftest import random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -331,3 +335,76 @@ class TestGibbsAudit:
         audit = gibbs_constant_audit(fhat, depth=8)
         assert audit.pressure == pytest.approx(0.0, abs=1e-12)
         assert audit.within_bounds
+
+
+def reference_gibbs_audit(f, depth):
+    """The per-word audit: one log_cylinder_measure and one birkhoff_sum
+    call per cylinder, over words grown as tuples."""
+    f2, triple = _reduced_triple(f)
+    mu = gibbs_markov(f2)
+    P_press = math.log(triple.root)
+    A = edge_matrix(f2).entries
+    pi, v = mu.pi, triple.right
+    n = f2.base.n_symbols
+
+    reach = np.eye(n, dtype=bool)
+    attain = reach.copy()
+    for _ in range(depth - 1):
+        reach = reach.astype(np.int64) @ f2.base.entries > 0
+        attain |= reach
+    theo_values = [
+        pi[i] / v[i] * v[j] * triple.root / A[j, k]
+        for i in range(n)
+        for j in range(n)
+        if attain[i, j]
+        for k in range(n)
+        if A[j, k] > 0
+    ]
+    theo_min, theo_max = float(min(theo_values)), float(max(theo_values))
+    constant = max(theo_max, 1.0 / theo_min)
+
+    observed_min, observed_max = np.inf, -np.inf
+    words = [(i,) for i in range(1, n + 1)]
+    for m in range(1, depth + 1):
+        words = [w + (j,) for w in words for j in range(1, n + 1) if f2.base.has_edge(w[-1], j)]
+        for w in words:
+            log_ratio = (
+                log_cylinder_measure(mu, w[:m]) + m * P_press - birkhoff_sum(f2, w, m)
+            )
+            ratio = math.exp(log_ratio)
+            observed_min = min(observed_min, ratio)
+            observed_max = max(observed_max, ratio)
+
+    slack = 1e-10 * max(1.0, constant)
+    within = bool(
+        1.0 / constant - slack <= observed_min and observed_max <= constant + slack
+    )
+    return GibbsAudit(
+        P_press, constant, float(observed_min), float(observed_max), theo_min, theo_max, depth, within
+    )
+
+
+class TestGibbsAuditOracle:
+    """The array audit must reproduce the per-word audit bit for bit."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("support", ["full2", "full3", "golden", "ring"])
+    def test_identical_to_per_word_audit(self, request, support, order):
+        base = full_shift(3) if support == "full3" else request.getfixturevalue(support)
+        # the per-word reference needs ~5 s for one depth-10 audit on the full
+        # 3-shift (265k cylinders; 800k at order 3), so that support stops at 8
+        depths = range(1, 9) if support == "full3" else range(1, 11)
+        for depth in depths:
+            f = random_potential(base, seed=100 * order + depth, scale=1.0, order=order)
+            assert gibbs_constant_audit(f, depth=depth) == reference_gibbs_audit(f, depth)
+
+    def test_cap_checked_before_enumeration(self, full2, monkeypatch):
+        f = Potential.constant(full2, 0.0)
+        total = sum(word_count(full2, m + 1) for m in range(1, 11))
+
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started past the cap")
+
+        monkeypatch.setattr("markovspectra.thermo.gibbs_markov", no_enumeration)
+        with pytest.raises(EnumerationCapError, match=f"{total} cylinders"):
+            gibbs_constant_audit(f, depth=10, cap=total - 1)
