@@ -17,10 +17,7 @@ from .modelio import Model, parse_model, serialize_model, word_key
 from .perron import (
     CycleMeanExtremes,
     PerronTriple,
-    PositiveMatrixOnSupport,
     cycle_mean_extremes,
-    perron,
-    perron_derivative,
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
@@ -56,9 +53,7 @@ from .spectrum import (
     AlphaRange,
     BetaFunction,
     SpectrumCurve,
-    alpha,
     alpha_range,
-    beta,
     entropy_spectrum,
     sample_spectrum,
     spectra_equal,

@@ -185,12 +185,14 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _bounded(kind, low, strict: bool = False):
+def _bounded(kind, low=-math.inf, strict: bool = False):
     """argparse type: a finite ``kind`` number >= low (> low when strict)."""
 
     def number(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if not (value > low if strict else value >= low):
             bound = "greater than" if strict else "at least"
             raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
         return value
@@ -213,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="sample the entropy spectrum curve")
     p.add_argument("model")
-    p.add_argument("--qmin", type=float, default=-10.0)
-    p.add_argument("--qmax", type=float, default=10.0)
+    p.add_argument("--qmin", type=_bounded(float), default=-10.0)
+    p.add_argument("--qmax", type=_bounded(float), default=10.0)
     p.add_argument("--qstep", type=_bounded(float, 0.0, strict=True), default=0.5)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=cmd_spectrum)

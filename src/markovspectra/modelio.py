@@ -64,8 +64,13 @@ def parse_model(source) -> Model:
 
     if "transition" not in data:
         raise ModelFormatError("missing key 'transition'")
+    rows = data["transition"]
+    if isinstance(rows, list) and any(
+        isinstance(x, bool) for row in rows if isinstance(row, list) for x in row
+    ):
+        raise ModelFormatError("key 'transition': entries must be 0 or 1, not true/false")
     try:
-        base = TransitionMatrix.from_entries(data["transition"])
+        base = TransitionMatrix.from_entries(rows)
     except (AperiodicityError, ValueError, TypeError) as exc:
         raise ModelFormatError(f"key 'transition': {exc}") from exc
 

@@ -12,7 +12,6 @@ With this choice the Gibbs-Markov stationary vector is u_i v_i directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,24 +19,6 @@ from .errors import NonConvergenceError, SingularSystemError, StochasticityError
 from .shiftspace import TransitionMatrix
 
 DEFAULT_TOL = 1e-13
-
-
-@dataclass(frozen=True, eq=False)
-class PositiveMatrixOnSupport:
-    """Non-negative matrix positive exactly on the support of the 0/1 base."""
-
-    base: TransitionMatrix
-    entries: np.ndarray
-
-    @classmethod
-    def on_support(cls, base: TransitionMatrix, entries) -> "PositiveMatrixOnSupport":
-        arr = np.array(entries, dtype=float)
-        if arr.shape != base.entries.shape:
-            raise ValueError("entry array shape does not match the base matrix")
-        if ((arr > 0) != (base.entries == 1)).any():
-            raise ValueError("entries must be positive exactly on the support of the base")
-        arr.setflags(write=False)
-        return cls(base, arr)
 
 
 @dataclass(frozen=True)
@@ -49,10 +30,6 @@ class PerronTriple:
     right: np.ndarray
     residual: float
     iterations: int
-
-
-def _as_entries(A) -> np.ndarray:
-    return A.entries if isinstance(A, PositiveMatrixOnSupport) else np.asarray(A, dtype=float)
 
 
 def _perron_vector(B: np.ndarray) -> tuple[float, np.ndarray]:
@@ -83,8 +60,9 @@ def _perron_vector(B: np.ndarray) -> tuple[float, np.ndarray]:
     return mu + float(step[n]), v * (1.0 + step[:n])
 
 
-def perron(A: PositiveMatrixOnSupport, tol: float = DEFAULT_TOL) -> PerronTriple:
-    """Perron root and positive left/right eigenvectors.
+def perron(A: np.ndarray, tol: float = DEFAULT_TOL) -> PerronTriple:
+    """Perron root and positive left/right eigenvectors of the primitive
+    non-negative array ``A``.
 
     Primitive 2x2 matrices use the quadratic closed form; larger ones are
     scaled to M / max(M) and solved by dgeev (which balances them itself)
@@ -94,7 +72,7 @@ def perron(A: PositiveMatrixOnSupport, tol: float = DEFAULT_TOL) -> PerronTriple
     a max-normalized residual max|Mx - root x| / max|x| (against M, kept as
     ``residual``) of at most ``tol * root``.
     """
-    M = _as_entries(A)
+    M = np.asarray(A, dtype=float)
     n = M.shape[0]
     if n == 2 and M[0, 1] > 0 and M[1, 0] > 0:
         # Primitive 2x2 matrices have positive off-diagonals, so the
@@ -133,13 +111,13 @@ def perron(A: PositiveMatrixOnSupport, tol: float = DEFAULT_TOL) -> PerronTriple
     return PerronTriple(root, left, right, residual, iterations)
 
 
-def perron_vector_by_linear_solve(A, lam: float) -> np.ndarray:
+def perron_vector_by_linear_solve(A: np.ndarray, lam: float) -> np.ndarray:
     """Right Perron vector with unit coordinate sum, via the (N+1)xN system.
 
     Deletes one eigen-equation row to obtain an invertible NxN system and
     checks the solution against the full system.
     """
-    M = _as_entries(A)
+    M = np.asarray(A, dtype=float)
     n = M.shape[0]
     C = np.vstack([M - lam * np.eye(n), np.ones(n)])
     b = np.zeros(n + 1)
@@ -157,30 +135,9 @@ def perron_vector_by_linear_solve(A, lam: float) -> np.ndarray:
     raise SingularSystemError("no row deletion yields an invertible, consistent system")
 
 
-def perron_derivative(
-    family: Callable[[float], PositiveMatrixOnSupport],
-    q0: float,
-    family_derivative: Callable[[float], np.ndarray] | None = None,
-    step: float = 1e-6,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Derivative of the simple Perron root along a one-parameter family.
-
-    Uses d(lambda)/dq = u M'(q0) v with the normalized eigenpair at q0.
-    M'(q0) is taken from ``family_derivative`` when given, otherwise from a
-    central difference of the family entries.
-    """
-    triple = perron(family(q0), tol=tol)
-    if family_derivative is not None:
-        dM = np.asarray(family_derivative(q0), dtype=float)
-    else:
-        dM = (_as_entries(family(q0 + step)) - _as_entries(family(q0 - step))) / (2 * step)
-    return float(triple.left @ dM @ triple.right)
-
-
-def stationary_distribution(P: PositiveMatrixOnSupport, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(P: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Stationary probability vector of a row-stochastic matrix."""
-    M = _as_entries(P)
+    M = np.asarray(P, dtype=float)
     row_defect = np.max(np.abs(M.sum(axis=1) - 1.0))
     if row_defect > tol:
         raise StochasticityError(f"rows sum to 1 only within {row_defect:.3e} (tol {tol})")

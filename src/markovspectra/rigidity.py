@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import log_p1_potential, log_p2_potential
-from .perron import PositiveMatrixOnSupport, perron
-from .shiftspace import Word, admissible_words, out_degrees
+from .perron import perron
+from .shiftspace import TransitionMatrix, Word, admissible_words, out_degrees
 from .thermo import Potential, gibbs_markov, normalize_potential, reduce_to_order2
 
 ROW_TOL = 1e-10
@@ -70,12 +70,13 @@ class PairCheck:
 
 
 def appendix_condition_check(
-    Af: PositiveMatrixOnSupport,
+    Af: np.ndarray,
     orientation: str = "right-v",
     tol: float = GAP_TOL,
 ) -> list[PairCheck]:
     """Per-pair distinctness expressions A(ij)/A(kl) - (eigenvector ratio).
 
+    ``Af`` is an edge matrix A(f); its support ``Af > 0`` is the base.
     ``right-v`` uses the right eigenvector arrangement v_i v_l / (v_j v_k);
     ``left-u`` uses u_k u_j / (u_i u_l), which matches the collision
     condition of the normalized potential exactly.  Each verdict is
@@ -97,15 +98,15 @@ def appendix_condition_check(
     else:
         raise ValueError("orientation must be 'right-v' or 'left-u'")
 
-    f = Potential.from_matrix_log(Af.base, Af.entries)
+    base = TransitionMatrix.from_entries((Af > 0).astype(int))
+    f = Potential.from_matrix_log(base, Af)
     report = g_n_membership(f, gap_tol=tol)
     colliding = {frozenset(pair) for pair in report.collisions}
 
-    A = Af.entries
-    words = admissible_words(Af.base, 2)
+    words = admissible_words(base, 2)
     checks = []
     for (i, j), (k, l) in itertools.permutations(words, 2):
-        expr = float(A[i - 1, j - 1] / A[k - 1, l - 1] - ratio(i - 1, j - 1, k - 1, l - 1))
+        expr = float(Af[i - 1, j - 1] / Af[k - 1, l - 1] - ratio(i - 1, j - 1, k - 1, l - 1))
         is_zero = abs(expr) <= tol
         collision = frozenset(((i, j), (k, l))) in colliding
         checks.append(PairCheck(((i, j), (k, l)), float(expr), is_zero, collision, is_zero == collision))
@@ -154,7 +155,7 @@ def classify_2x2(f: Potential) -> RigidityReport:
             "nonfull-2x2", True, True, gn.member, gn.margin, gn.collisions, cond
         )
 
-    P = gibbs_markov(f2).P.entries
+    P = gibbs_markov(f2).P
     alpha = float(P[0, 1])
     kind = None
     if np.max(np.abs(P[0] - P[1])) <= ROW_TOL:

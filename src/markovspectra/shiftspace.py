@@ -97,11 +97,6 @@ class TransitionMatrix:
         """All edges (i, j) with A(ij)=1, 1-based, lexicographic."""
         return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(self.entries))]
 
-    def same_structure(self, other: "TransitionMatrix") -> bool:
-        return self.entries.shape == other.entries.shape and (
-            self.entries == other.entries
-        ).all()
-
 
 def word_count(A: TransitionMatrix, n: int) -> int:
     """Exact size of W_A^n via matrix powers (exact integer arithmetic)."""

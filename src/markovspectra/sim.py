@@ -40,14 +40,14 @@ def _log_masses(
 ):
     """Sample paths of length n from `sampler`, accumulate log-mass under
     `evaluator`.  Vectorized over a batch of trials."""
-    P = sampler.P.entries
+    P = sampler.P
     # A uniform at or above the last cumulative sum (1 up to rounding) must
     # not index past the alphabet, so only the first n-1 sums are thresholds.
     cut_pi = np.cumsum(sampler.pi)[:-1]
     cut_P = np.cumsum(P, axis=1)[:, :-1]
     with np.errstate(divide="ignore"):
         log_pi_eval = np.log(evaluator.pi)
-        log_P_eval = np.log(evaluator.P.entries)
+        log_P_eval = np.log(evaluator.P)
 
     def draw(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         if cuts.shape[-1] == 1:

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import PotentialRangeError, SolverError
 from .perron import PerronTriple, cycle_mean_extremes, perron
 from .thermo import (
     Potential,
+    _table_array,
     edge_matrix,
     entropy_rate,
     gibbs_markov,
@@ -29,24 +30,27 @@ class BetaFunction:
     """Evaluator for beta(q) = P(qf) - qP(f) with cached Perron data."""
 
     def __init__(self, f: Potential):
-        self.f2, self.recoding = reduce_to_order2(f)
-        self._log_entries = {
-            (i - 1, j - 1): v for (i, j), v in self.f2.values.items()
-        }
-        self._base_entries = edge_matrix(self.f2).entries
+        self.f2, _ = reduce_to_order2(f)
+        self._table = _table_array(self.f2)
+        self._support = self.f2.base.entries == 1
+        self._weights = edge_matrix(self.f2)[self._support]
         self._cache: dict[float, PerronTriple] = {}
         self.pressure = math.log(self.triple(1.0).root)
 
     def matrix(self, q: float) -> np.ndarray:
-        M = np.zeros_like(self._base_entries)
-        mask = self._base_entries > 0
-        M[mask] = self._base_entries[mask] ** q
+        """A(qf) = A(f)**q entrywise on the support, 0 elsewhere."""
+        with np.errstate(over="ignore"):
+            weights = self._weights ** q
+        if not (weights.min() > 0 and weights.max() < math.inf):
+            raise PotentialRangeError(f"an entry of A(f)**q is out of floating-point range at q={q!r}")
+        M = np.zeros(self._support.shape)
+        M[self._support] = weights
         return M
 
     def triple(self, q: float) -> PerronTriple:
         t = self._cache.get(q)
         if t is None:
-            t = perron(_on_base(self.f2.base, self.matrix(q)))
+            t = perron(self.matrix(q))
             self._cache[q] = t
         return t
 
@@ -56,29 +60,12 @@ class BetaFunction:
     def alpha(self, q: float) -> float:
         """-beta'(q), from the exact entrywise derivative of the family."""
         t = self.triple(q)
-        M = self.matrix(q)
-        dM = np.zeros_like(M)
-        for (i, j), v in self._log_entries.items():
-            dM[i, j] = v * M[i, j]
+        dM = self._table * self.matrix(q)
         dlam = float(t.left @ dM @ t.right)
         return self.pressure - dlam / t.root
 
     def alpha_slope(self, q: float, step: float = 1e-5) -> float:
         return (self.alpha(q + step) - self.alpha(q - step)) / (2 * step)
-
-
-def _on_base(base, entries):
-    from .perron import PositiveMatrixOnSupport
-
-    return PositiveMatrixOnSupport.on_support(base, entries)
-
-
-def beta(f: Potential, q: float) -> float:
-    return BetaFunction(f).beta(q)
-
-
-def alpha(f: Potential, q: float) -> float:
-    return BetaFunction(f).alpha(q)
 
 
 @dataclass(frozen=True)
@@ -93,11 +80,7 @@ class AlphaRange:
 def alpha_range(f: Potential) -> AlphaRange:
     """Exact endpoints: pressure minus the extreme mean cycle weights."""
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
-    n = bf.f2.base.n_symbols
-    weights = np.zeros((n, n))
-    for (i, j), v in bf.f2.values.items():
-        weights[i - 1, j - 1] = v
-    extremes = cycle_mean_extremes(bf.f2.base, weights)
+    extremes = cycle_mean_extremes(bf.f2.base, bf._table)
     lo = bf.pressure - extremes.max_mean
     hi = bf.pressure - extremes.min_mean
     return AlphaRange(lo, hi, hi - lo <= DEGENERACY_TOL, extremes.max_cycle, extremes.min_cycle)

@@ -18,12 +18,7 @@ from .errors import (
     StochasticityError,
     WordLengthError,
 )
-from .perron import (
-    PerronTriple,
-    PositiveMatrixOnSupport,
-    perron,
-    stationary_distribution,
-)
+from .perron import PerronTriple, perron, stationary_distribution
 from .shiftspace import (
     ENUMERATION_CAP,
     BlockRecoding,
@@ -96,23 +91,36 @@ def reduce_to_order2(f: Potential, cap: int = ENUMERATION_CAP) -> tuple[Potentia
     return Potential.from_table(recoding.matrix, 2, table), recoding
 
 
-def edge_matrix(f: Potential) -> PositiveMatrixOnSupport:
-    """A(f): exp(f) on support edges, 0 elsewhere.  Requires order 2."""
+def _table_array(f: Potential) -> np.ndarray:
+    """The order-2 table of f as an n x n array, 0 off the support."""
     if f.order != 2:
-        raise ValueError("edge_matrix needs an order-2 potential; reduce first")
+        raise ValueError(f"needs an order-2 potential, got order {f.order}; reduce first")
     n = f.base.n_symbols
-    entries = np.zeros((n, n))
+    table = np.zeros((n, n))
     for (i, j), v in f.values.items():
-        try:
-            weight = math.exp(v)
-        except OverflowError:
-            weight = math.inf
-        if not 0.0 < weight < math.inf:
-            raise PotentialRangeError(
-                f"exp of the potential value {v!r} on edge {(i, j)} is out of floating-point range"
-            )
-        entries[i - 1, j - 1] = weight
-    return PositiveMatrixOnSupport.on_support(f.base, entries)
+        table[i - 1, j - 1] = v
+    return table
+
+
+def _checked_exp(v: float) -> float:
+    """math.exp(v), which must be positive and finite.  (np.exp rounds
+    differently from math.exp in the last bit on some inputs.)"""
+    try:
+        weight = math.exp(v)
+    except OverflowError:
+        weight = math.inf
+    if not 0.0 < weight < math.inf:
+        raise PotentialRangeError(f"exp of the potential value {v!r} is out of floating-point range")
+    return weight
+
+
+def edge_matrix(f: Potential) -> np.ndarray:
+    """A(f): exp(f) on support edges, 0 elsewhere.  Requires order 2."""
+    table = _table_array(f)
+    support = f.base.entries == 1
+    A = np.zeros_like(table)
+    A[support] = [_checked_exp(v) for v in table[support].tolist()]
+    return A
 
 
 def _reduced_triple(f: Potential) -> tuple[Potential, PerronTriple]:
@@ -147,7 +155,7 @@ def pressure_by_preimages(f: Potential, terminal_symbol: int, depth: int) -> flo
     if not 1 <= terminal_symbol <= n:
         raise ValueError(f"terminal symbol must be in 1..{n}")
     with np.errstate(divide="ignore"):
-        logA = np.log(edge_matrix(f2).entries)
+        logA = np.log(edge_matrix(f2))
     log_col = np.full(n, -np.inf)
     log_col[terminal_symbol - 1] = 0.0
     prev_sum = None
@@ -159,19 +167,21 @@ def pressure_by_preimages(f: Potential, terminal_symbol: int, depth: int) -> flo
 
 @dataclass(frozen=True, eq=False)
 class MarkovMeasure:
-    """Stationary Markov measure: stochastic matrix on support plus pi."""
+    """Stationary Markov measure: stochastic matrix P, positive exactly on
+    the support of ``base``, and its stationary vector pi."""
 
-    P: PositiveMatrixOnSupport
+    base: TransitionMatrix
+    P: np.ndarray
     pi: np.ndarray
 
     @classmethod
     def from_stochastic(cls, base: TransitionMatrix, matrix) -> "MarkovMeasure":
-        P = PositiveMatrixOnSupport.on_support(base, matrix)
-        return cls(P, stationary_distribution(P))
-
-    @property
-    def base(self) -> TransitionMatrix:
-        return self.P.base
+        P = np.array(matrix, dtype=float)
+        if P.shape != base.entries.shape:
+            raise ValueError("transition matrix shape does not match the base matrix")
+        if ((P > 0) != (base.entries == 1)).any():
+            raise ValueError("transition probabilities must be positive exactly on the support of the base")
+        return cls(base, P, stationary_distribution(P))
 
 
 def gibbs_markov(f: Potential) -> MarkovMeasure:
@@ -181,7 +191,7 @@ def gibbs_markov(f: Potential) -> MarkovMeasure:
     under the library's eigenvector normalization.
     """
     f2, triple = _reduced_triple(f)
-    A = edge_matrix(f2).entries
+    A = edge_matrix(f2)
     v = triple.right
     P = A * v[np.newaxis, :] / (triple.root * v[:, np.newaxis])
     defect = np.max(np.abs(P.sum(axis=1) - 1.0))
@@ -194,7 +204,7 @@ def gibbs_markov(f: Potential) -> MarkovMeasure:
     P = P / P.sum(axis=1, keepdims=True)
     pi = triple.left * triple.right
     pi = pi / pi.sum()
-    return MarkovMeasure(PositiveMatrixOnSupport.on_support(f2.base, P), pi)
+    return MarkovMeasure(f2.base, P, pi)
 
 
 def log_cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
@@ -203,7 +213,7 @@ def log_cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
         return 0.0
     if not mu.base.admits(w):
         return -np.inf
-    P = mu.P.entries
+    P = mu.P
     total = math.log(mu.pi[w[0] - 1])
     for a, b in zip(w, w[1:]):
         total += math.log(P[a - 1, b - 1])
@@ -218,7 +228,7 @@ def cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
         return 0.0
     if len(w) > LOG_SPACE_DEPTH:
         return math.exp(log_cylinder_measure(mu, w))
-    P = mu.P.entries
+    P = mu.P
     mass = mu.pi[w[0] - 1]
     for a, b in zip(w, w[1:]):
         mass *= P[a - 1, b - 1]
@@ -280,7 +290,7 @@ def eigen_measure_cylinder(f: Potential, w: Word) -> float:
 
 def entropy_rate(mu: MarkovMeasure) -> float:
     """Kolmogorov-Sinai entropy of a stationary Markov measure."""
-    P = mu.P.entries
+    P = mu.P
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(P > 0, P * np.log(P), 0.0)
     return float(-mu.pi @ plogp.sum(axis=1))
@@ -288,12 +298,7 @@ def entropy_rate(mu: MarkovMeasure) -> float:
 
 def potential_integral(mu: MarkovMeasure, f: Potential) -> float:
     """Integral of an order-2 potential against a Markov measure on its base."""
-    if f.order != 2:
-        raise ValueError("potential_integral needs an order-2 potential")
-    P = mu.P.entries
-    return float(
-        sum(mu.pi[i - 1] * P[i - 1, j - 1] * v for (i, j), v in f.values.items())
-    )
+    return float(mu.pi @ (mu.P * _table_array(f)).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -323,7 +328,7 @@ def gibbs_constant_audit(f: Potential, depth: int = 12, cap: int = ENUMERATION_C
 
     mu = gibbs_markov(f2)
     P_press = math.log(triple.root)
-    A = edge_matrix(f2).entries
+    A = edge_matrix(f2)
     pi, v = mu.pi, triple.right
     n = f2.base.n_symbols
     support = A > 0
@@ -346,10 +351,8 @@ def gibbs_constant_audit(f: Potential, depth: int = 12, cap: int = ENUMERATION_C
     # one edge; sums run left to right like the per-word formulas, and the
     # logs come from math.log, so every log-ratio is bit-identical to them.
     log_P = np.full((n, n), -np.inf)
-    f_table = np.zeros((n, n))
-    for i, j in f2.base.edges():
-        log_P[i - 1, j - 1] = math.log(mu.P.entries[i - 1, j - 1])
-        f_table[i - 1, j - 1] = f2.values[(i, j)]
+    log_P[support] = [math.log(p) for p in mu.P[support].tolist()]
+    f_table = _table_array(f2)
     symbols = np.arange(n)
     last = symbols
     log_mu = np.array([math.log(p) for p in pi])

@@ -81,7 +81,7 @@ def test_criterion_02_twin_spectra_equality():
         for a in (0.1, 0.2, 0.3, 0.4, 0.45):
             f, g = log_p1_potential(a), log_p2_potential(a)
             assert spectra_equal(f, g, tol=1e-10).equal
-            gap = np.max(np.abs(gibbs_markov(f).P.entries - gibbs_markov(g).P.entries))
+            gap = np.max(np.abs(gibbs_markov(f).P - gibbs_markov(g).P))
             assert gap >= abs(1 - 2 * a) - 1e-12
     report(2, "twin spectra equal, Gibbs matrices differ", watch)
 

@@ -204,8 +204,10 @@ class TestExitCodes:
             ("pressure", P1_THIRD, "--oracle-depth", "1"),
             ("sample", P1_THIRD, "--trials", "5"),
             ("gibbs-audit", P1_THIRD, "--depth", "0"),
+            ("spectrum", P1_THIRD, "--qmin", "nan"),
+            ("spectrum", P1_THIRD, "--qmax", "inf"),
         ],
-        ids=["qstep", "oracle-depth", "trials", "depth"],
+        ids=["qstep", "oracle-depth", "trials", "depth", "qmin", "qmax"],
     )
     def test_out_of_range_flag(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -234,6 +236,13 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    def test_json_boolean_transition_exits_parse(self, capsys):
+        model = '{"transition":[[true,true],[true,true]],"potential":{"order":1,"values":{"1":1,"2":0.5}}}'
+        code, out, err = run(capsys, "pressure", model)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "transition" in err
+
     @pytest.mark.parametrize("value", [800.0, -800.0])
     def test_exp_out_of_range_exits_math(self, capsys, value):
         model = json.dumps(
@@ -243,6 +252,16 @@ class TestExitCodes:
         assert code == EXIT_MATH
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "out of floating-point range" in err
+
+    def test_strong_tilt_exits_math(self, capsys):
+        # exp(100)**-10 underflows to 0 at the first point of the default grid
+        model = json.dumps(
+            {"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": {"1": 100.0, "2": 0.5}}}
+        )
+        code, out, err = run(capsys, "spectrum", model)
+        assert code == EXIT_MATH
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_library_value_error_exits_parse(self, capsys):
         code, out, err = run(capsys, "spectrum", P1_THIRD, "--qmin", "5", "--qmax", "-5")

@@ -79,17 +79,18 @@ class TestParseModel:
             parse_model(data)
 
     @pytest.mark.parametrize(
-        "potential,needle",
+        "transition,potential,needle",
         [
-            ({"order": True, "values": {"1": 0.1, "2": 0.5}}, "order"),
-            ({"order": 1, "values": {"1": True, "2": 0.5}}, "value for '1'"),
-            ({"order": 1, "values": [[[True], 0.1], [[2], 0.5]]}, "integers"),
+            ([[1, 1], [1, 1]], {"order": True, "values": {"1": 0.1, "2": 0.5}}, "order"),
+            ([[1, 1], [1, 1]], {"order": 1, "values": {"1": True, "2": 0.5}}, "value for '1'"),
+            ([[1, 1], [1, 1]], {"order": 1, "values": [[[True], 0.1], [[2], 0.5]]}, "integers"),
+            ([[True, True], [True, 0]], {"order": 1, "values": {"1": 0.1, "2": 0.5}}, "transition"),
         ],
-        ids=["order", "value", "pair-key-symbol"],
+        ids=["order", "value", "pair-key-symbol", "transition"],
     )
-    def test_json_booleans_rejected(self, potential, needle):
+    def test_json_booleans_rejected(self, transition, potential, needle):
         # bool is a subclass of int, so true/false must be refused explicitly
-        data = {"transition": [[1, 1], [1, 1]], "potential": potential}
+        data = {"transition": transition, "potential": potential}
         with pytest.raises(ModelFormatError, match=needle):
             parse_model(json.loads(json.dumps(data)))
 

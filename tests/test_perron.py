@@ -5,76 +5,73 @@ import pytest
 
 from markovspectra import (
     BetaFunction,
-    PositiveMatrixOnSupport,
-    TransitionMatrix,
     cycle_mean_extremes,
-    perron,
-    perron_derivative,
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
+from markovspectra.perron import perron
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_potential, random_support_matrix
 
 PHI = (1 + 5**0.5) / 2
 
 
-def on(base, entries):
-    return PositiveMatrixOnSupport.on_support(base, entries)
-
-
 class TestPerron:
+    def test_package_attribute_is_the_submodule(self):
+        import markovspectra.perron as m
+
+        assert callable(m.perron)
+        assert m.perron is perron
+
     def test_p1_third(self, full2):
-        t = perron(on(full2, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]]))
+        t = perron(np.array([[2 / 3, 1 / 3], [2 / 3, 1 / 3]]))
         assert t.root == pytest.approx(1.0, abs=1e-13)
         assert t.right == pytest.approx([0.5, 0.5], abs=1e-12)
         assert t.left == pytest.approx([4 / 3, 2 / 3], abs=1e-12)
 
     def test_golden_root(self, golden):
-        t = perron(on(golden, [[1.0, 1.0], [1.0, 0.0]]))
+        t = perron(np.array([[1.0, 1.0], [1.0, 0.0]]))
         assert t.root == pytest.approx(PHI, abs=1e-13)
         # v proportional to (phi, 1)
         assert t.right[0] / t.right[1] == pytest.approx(PHI, abs=1e-12)
 
     def test_normalization(self, ring):
-        t = perron(on(ring, np.where(ring.entries == 1, 0.7, 0.0)))
+        t = perron(np.where(ring.entries == 1, 0.7, 0.0))
         assert t.right.sum() == pytest.approx(1.0, abs=1e-14)
         assert float(t.left @ t.right) == pytest.approx(1.0, abs=1e-14)
 
     def test_residual_reported_small(self, full2):
-        t = perron(on(full2, [[1.0, 2.0], [3.0, 4.0]]))
+        t = perron(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert t.residual <= 1e-12 * t.root
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_matrices_match_linear_solve(self, seed):
         n = 2 + seed % 5
-        base, entries = random_support_matrix(n, seed)
-        A = on(base, entries)
-        t = perron(A)
+        _, entries = random_support_matrix(n, seed)
+        t = perron(entries)
         lam_np = max(abs(np.linalg.eigvals(entries)))
         assert t.root == pytest.approx(lam_np, rel=1e-10)
-        v = perron_vector_by_linear_solve(A, t.root)
+        v = perron_vector_by_linear_solve(entries, t.root)
         assert v == pytest.approx(t.right, rel=1e-9, abs=1e-12)
 
     def test_power_identity(self):
-        base, entries = random_support_matrix(4, 7)
-        lam = perron(on(base, entries)).root
+        _, entries = random_support_matrix(4, 7)
+        lam = perron(entries).root
         for k in (2, 3):
             Mk = np.linalg.matrix_power(entries, k)
-            powered = TransitionMatrix.from_entries((Mk > 0).astype(int))
-            assert perron(on(powered, Mk)).root == pytest.approx(lam**k, rel=1e-11)
+            assert perron(Mk).root == pytest.approx(lam**k, rel=1e-11)
 
     def test_badly_scaled_matrix(self, full2):
         # Entries spanning ~35 orders of magnitude: balancing keeps the
         # stopping rule meaningful.
         entries = np.array([[1e-18, 1.0], [1.0, 1e17]])
-        t = perron(on(full2, entries))
+        t = perron(entries)
         lam_np = max(abs(np.linalg.eigvals(entries)))
         assert t.root == pytest.approx(lam_np, rel=1e-12)
 
     def test_iterations_tell_closed_form_from_dense_solve(self, full2, ring):
-        assert perron(on(full2, [[1.0, 2.0], [3.0, 4.0]])).iterations == 0
-        assert perron(on(ring, np.where(ring.entries == 1, 0.7, 0.0))).iterations == 1
+        assert perron(np.array([[1.0, 2.0], [3.0, 4.0]])).iterations == 0
+        assert perron(np.where(ring.entries == 1, 0.7, 0.0)).iterations == 1
 
     def test_small_entries_accurate_to_their_own_size(self, full2):
         # Order-5 recoding tilted to q = -9.5: the Perron vectors span ten
@@ -106,49 +103,23 @@ class TestLinearSolve:
 
 class TestStationaryDistribution:
     def test_p1_stationary(self, full2):
-        P = on(full2, [[2 / 3, 1 / 3], [2 / 3, 1 / 3]])
+        P = np.array([[2 / 3, 1 / 3], [2 / 3, 1 / 3]])
         assert stationary_distribution(P) == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
     def test_p2_stationary_uniform(self, full2):
-        P = on(full2, [[0.7, 0.3], [0.3, 0.7]])
+        P = np.array([[0.7, 0.3], [0.3, 0.7]])
         assert stationary_distribution(P) == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_non_stochastic_rejected(self, full2):
         with pytest.raises(StochasticityError):
-            stationary_distribution(on(full2, [[0.5, 0.6], [0.5, 0.5]]))
+            stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
     def test_matches_perron_product(self, ring):
-        base, entries = random_support_matrix(3, 42)
-        t = perron(on(base, entries))
+        _, entries = random_support_matrix(3, 42)
+        t = perron(entries)
         P = entries * t.right[np.newaxis, :] / (t.root * t.right[:, np.newaxis])
-        pi = stationary_distribution(on(base, P))
+        pi = stationary_distribution(P)
         assert pi == pytest.approx(t.left * t.right, abs=1e-11)
-
-
-class TestPerronDerivative:
-    def test_against_finite_difference(self, full2):
-        logs = np.array([[0.1, -0.4], [0.3, 0.2]])
-
-        def family(q):
-            return on(full2, np.exp(q * logs))
-
-        d_exact = perron_derivative(family, 1.3, lambda q: logs * np.exp(q * logs))
-        d_fd = perron_derivative(family, 1.3)
-        h = 1e-6
-        lam = lambda q: perron(family(q)).root
-        d_num = (lam(1.3 + h) - lam(1.3 - h)) / (2 * h)
-        assert d_exact == pytest.approx(d_num, abs=1e-6)
-        assert d_fd == pytest.approx(d_exact, abs=1e-6)
-
-    def test_exponential_family_scalar(self, full2):
-        # lambda(q) = 2 e^{cq} for the constant potential: derivative 2c e^{cq}.
-        c = 0.7
-
-        def family(q):
-            return on(full2, np.full((2, 2), math.exp(c * q)))
-
-        d = perron_derivative(family, 0.5, lambda q: c * np.full((2, 2), math.exp(c * q)))
-        assert d == pytest.approx(2 * c * math.exp(c * 0.5), rel=1e-12)
 
 
 class TestCycleMeanExtremes:

@@ -119,7 +119,7 @@ class TestBernoulliTwin:
             f = log_p1_potential(a)
             g = bernoulli_twin(a, "P1")
             assert spectra_equal(f, g).equal
-            gap = np.max(np.abs(gibbs_markov(f).P.entries - gibbs_markov(g).P.entries))
+            gap = np.max(np.abs(gibbs_markov(f).P - gibbs_markov(g).P))
             assert gap >= abs(1 - 2 * a) - 1e-12
 
 

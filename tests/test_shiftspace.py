@@ -115,12 +115,10 @@ class TestHigherBlockRecode:
             assert rec.alphabet[s - 1][1:] == rec.alphabet[t - 1][:-1]
 
     def test_recoded_root_is_golden_ratio(self, golden):
-        from markovspectra import PositiveMatrixOnSupport, perron
+        from markovspectra.perron import perron
 
         rec = higher_block_recode(golden, 3)
-        root = perron(
-            PositiveMatrixOnSupport.on_support(rec.matrix, rec.matrix.entries.astype(float))
-        ).root
+        root = perron(rec.matrix.entries.astype(float)).root
         assert root == pytest.approx((1 + 5**0.5) / 2, abs=1e-12)
 
     @pytest.mark.parametrize("order", [2, 3, 4])

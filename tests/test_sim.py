@@ -5,8 +5,8 @@ import pytest
 
 from markovspectra import (
     MarkovMeasure,
+    BetaFunction,
     Potential,
-    alpha,
     alpha_range,
     empirical_local_entropy,
     empirical_spectrum_histogram,
@@ -125,8 +125,9 @@ class TestEmpiricalSpectrumHistogram:
         rows = empirical_spectrum_histogram(
             f_p1_third, n=10_000, trials=300, q_list=[0.0, 1.0, 2.5], seed=0
         )
+        bf = BetaFunction(f_p1_third)
         for row in rows:
-            assert row.alpha == pytest.approx(alpha(f_p1_third, row.q), abs=1e-12)
+            assert row.alpha == pytest.approx(bf.alpha(row.q), abs=1e-12)
             assert abs(row.mean - row.alpha) <= 3 * row.std_error
 
     def test_q_zero_closed_form(self, f_p1_third):
@@ -154,10 +155,10 @@ def reference_log_masses(sampler, evaluator, n, trials, seed, key=()):
     """The (trials, n) column-by-column sampler with a full cumulative-sum
     compare for every alphabet size."""
     cum_pi = np.cumsum(sampler.pi)
-    cum_P = np.cumsum(sampler.P.entries, axis=1)
+    cum_P = np.cumsum(sampler.P, axis=1)
     with np.errstate(divide="ignore"):
         log_pi_eval = np.log(evaluator.pi)
-        log_P_eval = np.log(evaluator.P.entries)
+        log_P_eval = np.log(evaluator.P)
     U = np.stack([_trial_uniforms(seed, key, t, n) for t in trials])
     state = (U[:, 0][:, None] >= cum_pi[None, :]).sum(axis=1)
     log_mass = log_pi_eval[state]

@@ -6,9 +6,7 @@ import pytest
 from markovspectra import (
     BetaFunction,
     Potential,
-    alpha,
     alpha_range,
-    beta,
     entropy_rate,
     entropy_spectrum,
     gibbs_markov,
@@ -17,6 +15,7 @@ from markovspectra import (
     sample_spectrum,
     spectra_equal,
 )
+from markovspectra.errors import PotentialRangeError
 from markovspectra.spectrum import (
     FLAG_DEGENERATE,
     FLAG_ENDPOINT,
@@ -38,7 +37,14 @@ class TestBeta:
             assert bf.beta(q) == pytest.approx(closed_beta(q), abs=1e-12)
 
     def test_beta_two(self, f_p1_third):
-        assert beta(f_p1_third, 2.0) == pytest.approx(math.log(5 / 9), abs=1e-12)
+        assert BetaFunction(f_p1_third).beta(2.0) == pytest.approx(math.log(5 / 9), abs=1e-12)
+
+    @pytest.mark.parametrize("q", [-10.0, 10.0])
+    def test_tilt_out_of_range_raises(self, full2, q):
+        # exp(100)**q underflows to 0 at q = -10 and overflows at q = 10
+        f = Potential.from_table(full2, 1, {(1,): 100.0, (2,): 0.5})
+        with pytest.raises(PotentialRangeError):
+            BetaFunction(f).beta(q)
 
     def test_anchor_values(self, test_potentials):
         for f in test_potentials:
@@ -72,12 +78,12 @@ class TestBeta:
 
 class TestAlpha:
     def test_alpha_zero_closed_form(self, f_p1_third):
-        assert alpha(f_p1_third, 0.0) == pytest.approx(math.log(9 / 2) / 2, abs=1e-12)
+        assert BetaFunction(f_p1_third).alpha(0.0) == pytest.approx(math.log(9 / 2) / 2, abs=1e-12)
 
     def test_alpha_one_is_entropy(self, test_potentials):
         for f in test_potentials:
             h = entropy_rate(gibbs_markov(f))
-            assert alpha(f, 1.0) == pytest.approx(h, abs=1e-11)
+            assert BetaFunction(f).alpha(1.0) == pytest.approx(h, abs=1e-11)
 
     def test_matches_finite_difference_of_beta(self, test_potentials):
         h = 1e-6
@@ -130,7 +136,7 @@ class TestAlphaRange:
 
 class TestEntropySpectrum:
     def test_peak(self, f_p1_third):
-        a0 = alpha(f_p1_third, 0.0)
+        a0 = BetaFunction(f_p1_third).alpha(0.0)
         val = entropy_spectrum(f_p1_third, a0)
         assert val.flag == FLAG_INTERIOR
         assert val.value == pytest.approx(math.log(2), abs=1e-10)

@@ -140,7 +140,7 @@ class TestPressureByPreimages:
 class TestGibbsMarkov:
     def test_p1_third(self, f_p1_third):
         mu = gibbs_markov(f_p1_third)
-        assert mu.P.entries == pytest.approx(
+        assert mu.P == pytest.approx(
             np.array([[2 / 3, 1 / 3], [2 / 3, 1 / 3]]), abs=1e-13
         )
         assert mu.pi == pytest.approx([2 / 3, 1 / 3], abs=1e-13)
@@ -148,17 +148,17 @@ class TestGibbsMarkov:
     def test_rows_stochastic_and_stationary(self, test_potentials):
         for f in test_potentials:
             mu = gibbs_markov(f)
-            assert mu.P.entries.sum(axis=1) == pytest.approx(
+            assert mu.P.sum(axis=1) == pytest.approx(
                 np.ones(mu.base.n_symbols), abs=1e-13
             )
-            assert mu.pi @ mu.P.entries == pytest.approx(mu.pi, abs=1e-12)
+            assert mu.pi @ mu.P == pytest.approx(mu.pi, abs=1e-12)
             assert mu.pi.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_invariant_under_constant_shift(self, test_potentials):
         for f in test_potentials:
             mu = gibbs_markov(f)
             nu = gibbs_markov(f.shift(0.9))
-            assert nu.P.entries == pytest.approx(mu.P.entries, abs=1e-12)
+            assert nu.P == pytest.approx(mu.P, abs=1e-12)
             assert nu.pi == pytest.approx(mu.pi, abs=1e-12)
 
 
@@ -240,7 +240,7 @@ class TestNormalizePotential:
         for f in test_potentials:
             mu = gibbs_markov(f)
             nu = gibbs_markov(normalize_potential(f))
-            assert nu.P.entries == pytest.approx(mu.P.entries, abs=1e-11)
+            assert nu.P == pytest.approx(mu.P, abs=1e-11)
             assert nu.pi == pytest.approx(mu.pi, abs=1e-11)
 
 
@@ -315,6 +315,21 @@ class TestEntropyAndIntegral:
         assert entropy_rate(mu) == pytest.approx(math.log(2), abs=1e-14)
 
 
+class TestMarkovMeasure:
+    @pytest.mark.parametrize(
+        "matrix,needle",
+        [
+            (np.full((3, 3), 1 / 3), "shape"),
+            ([[1.0, 0.0], [1.0, 0.0]], "support"),
+            ([[0.5, 0.5], [0.5, 0.5]], "support"),
+        ],
+        ids=["shape", "zero-on-support", "positive-off-support"],
+    )
+    def test_from_stochastic_checks_the_support(self, golden, matrix, needle):
+        with pytest.raises(ValueError, match=needle):
+            MarkovMeasure.from_stochastic(golden, matrix)
+
+
 class TestGibbsAudit:
     def test_p1_third_constant_two(self, f_p1_third):
         audit = gibbs_constant_audit(f_p1_third, depth=12)
@@ -343,7 +358,7 @@ def reference_gibbs_audit(f, depth):
     f2, triple = _reduced_triple(f)
     mu = gibbs_markov(f2)
     P_press = math.log(triple.root)
-    A = edge_matrix(f2).entries
+    A = edge_matrix(f2)
     pi, v = mu.pi, triple.right
     n = f2.base.n_symbols
 
