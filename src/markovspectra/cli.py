@@ -45,6 +45,8 @@ EXIT_MATH = 3
 EXIT_AUDIT = 4
 EXIT_RESOURCE = 5
 
+MAX_Q_POINTS = 100_001
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -77,10 +79,17 @@ def cmd_pressure(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model = parse_model(args.model)
-    bf = BetaFunction(model.potential)
-    grid = np.arange(args.qmin, args.qmax + args.qstep / 2, args.qstep)
+    stop = args.qmax + args.qstep / 2
+    # np.arange makes ceil((stop - qmin) / qstep) points; inf when the range overflows
+    if (stop - args.qmin) / args.qstep > MAX_Q_POINTS:
+        raise ValueError(
+            f"q grid too large: --qmin {args.qmin} --qmax {args.qmax} --qstep {args.qstep}"
+            f" give more than {MAX_Q_POINTS} points"
+        )
+    grid = np.arange(args.qmin, stop, args.qstep)
     if grid.size == 0:
         raise ValueError(f"empty q grid: --qmin {args.qmin} exceeds --qmax {args.qmax}")
+    bf = BetaFunction(model.potential)
     curve = sample_spectrum(bf, grid)
     if args.out:
         with open(args.out, "w", newline="") as handle:
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="decide spectrum equality of two models")
     p.add_argument("model_f")
     p.add_argument("model_g")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-9)
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("classify", help="rigidity classification report")

@@ -153,44 +153,34 @@ class CycleMeanExtremes:
     max_cycle: tuple[int, ...]
 
 
-def _karp_min_mean(n: int, edges: list[tuple[int, int, float]]) -> tuple[float, tuple[int, ...]]:
-    """Karp's minimum mean cycle on vertices 0..n-1 (all on cycles reachable).
+def _karp_min_mean(W: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Karp's minimum mean cycle of the graph with edge weights W (+inf off
+    the graph), with 0-based vertices.
 
-    A virtual source n with zero-weight edges to every vertex guarantees
-    reachability; cycles never pass through it.
+    D[k, v] is the least weight of a k-edge walk ending at v; D[0] = 0 at
+    every vertex starts a walk anywhere, so every vertex is reachable.  Ties
+    take the lowest predecessor (argmin keeps the first minimum).
     """
-    total = n + 1
-    aug = edges + [(n, v, 0.0) for v in range(n)]
-    INF = np.inf
-    dist = np.full((total + 1, total), INF)
-    parent = np.full((total + 1, total), -1, dtype=int)
-    dist[0, n] = 0.0
-    for k in range(1, total + 1):
-        for u, v, w in aug:
-            cand = dist[k - 1, u] + w
-            if cand < dist[k, v]:
-                dist[k, v] = cand
-                parent[k, v] = u
+    n = W.shape[0]
+    D = np.zeros((n + 1, n))
+    parent = np.zeros((n + 1, n), dtype=int)
+    for k in range(1, n + 1):
+        walks = D[k - 1][:, np.newaxis] + W
+        parent[k] = walks.argmin(axis=0)
+        D[k] = walks.min(axis=0)
 
-    best = INF
-    best_v = -1
-    for v in range(n):
-        if not np.isfinite(dist[total, v]):
-            continue
-        worst = -INF
-        for k in range(total):
-            if np.isfinite(dist[k, v]):
-                worst = max(worst, (dist[total, v] - dist[k, v]) / (total - k))
-        if worst < best:
-            best = worst
-            best_v = v
+    # A vertex with no n-edge walk has D[n] = inf: inf - inf is NaN, which
+    # fmax skips, and the finite D[0] gives it the ratio +inf.
+    with np.errstate(invalid="ignore"):
+        ratios = (D[n] - D[:n]) / (n - np.arange(n))[:, np.newaxis]
+    worst = np.fmax.reduce(ratios, axis=0)
+    best_v = int(np.argmin(worst))
+    best = float(worst[best_v])
 
-    # The optimal walk of length `total` into best_v contains a min-mean cycle.
+    # The optimal n-edge walk into best_v contains a min-mean cycle.
     walk = [best_v]
-    cur = best_v
-    for k in range(total, 0, -1):
-        cur = int(parent[k, cur])
-        walk.append(cur)
+    for k in range(n, 0, -1):
+        walk.append(int(parent[k, walk[-1]]))
     walk.reverse()
     seen: dict[int, int] = {}
     cycle: tuple[int, ...] = ()
@@ -199,13 +189,10 @@ def _karp_min_mean(n: int, edges: list[tuple[int, int, float]]) -> tuple[float, 
             cycle = tuple(walk[seen[vertex] : pos])
             break
         seen[vertex] = pos
-    weight_of = {(u, v): w for u, v, w in aug}
-    mean = sum(
-        weight_of[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
-    ) / len(cycle)
+    mean = sum(W[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])) / len(cycle)
     if abs(mean - best) > 1e-9 * max(1.0, abs(best)):
         raise NonConvergenceError("extracted cycle does not realize the Karp optimum")
-    return float(best), cycle
+    return best, cycle
 
 
 def cycle_mean_extremes(base: TransitionMatrix, weights) -> CycleMeanExtremes:
@@ -215,9 +202,8 @@ def cycle_mean_extremes(base: TransitionMatrix, weights) -> CycleMeanExtremes:
     off-support values are ignored.
     """
     W = np.asarray(weights, dtype=float)
-    n = base.n_symbols
-    edges = [(i - 1, j - 1, float(W[i - 1, j - 1])) for i, j in base.edges()]
-    lo, lo_cycle = _karp_min_mean(n, edges)
-    hi_neg, hi_cycle = _karp_min_mean(n, [(u, v, -w) for u, v, w in edges])
+    support = base.entries == 1
+    lo, lo_cycle = _karp_min_mean(np.where(support, W, np.inf))
+    hi_neg, hi_cycle = _karp_min_mean(np.where(support, -W, np.inf))
     to_word = lambda cyc: tuple(v + 1 for v in cyc)
     return CycleMeanExtremes(lo, -hi_neg, to_word(lo_cycle), to_word(hi_cycle))

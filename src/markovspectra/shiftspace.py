@@ -150,50 +150,27 @@ class BlockRecoding:
     alphabet: tuple[Word, ...]
     matrix: TransitionMatrix
 
-    def symbol_index(self, block: Word) -> int:
-        try:
-            return self._index[block]
-        except KeyError:
-            raise ValueError(f"{block} is not an admissible block") from None
-
-    @property
-    def _index(self) -> dict[Word, int]:
-        idx = self.__dict__.get("_index_cache")
-        if idx is None:
-            idx = {w: k + 1 for k, w in enumerate(self.alphabet)}
-            self.__dict__["_index_cache"] = idx
-        return idx
-
     def edge_word(self, s: int, t: int) -> Word:
         """Original n-word carried by the recoded edge s -> t."""
         return self.alphabet[s - 1] + (self.alphabet[t - 1][-1],)
 
-    def decode(self, recoded: Word) -> Word:
-        if not recoded:
-            return ()
-        word = self.alphabet[recoded[0] - 1]
-        for s in recoded[1:]:
-            word = word + (self.alphabet[s - 1][-1],)
-        return word
 
-    def encode(self, word: Word) -> Word:
-        block = self.order - 1
-        if len(word) < block:
-            raise ValueError(f"word shorter than block length {block}")
-        return tuple(self.symbol_index(word[k : k + block]) for k in range(len(word) - block + 1))
+def higher_block_recode(A: TransitionMatrix, n: int) -> BlockRecoding:
+    """Recode onto the alphabet W_A^{n-1}; edges are overlapping n-words.
 
-
-def higher_block_recode(A: TransitionMatrix, n: int, cap: int = ENUMERATION_CAP) -> BlockRecoding:
-    """Recode onto the alphabet W_A^{n-1}; edges are overlapping n-words."""
+    Raises EnumerationCapError when the n-words (the recoded edges) exceed
+    ENUMERATION_CAP.
+    """
     if n < 2:
         raise ValueError("recoding order must be at least 2")
-    alphabet = tuple(admissible_words(A, n - 1, cap=cap))
-    m = len(alphabet)
-    entries = np.zeros((m, m), dtype=np.int8)
-    for a, u in enumerate(alphabet):
-        for b, w in enumerate(alphabet):
-            if u[1:] == w[:-1] and A.admits(u + (w[-1],)):
-                entries[a, b] = 1
+    words = admissible_words(A, n)
+    # every block extends (no zero rows), so the prefixes of the sorted
+    # n-words are W_A^{n-1} in lexicographic order
+    alphabet = tuple(dict.fromkeys(w[:-1] for w in words))
+    index = {w: k for k, w in enumerate(alphabet)}
+    entries = np.zeros((len(alphabet), len(alphabet)), dtype=np.int8)
+    for w in words:
+        entries[index[w[:-1]], index[w[1:]]] = 1
     return BlockRecoding(A, n, alphabet, TransitionMatrix.from_entries(entries))
 
 

@@ -76,14 +76,14 @@ class Potential:
         return Potential(self.base, self.order, {w: v + c for w, v in self.values.items()})
 
 
-def reduce_to_order2(f: Potential, cap: int = ENUMERATION_CAP) -> tuple[Potential, BlockRecoding | None]:
+def reduce_to_order2(f: Potential) -> tuple[Potential, BlockRecoding | None]:
     """2-locally constant representative of f (recoded base for orders >= 3)."""
     if f.order == 2:
         return f, None
     if f.order == 1:
         table = {(i, j): f.values[(i,)] for i, j in f.base.edges()}
         return Potential.from_table(f.base, 2, table), None
-    recoding = higher_block_recode(f.base, f.order, cap=cap)
+    recoding = higher_block_recode(f.base, f.order)
     table = {
         (s, t): f.values[recoding.edge_word(s, t)]
         for s, t in recoding.matrix.edges()
@@ -158,11 +158,10 @@ def pressure_by_preimages(f: Potential, terminal_symbol: int, depth: int) -> flo
         logA = np.log(edge_matrix(f2))
     log_col = np.full(n, -np.inf)
     log_col[terminal_symbol - 1] = 0.0
-    prev_sum = None
-    for _ in range(depth):
-        prev_sum = _logsumexp(log_col)
+    for _ in range(depth - 1):
         log_col = _logsumexp(logA + log_col[np.newaxis, :])
-    return float(_logsumexp(log_col) - prev_sum)
+    last = _logsumexp(logA + log_col[np.newaxis, :])
+    return float(_logsumexp(last) - _logsumexp(log_col))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,6 +35,15 @@ def random_support_matrix(n: int, seed: int):
             return base, entries
 
 
+def random_aperiodic_base(rng, n: int) -> TransitionMatrix:
+    """A random aperiodic 0/1 support on n symbols, of random density."""
+    density = rng.uniform(0.2, 0.9)
+    while True:
+        support = (rng.random((n, n)) < density).astype(int)
+        if check_aperiodic(support).accepted:
+            return TransitionMatrix.from_entries(support)
+
+
 @pytest.fixture(scope="session")
 def full2():
     return full_shift(2)

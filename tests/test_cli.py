@@ -216,6 +216,40 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and f"argument {argv[2]}" in out.err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_out_of_range_tol(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", P1_THIRD, P1_THIRD, f"--tol={tol}"])
+        assert exc.value.code == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == "" and "argument --tol: must be" in out.err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--qmax", "1e308"), ("--qstep", "1e-6"), ("--qmin", "0", "--qmax", "100001", "--qstep", "1")],
+        ids=["qmax-1e308", "qstep-1e-6", "100002-points"],
+    )
+    def test_oversized_q_grid_refused_before_solving(self, capsys, monkeypatch, flags):
+        def no_solve(*args):
+            raise AssertionError("a Perron solve ran before the grid check")
+
+        monkeypatch.setattr("markovspectra.spectrum.perron", no_solve)
+        code, out, err = run(capsys, "spectrum", P1_THIRD, *flags)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("error: q grid too large") and err.count("\n") == 1
+        assert "--qmin" in err and "--qmax" in err and "--qstep" in err
+
+    def test_largest_q_grid_accepted(self, capsys, monkeypatch):
+        sizes = []
+
+        def stop_after_grid(bf, grid):
+            sizes.append(len(grid))
+            raise ValueError("stopped")
+
+        monkeypatch.setattr("markovspectra.cli.sample_spectrum", stop_after_grid)
+        run(capsys, "spectrum", P1_THIRD, "--qmin", "0", "--qmax", "100000", "--qstep", "1")
+        assert sizes == [100_001]
+
     def test_numerical_failure_exits_math(self, capsys, tmp_path):
         # Values of +-40 tilted to |q| >= 5 put Gibbs transition probabilities
         # or Perron vector entries below the smallest double.

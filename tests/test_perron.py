@@ -9,9 +9,9 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.perron import perron
+from markovspectra.perron import CycleMeanExtremes, perron
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
-from conftest import random_potential, random_support_matrix
+from conftest import random_aperiodic_base, random_potential, random_support_matrix
 
 PHI = (1 + 5**0.5) / 2
 
@@ -158,3 +158,68 @@ class TestCycleMeanExtremes:
             assert all(
                 base.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
             )
+
+
+def reference_karp_min_mean(n, edges):
+    """Karp's minimum mean cycle over an edge list, with a virtual source
+    vertex n and a strict < over the edges in lexicographic order."""
+    total = n + 1
+    aug = edges + [(n, v, 0.0) for v in range(n)]
+    dist = np.full((total + 1, total), np.inf)
+    parent = np.full((total + 1, total), -1, dtype=int)
+    dist[0, n] = 0.0
+    for k in range(1, total + 1):
+        for u, v, w in aug:
+            cand = dist[k - 1, u] + w
+            if cand < dist[k, v]:
+                dist[k, v] = cand
+                parent[k, v] = u
+
+    best, best_v = np.inf, -1
+    for v in range(n):
+        if not np.isfinite(dist[total, v]):
+            continue
+        worst = -np.inf
+        for k in range(total):
+            if np.isfinite(dist[k, v]):
+                worst = max(worst, (dist[total, v] - dist[k, v]) / (total - k))
+        if worst < best:
+            best, best_v = worst, v
+
+    walk = [best_v]
+    for k in range(total, 0, -1):
+        walk.append(int(parent[k, walk[-1]]))
+    walk.reverse()
+    seen = {}
+    for pos, vertex in enumerate(walk):
+        if vertex in seen:
+            return float(best), tuple(walk[seen[vertex] : pos])
+        seen[vertex] = pos
+    raise AssertionError("walk of n + 2 vertices has no repeat")
+
+
+def reference_cycle_mean_extremes(base, W):
+    edges = [(i - 1, j - 1, float(W[i - 1, j - 1])) for i, j in base.edges()]
+    lo, lo_cycle = reference_karp_min_mean(base.n_symbols, edges)
+    hi_neg, hi_cycle = reference_karp_min_mean(base.n_symbols, [(u, v, -w) for u, v, w in edges])
+    to_word = lambda cyc: tuple(v + 1 for v in cyc)
+    return CycleMeanExtremes(lo, -hi_neg, to_word(lo_cycle), to_word(hi_cycle))
+
+
+class TestCycleMeanOracle:
+    """The array recurrence must reproduce the edge-list Karp bit for bit,
+    witness cycles included (ties go to the lowest predecessor)."""
+
+    @pytest.mark.parametrize("kind", ["real", "integer", "zero"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_identical_to_edge_list_karp(self, n, kind):
+        rng = np.random.default_rng(1000 * n + len(kind))
+        for _ in range(40):
+            base = random_aperiodic_base(rng, n)
+            if kind == "real":
+                W = rng.normal(0.0, 1.0, (n, n))
+            elif kind == "integer":
+                W = rng.integers(-2, 3, (n, n)).astype(float)
+            else:
+                W = np.zeros((n, n))
+            assert cycle_mean_extremes(base, W) == reference_cycle_mean_extremes(base, W)

@@ -13,6 +13,7 @@ from markovspectra import (
     word_count,
 )
 from markovspectra.errors import AperiodicityError, EnumerationCapError
+from conftest import random_aperiodic_base
 
 
 class TestCheckAperiodic:
@@ -124,15 +125,47 @@ class TestHigherBlockRecode:
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_translation_bijection(self, golden, order):
         rec = higher_block_recode(golden, order)
+        block = order - 1
+        symbol = {w: s for s, w in enumerate(rec.alphabet, start=1)}
         for m in range(1, 7):
             recoded = admissible_words(rec.matrix, m)
-            decoded = [rec.decode(w) for w in recoded]
+            # decode: the first block, then the last symbol of each later block
+            decoded = [
+                rec.alphabet[w[0] - 1] + tuple(rec.alphabet[s - 1][-1] for s in w[1:]) for w in recoded
+            ]
             assert sorted(decoded) == admissible_words(golden, m + order - 2)
-            assert all(rec.encode(w) in set(recoded) for w in decoded)
+            # encode: the symbol of every window of length order - 1
+            encoded = [tuple(symbol[u[k : k + block]] for k in range(len(u) - block + 1)) for u in decoded]
+            assert encoded == recoded
 
     def test_rejects_order_one(self, golden):
         with pytest.raises(ValueError):
             higher_block_recode(golden, 1)
+
+
+def reference_recode(A, n):
+    """The recoding by testing every pair of (n-1)-blocks with ``admits``."""
+    alphabet = tuple(admissible_words(A, n - 1))
+    entries = np.zeros((len(alphabet), len(alphabet)), dtype=np.int8)
+    for a, u in enumerate(alphabet):
+        for b, w in enumerate(alphabet):
+            if u[1:] == w[:-1] and A.admits(u + (w[-1],)):
+                entries[a, b] = 1
+    return alphabet, TransitionMatrix.from_entries(entries)
+
+
+class TestRecodeOracle:
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    @pytest.mark.parametrize("symbols", [2, 3, 4])
+    def test_identical_to_pairwise_scan(self, symbols, order):
+        rng = np.random.default_rng(100 * symbols + order)
+        for _ in range(5):
+            base = random_aperiodic_base(rng, symbols)
+            rec = higher_block_recode(base, order)
+            alphabet, matrix = reference_recode(base, order)
+            assert rec.alphabet == alphabet
+            assert np.array_equal(rec.matrix.entries, matrix.entries)
+            assert rec.matrix.aperiodicity_power == matrix.aperiodicity_power
 
 
 class TestSymbolPermutation:

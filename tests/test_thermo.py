@@ -25,7 +25,7 @@ from markovspectra import (
     word_count,
 )
 from markovspectra.errors import EnumerationCapError, WordLengthError
-from markovspectra.thermo import _reduced_triple
+from markovspectra.thermo import _logsumexp, _reduced_triple
 from conftest import random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -129,6 +129,21 @@ class TestPressureByPreimages:
         p = pressure(f)
         for symbol in (1, 2, 3):
             assert pressure_by_preimages(f, symbol, 60) == pytest.approx(p, abs=1e-8)
+
+    @pytest.mark.parametrize("depth", [2, 3, 10, 60])
+    @pytest.mark.parametrize("support", ["full2", "golden", "ring"])
+    def test_identical_to_sum_every_step(self, request, support, depth):
+        # the reference takes the column's log-sum before every update
+        f = random_potential(request.getfixturevalue(support), seed=depth, scale=1.0)
+        with np.errstate(divide="ignore"):
+            logA = np.log(edge_matrix(f))
+        for symbol in range(1, f.base.n_symbols + 1):
+            log_col = np.where(np.arange(f.base.n_symbols) == symbol - 1, 0.0, -np.inf)
+            for _ in range(depth):
+                prev_sum = _logsumexp(log_col)
+                log_col = _logsumexp(logA + log_col[np.newaxis, :])
+            reference = float(_logsumexp(log_col) - prev_sum)
+            assert pressure_by_preimages(f, symbol, depth) == reference
 
     def test_depth_validation(self, f_p1_third):
         with pytest.raises(ValueError):
