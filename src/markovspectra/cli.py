@@ -3,7 +3,7 @@
 Structured results go to stdout as JSON; curves and histograms go to CSV
 files.  Exit codes: 0 success, 2 parse/validation error, 3 solver
 non-convergence or a potential out of floating-point range, 4 Gibbs-audit
-violation, 5 resource cap exceeded.
+violation, 5 resource cap exceeded or memory exhausted.
 Verdict-carrying commands (compare, classify) always exit 0 on valid input.
 """
 
@@ -199,7 +199,8 @@ def _bounded(kind, low=-math.inf, strict: bool = False):
 
     def number(text: str):
         value = kind(text)
-        if not math.isfinite(value):
+        # not math.isfinite, which overflows on ints beyond the float range
+        if not abs(value) <= sys.float_info.max:
             raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not (value > low if strict else value >= low):
             bound = "greater than" if strict else "at least"
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--n", type=_bounded(int, 1), default=10_000)
     p.add_argument("--trials", type=_bounded(int, 100), default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--out", default=None, help="histogram CSV output path")
     p.set_defaults(handler=cmd_sample)
     return parser
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
         return EXIT_MATH
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

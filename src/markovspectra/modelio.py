@@ -8,6 +8,7 @@ symbols; larger alphabets use ``[[word array, value], ...]`` pairs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_word_key(key, n_symbols: int) -> Word:
+def _parse_word_key(key) -> Word:
     if isinstance(key, str):
         if not key.isdigit():
             raise ModelFormatError(f"potential key {key!r} is not a digit string")
@@ -84,17 +85,20 @@ def parse_model(source) -> Model:
         raise ModelFormatError("key 'potential.order' must be a positive integer")
 
     raw = pot["values"]
-    if isinstance(raw, dict):
-        items = raw.items()
-    elif isinstance(raw, list):
-        items = ((k, v) for k, v in raw)
-    else:
+    if not isinstance(raw, (dict, list)):
         raise ModelFormatError("key 'potential.values' must be an object or a pair list")
     table = {}
-    for key, value in items:
-        word = _parse_word_key(key, base.n_symbols)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelFormatError(f"potential value for {key!r} is not a number")
+    for k, entry in enumerate(raw.items() if isinstance(raw, dict) else raw):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+            raise ModelFormatError(f"potential entry {k} is not a [word, value] pair")
+        key, value = entry
+        word = _parse_word_key(key)
+        if word in table:
+            raise ModelFormatError(f"potential word {key!r} is given twice")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # the comparison is exact for ints, so float() below cannot overflow
+        if not (number and abs(value) <= sys.float_info.max):
+            raise ModelFormatError(f"potential value for {key!r} is not a finite number")
         table[word] = float(value)
     try:
         potential = Potential.from_table(base, order, table)

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import NonConvergenceError, SingularSystemError, StochasticityError
 from .shiftspace import TransitionMatrix
 
-DEFAULT_TOL = 1e-13
+RESIDUAL_TOL = 1e-13
+STOCHASTIC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def _perron_vector(B: np.ndarray) -> tuple[float, np.ndarray]:
     return mu + float(step[n]), v * (1.0 + step[:n])
 
 
-def perron(A: np.ndarray, tol: float = DEFAULT_TOL) -> PerronTriple:
+def perron(A: np.ndarray) -> PerronTriple:
     """Perron root and positive left/right eigenvectors of the primitive
     non-negative array ``A``.
 
@@ -70,7 +71,7 @@ def perron(A: np.ndarray, tol: float = DEFAULT_TOL) -> PerronTriple:
     must pass an acceptance check, else NonConvergenceError is raised: a
     real positive root, strictly positive eigenvectors, and for both vectors
     a max-normalized residual max|Mx - root x| / max|x| (against M, kept as
-    ``residual``) of at most ``tol * root``.
+    ``residual``) of at most ``RESIDUAL_TOL * root``.
     """
     M = np.asarray(A, dtype=float)
     n = M.shape[0]
@@ -106,8 +107,8 @@ def perron(A: np.ndarray, tol: float = DEFAULT_TOL) -> PerronTriple:
         float(np.abs(M @ right - root * right).max() / right.max()),
         float(np.abs(left @ M - root * left).max() / left.max()),
     )
-    if not residual <= tol * root:
-        raise NonConvergenceError(f"Perron residual {residual:.3e} exceeds tol={tol} times the root")
+    if not residual <= RESIDUAL_TOL * root:
+        raise NonConvergenceError(f"Perron residual {residual:.3e} exceeds tol={RESIDUAL_TOL} times the root")
     return PerronTriple(root, left, right, residual, iterations)
 
 
@@ -135,12 +136,12 @@ def perron_vector_by_linear_solve(A: np.ndarray, lam: float) -> np.ndarray:
     raise SingularSystemError("no row deletion yields an invertible, consistent system")
 
 
-def stationary_distribution(P: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Stationary probability vector of a row-stochastic matrix."""
     M = np.asarray(P, dtype=float)
     row_defect = np.max(np.abs(M.sum(axis=1) - 1.0))
-    if row_defect > tol:
-        raise StochasticityError(f"rows sum to 1 only within {row_defect:.3e} (tol {tol})")
+    if row_defect > STOCHASTIC_TOL:
+        raise StochasticityError(f"rows sum to 1 only within {row_defect:.3e} (tol {STOCHASTIC_TOL})")
     # pi solves pi P = pi, sum pi = 1: the right-eigenvector system of P^T at 1.
     return perron_vector_by_linear_solve(M.T, 1.0)
 

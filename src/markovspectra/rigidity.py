@@ -22,6 +22,7 @@ from .thermo import Potential, gibbs_markov, normalize_potential, reduce_to_orde
 ROW_TOL = 1e-10
 HALF_TOL = 1e-10
 GAP_TOL = 1e-9
+OPENNESS_SUBTRIALS = 10
 
 
 @dataclass(frozen=True)
@@ -36,17 +37,15 @@ def normalized_word_values(f: Potential) -> dict[Word, float]:
     """Values of the normalized potential on W_A^n for an order-n input.
 
     For n >= 3 the eigenfunction lives on (n-1)-blocks; its logs transfer
-    back to n-words through the recoding alphabet.
+    back to n-words through the recoding alphabet.  Order-1 inputs are
+    reported on 2-words.
     """
-    if f.order <= 2:
-        f2, _ = reduce_to_order2(f)
-        return dict(normalize_potential(f2).values)
     f2, recoding = reduce_to_order2(f)
-    fhat2 = normalize_potential(f2)
-    return {recoding.edge_word(s, t): v for (s, t), v in fhat2.values.items()}
+    word = recoding.edge_word if recoding else lambda s, t: (s, t)
+    return {word(s, t): v for (s, t), v in normalize_potential(f2).values.items()}
 
 
-def g_n_membership(f: Potential, gap_tol: float = GAP_TOL) -> GnReport:
+def g_n_membership(f: Potential) -> GnReport:
     """Pairwise-distinctness of the normalized potential over n-words."""
     values = normalized_word_values(f)
     scale = max(1.0, max(abs(v) for v in values.values()))
@@ -55,7 +54,7 @@ def g_n_membership(f: Potential, gap_tol: float = GAP_TOL) -> GnReport:
     for (w1, v1), (w2, v2) in itertools.combinations(sorted(values.items()), 2):
         gap = abs(v1 - v2) / scale
         margin = min(margin, gap)
-        if gap <= gap_tol:
+        if gap <= GAP_TOL:
             collisions.append((w1, w2))
     return GnReport(not collisions, float(margin), tuple(collisions), values)
 
@@ -69,11 +68,7 @@ class PairCheck:
     agrees: bool
 
 
-def appendix_condition_check(
-    Af: np.ndarray,
-    orientation: str = "right-v",
-    tol: float = GAP_TOL,
-) -> list[PairCheck]:
+def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> list[PairCheck]:
     """Per-pair distinctness expressions A(ij)/A(kl) - (eigenvector ratio).
 
     ``Af`` is an edge matrix A(f); its support ``Af > 0`` is the base.
@@ -100,14 +95,14 @@ def appendix_condition_check(
 
     base = TransitionMatrix.from_entries((Af > 0).astype(int))
     f = Potential.from_matrix_log(base, Af)
-    report = g_n_membership(f, gap_tol=tol)
+    report = g_n_membership(f)
     colliding = {frozenset(pair) for pair in report.collisions}
 
     words = admissible_words(base, 2)
     checks = []
     for (i, j), (k, l) in itertools.permutations(words, 2):
         expr = float(Af[i - 1, j - 1] / Af[k - 1, l - 1] - ratio(i - 1, j - 1, k - 1, l - 1))
-        is_zero = abs(expr) <= tol
+        is_zero = abs(expr) <= GAP_TOL
         collision = frozenset(((i, j), (k, l))) in colliding
         checks.append(PairCheck(((i, j), (k, l)), float(expr), is_zero, collision, is_zero == collision))
     return checks
@@ -195,14 +190,7 @@ class DensityProbeResult:
     openness_violations: int
 
 
-def density_probe(
-    f: Potential,
-    radius: float,
-    trials: int,
-    seed: int,
-    gap_tol: float = GAP_TOL,
-    openness_subtrials: int = 10,
-) -> DensityProbeResult:
+def density_probe(f: Potential, radius: float, trials: int, seed: int) -> DensityProbeResult:
     """Fraction of uniform table perturbations that have pairwise-distinct
     normalized values, with a shrunken-ball probe around each member found."""
     f2, _ = reduce_to_order2(f)
@@ -219,12 +207,12 @@ def density_probe(
         # Per-trial stream so trials can be partitioned without changing results.
         rng = np.random.default_rng((seed, trial))
         g = perturbed(rng, f2.values, radius)
-        if g_n_membership(g, gap_tol=gap_tol).member:
+        if g_n_membership(g).member:
             members += 1
-            for _ in range(openness_subtrials):
+            for _ in range(OPENNESS_SUBTRIALS):
                 openness_checked += 1
                 h = perturbed(rng, g.values, radius / 100.0)
-                if not g_n_membership(h, gap_tol=gap_tol).member:
+                if not g_n_membership(h).member:
                     openness_violations += 1
     return DensityProbeResult(
         members / trials if trials else 0.0,

@@ -112,9 +112,8 @@ def admissible_words(A: TransitionMatrix, n: int, cap: int = ENUMERATION_CAP) ->
     """All admissible words of length n, lexicographically ordered."""
     if n < 0:
         raise ValueError("word length must be non-negative")
-    count = word_count(A, n)
-    if count > cap:
-        raise EnumerationCapError(f"{count} words of length {n} exceed the cap {cap}")
+    if word_count(A, n) > cap:
+        raise EnumerationCapError(f"more than {cap} words of length {n} (the enumeration cap)")
     if n == 0:
         return [()]
     symbols = range(1, A.n_symbols + 1)
@@ -171,7 +170,12 @@ def higher_block_recode(A: TransitionMatrix, n: int) -> BlockRecoding:
     entries = np.zeros((len(alphabet), len(alphabet)), dtype=np.int8)
     for w in words:
         entries[index[w[:-1]], index[w[1:]]] = 1
-    return BlockRecoding(A, n, alphabet, TransitionMatrix.from_entries(entries))
+    entries.setflags(write=False)
+    # Primitive by construction: for k >= n-1, a walk of k recoded edges joins
+    # blocks a and b exactly when A has a walk of k-n+2 edges from a's last
+    # symbol to b's first (the blocks no longer overlap); for k < n-1 some
+    # pair of blocks fails to overlap consistently.
+    return BlockRecoding(A, n, alphabet, TransitionMatrix(entries, A.aperiodicity_power + n - 2))
 
 
 @dataclass(frozen=True, eq=False)

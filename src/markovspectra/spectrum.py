@@ -24,6 +24,8 @@ from .thermo import (
 
 Q_CAP = 200.0
 DEGENERACY_TOL = 1e-10
+SLOPE_STEP = 1e-5
+CROSS_CHECK_TOL = 1e-8
 
 
 class BetaFunction:
@@ -64,8 +66,8 @@ class BetaFunction:
         dlam = float(t.left @ dM @ t.right)
         return self.pressure - dlam / t.root
 
-    def alpha_slope(self, q: float, step: float = 1e-5) -> float:
-        return (self.alpha(q + step) - self.alpha(q - step)) / (2 * step)
+    def alpha_slope(self, q: float) -> float:
+        return (self.alpha(q + SLOPE_STEP) - self.alpha(q - SLOPE_STEP)) / (2 * SLOPE_STEP)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ class SpectrumCurve:
     degenerate: bool
 
 
-def sample_spectrum(f: Potential, q_grid, cross_check_tol: float = 1e-8) -> SpectrumCurve:
+def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
     """Parametric spectrum samples (q, alpha(q), beta(q), E) over a sorted grid.
 
     Each entropy value is cross-checked against the entropy rate of the
@@ -194,7 +196,7 @@ def sample_spectrum(f: Potential, q_grid, cross_check_tol: float = 1e-8) -> Spec
         b = bf.beta(q)
         e = b + q * a
         h = entropy_rate(gibbs_markov(bf.f2.scale(q)))
-        if abs(e - h) > cross_check_tol:
+        if abs(e - h) > CROSS_CHECK_TOL:
             raise SolverError(
                 f"duality cross-check failed at q={q}: E={e} vs entropy rate {h}"
             )
@@ -202,7 +204,8 @@ def sample_spectrum(f: Potential, q_grid, cross_check_tol: float = 1e-8) -> Spec
     return SpectrumCurve(tuple(samples), rng.alpha_min, rng.alpha_max, rng.degenerate)
 
 
-DEFAULT_COMPARE_GRID = tuple(np.arange(-20.0, 20.25, 0.25))
+# step 1/4 on [-20, 20], by increasing |q| and positive before negative
+COMPARE_GRID = tuple(sorted(np.arange(-20.0, 20.25, 0.25).tolist(), key=lambda q: (abs(q), -q)))
 
 
 @dataclass(frozen=True)
@@ -214,25 +217,20 @@ class SpectraComparison:
     endpoint_gap: float | None = None
 
 
-def spectra_equal(
-    f: Potential,
-    g: Potential,
-    q_grid=DEFAULT_COMPARE_GRID,
-    tol: float = 1e-9,
-) -> SpectraComparison:
+def spectra_equal(f: Potential, g: Potential, tol: float = 1e-9) -> SpectraComparison:
     """Tolerance-based semi-decision of entropy-spectrum equality.
 
     Equal iff beta agrees on the whole grid and the alpha-range endpoints
-    agree; the grid is scanned by increasing |q| (positive before negative)
-    so the reported witness is the smallest-magnitude disagreeing point.
+    agree; COMPARE_GRID is scanned in order, so the reported witness is
+    the smallest-magnitude disagreeing point.
     """
     bf, bg = BetaFunction(f), BetaFunction(g)
     rf, rg = alpha_range(bf), alpha_range(bg)
     endpoint_gap = max(abs(rf.alpha_min - rg.alpha_min), abs(rf.alpha_max - rg.alpha_max))
-    for q in sorted(q_grid, key=lambda q: (abs(q), -q)):
-        gap = abs(bf.beta(float(q)) - bg.beta(float(q)))
+    for q in COMPARE_GRID:
+        gap = abs(bf.beta(q) - bg.beta(q))
         if gap > tol:
-            return SpectraComparison(False, tol, float(q), gap, endpoint_gap)
+            return SpectraComparison(False, tol, q, gap, endpoint_gap)
     if endpoint_gap > tol:
         return SpectraComparison(False, tol, None, None, endpoint_gap)
     return SpectraComparison(True, tol, None, None, endpoint_gap)

@@ -29,12 +29,13 @@ from .shiftspace import (
     word_count,
 )
 
-LOG_SPACE_DEPTH = 30
-
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """n-locally constant potential given by a total table on W_A^n."""
+    """n-locally constant potential given by a total table on W_A^n.
+
+    ``from_table`` validates outside tables; derived potentials are built
+    directly, with Python-float values."""
 
     base: TransitionMatrix
     order: int
@@ -82,13 +83,13 @@ def reduce_to_order2(f: Potential) -> tuple[Potential, BlockRecoding | None]:
         return f, None
     if f.order == 1:
         table = {(i, j): f.values[(i,)] for i, j in f.base.edges()}
-        return Potential.from_table(f.base, 2, table), None
+        return Potential(f.base, 2, table), None
     recoding = higher_block_recode(f.base, f.order)
     table = {
         (s, t): f.values[recoding.edge_word(s, t)]
         for s, t in recoding.matrix.edges()
     }
-    return Potential.from_table(recoding.matrix, 2, table), recoding
+    return Potential(recoding.matrix, 2, table), recoding
 
 
 def _table_array(f: Potential) -> np.ndarray:
@@ -183,13 +184,12 @@ class MarkovMeasure:
         return cls(base, P, stationary_distribution(P))
 
 
-def gibbs_markov(f: Potential) -> MarkovMeasure:
-    """The unique Gibbs measure of f as a Markov measure.
+def _gibbs(f2: Potential, triple: PerronTriple) -> MarkovMeasure:
+    """Gibbs-Markov measure of the order-2 f2 from its Perron triple.
 
     P(f)_ij = A(f)_ij v_j / (lambda v_i); the stationary vector is u_i v_i
     under the library's eigenvector normalization.
     """
-    f2, triple = _reduced_triple(f)
     A = edge_matrix(f2)
     v = triple.right
     P = A * v[np.newaxis, :] / (triple.root * v[:, np.newaxis])
@@ -206,6 +206,11 @@ def gibbs_markov(f: Potential) -> MarkovMeasure:
     return MarkovMeasure(f2.base, P, pi)
 
 
+def gibbs_markov(f: Potential) -> MarkovMeasure:
+    """The unique Gibbs measure of f as a Markov measure."""
+    return _gibbs(*_reduced_triple(f))
+
+
 def log_cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
     """log mu([w]); -inf on inadmissible words, 0.0 for the empty word."""
     if not w:
@@ -220,18 +225,8 @@ def log_cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
 
 
 def cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
-    """mu([w]) as the product of pi and transition entries."""
-    if not w:
-        return 1.0
-    if not mu.base.admits(w):
-        return 0.0
-    if len(w) > LOG_SPACE_DEPTH:
-        return math.exp(log_cylinder_measure(mu, w))
-    P = mu.P
-    mass = mu.pi[w[0] - 1]
-    for a, b in zip(w, w[1:]):
-        mass *= P[a - 1, b - 1]
-    return float(mass)
+    """mu([w]) = exp(log mu([w])); 0.0 on inadmissible words."""
+    return math.exp(log_cylinder_measure(mu, w))
 
 
 def birkhoff_sum(f: Potential, w: Word, m: int) -> float:
@@ -248,6 +243,15 @@ def birkhoff_sum(f: Potential, w: Word, m: int) -> float:
     return total
 
 
+def _normalized(f2: Potential, triple: PerronTriple) -> Potential:
+    """Normalized form of the order-2 f2 from its Perron triple."""
+    log_u = np.log(triple.left).tolist()
+    table = {
+        (i, j): float(v + log_u[i - 1] - log_u[j - 1]) for (i, j), v in f2.values.items()
+    }
+    return Potential(f2.base, 2, table)
+
+
 def normalize_potential(f: Potential) -> Potential:
     """Coboundary-normalized potential using the left Perron eigenvector.
 
@@ -255,12 +259,7 @@ def normalize_potential(f: Potential) -> Potential:
     eigenfunctions obey the left eigen-equation; the normalized table
     satisfies sum_i exp(fhat_ij) = lambda for every j.
     """
-    f2, triple = _reduced_triple(f)
-    log_u = np.log(triple.left)
-    table = {
-        (i, j): v + log_u[i - 1] - log_u[j - 1] for (i, j), v in f2.values.items()
-    }
-    return Potential.from_table(f2.base, 2, table)
+    return _normalized(*_reduced_triple(f))
 
 
 def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
@@ -272,7 +271,7 @@ def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
     if kind == "eigen":
         g = f2
     elif kind == "gibbs":
-        g = normalize_potential(f2)
+        g = _normalized(f2, triple)
     else:
         raise ValueError("kind must be 'eigen' or 'gibbs'")
     return math.exp(g.values[tuple(w[:2])]) / triple.root
@@ -280,11 +279,10 @@ def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
 
 def eigen_measure_cylinder(f: Potential, w: Word) -> float:
     """Cylinder mass of the eigen-measure: mu_f([w]) / u_{w_0}."""
-    f2, triple = _reduced_triple(f)
-    mu = gibbs_markov(f2)
     if not w:
         return 1.0
-    return cylinder_measure(mu, w) / triple.left[w[0] - 1]
+    f2, triple = _reduced_triple(f)
+    return cylinder_measure(_gibbs(f2, triple), w) / triple.left[w[0] - 1]
 
 
 def entropy_rate(mu: MarkovMeasure) -> float:
@@ -321,11 +319,13 @@ def gibbs_constant_audit(f: Potential, depth: int = 12, cap: int = ENUMERATION_C
     theoretical extremes run over attainable (start, end, edge) triples.
     """
     f2, triple = _reduced_triple(f)
-    total_words = sum(word_count(f2.base, m + 1) for m in range(1, depth + 1))
-    if total_words > cap:
-        raise EnumerationCapError(f"{total_words} cylinders exceed the cap {cap}")
+    total_words = 0
+    for m in range(1, depth + 1):
+        total_words += word_count(f2.base, m + 1)
+        if total_words > cap:
+            raise EnumerationCapError(f"{total_words} cylinders up to depth {m} exceed the cap {cap}")
 
-    mu = gibbs_markov(f2)
+    mu = _gibbs(f2, triple)
     P_press = math.log(triple.root)
     A = edge_matrix(f2)
     pi, v = mu.pi, triple.right

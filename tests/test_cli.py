@@ -14,6 +14,7 @@ from markovspectra.cli import (
     EXIT_MATH,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RESOURCE,
     main,
 )
 
@@ -206,8 +207,10 @@ class TestExitCodes:
             ("gibbs-audit", P1_THIRD, "--depth", "0"),
             ("spectrum", P1_THIRD, "--qmin", "nan"),
             ("spectrum", P1_THIRD, "--qmax", "inf"),
+            ("sample", P1_THIRD, "--seed", "-1"),
+            ("pressure", P1_THIRD, "--oracle-depth", "1" + "0" * 400),
         ],
-        ids=["qstep", "oracle-depth", "trials", "depth", "qmin", "qmax"],
+        ids=["qstep", "oracle-depth", "trials", "depth", "qmin", "qmax", "seed", "int-past-float-range"],
     )
     def test_out_of_range_flag(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -296,6 +299,40 @@ class TestExitCodes:
         assert code == EXIT_MATH
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "values,needle",
+        [
+            ('[5, [[2], 0.5]]', "is not a [word, value] pair"),
+            ('[[[1], 0.1], [[2], 0.5], [[1], 0.3]]', "is given twice"),
+            ('{"1": 1' + "0" * 400 + ', "2": 0.5}', "is not a finite number"),
+        ],
+        ids=["not-a-pair", "repeated-word", "huge-integer"],
+    )
+    def test_malformed_values_exit_parse(self, capsys, values, needle):
+        model = '{"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": %s}}' % values
+        code, out, err = run(capsys, "pressure", model)
+        assert code == EXIT_PARSE
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_audit_past_cap_exits_resource(self, capsys):
+        # the cap is checked level by level, before any depth-32000 count
+        code, out, err = run(capsys, "gibbs-audit", P1_THIRD, "--depth", "32000")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err == "error: 16777212 cylinders up to depth 22 exceed the cap 10000000\n"
+
+    def test_order_past_cap_exits_resource(self, capsys):
+        model = '{"transition": [[1, 1], [1, 1]], "potential": {"order": 20000, "values": {"1": 0.5}}}'
+        code, out, err = run(capsys, "pressure", model)
+        assert code == EXIT_RESOURCE
+        assert out == "" and err == "error: more than 10000000 words of length 20000 (the enumeration cap)\n"
+
+    def test_unallocatable_sample_exits_resource(self, capsys):
+        # 10^12 steps x 100 trials needs 728 TiB, which no allocator grants
+        code, out, err = run(capsys, "sample", P1_THIRD, "--n", "1000000000000", "--trials", "100")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_library_value_error_exits_parse(self, capsys):
         code, out, err = run(capsys, "spectrum", P1_THIRD, "--qmin", "5", "--qmax", "-5")

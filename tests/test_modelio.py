@@ -95,6 +95,25 @@ class TestParseModel:
             parse_model(json.loads(json.dumps(data)))
 
 
+    @pytest.mark.parametrize(
+        "values,needle",
+        [
+            ([5, [[2], 0.5]], "entry 0 is not a \\[word, value\\] pair"),
+            ([[[1], 0.1], [[2], 0.5, 7]], "entry 1 is not a \\[word, value\\] pair"),
+            (["12", "21"], "entry 0 is not a \\[word, value\\] pair"),
+            ([[[1], 0.1], [[2], 0.5], [[1], 0.3]], "word \\[1\\] is given twice"),
+            ([["1", 0.1], [[2], 0.5], [[1], 0.3]], "word \\[1\\] is given twice"),
+            ({"1": 10**400, "2": 0.5}, "value for '1' is not a finite number"),
+            ({"1": math.nan, "2": 0.5}, "value for '1' is not a finite number"),
+        ],
+        ids=["not-a-list", "triple", "string", "repeated", "repeated-mixed-keys", "huge-integer", "nan"],
+    )
+    def test_malformed_values_refused(self, values, needle):
+        data = {"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": values}}
+        with pytest.raises(ModelFormatError, match=needle):
+            parse_model(data)
+
+
 class TestSerializeModel:
     def test_round_trip_exact(self, golden, ring):
         for base, seed in ((golden, 1), (ring, 2)):

@@ -64,6 +64,12 @@ class TestAdmissibleWords:
         with pytest.raises(EnumerationCapError):
             admissible_words(full2, 10, cap=100)
 
+    def test_cap_message_omits_the_count(self, full2):
+        # 2^5000 has 1,506 digits; the refusal names only the cap
+        with pytest.raises(EnumerationCapError) as exc:
+            admissible_words(full2, 5000)
+        assert str(exc.value) == "more than 10000000 words of length 5000 (the enumeration cap)"
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_counts_match_matrix_powers(self, golden, ring, n):
         for base in (golden, ring):
@@ -166,6 +172,7 @@ class TestRecodeOracle:
             assert rec.alphabet == alphabet
             assert np.array_equal(rec.matrix.entries, matrix.entries)
             assert rec.matrix.aperiodicity_power == matrix.aperiodicity_power
+            assert not rec.matrix.entries.flags.writeable
 
 
 class TestSymbolPermutation:

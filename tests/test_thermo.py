@@ -26,7 +26,7 @@ from markovspectra import (
 )
 from markovspectra.errors import EnumerationCapError, WordLengthError
 from markovspectra.thermo import _logsumexp, _reduced_triple
-from conftest import random_potential
+from conftest import random_aperiodic_base, random_potential
 
 PHI = (1 + 5**0.5) / 2
 
@@ -76,6 +76,49 @@ class TestReduceToOrder2:
     def test_order1_pressure(self, full2):
         f = Potential.from_table(full2, 1, {(1,): 0.0, (2,): 0.0})
         assert pressure(f) == pytest.approx(math.log(2), abs=1e-13)
+
+
+class TestTrustedConstructions:
+    """The library builds its order-2 and normalized potentials without
+    ``from_table``; the boundary check must accept every one of them."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("symbols", [2, 3])
+    def test_from_table_accepts_derived_potentials(self, symbols, order):
+        rng = np.random.default_rng(10 * symbols + order)
+        for seed in range(5):
+            base = random_aperiodic_base(rng, symbols)
+            f = random_potential(base, seed=seed, scale=1.0, order=order)
+            for g in (reduce_to_order2(f)[0], normalize_potential(f)):
+                checked = Potential.from_table(g.base, 2, g.values)
+                assert checked.values == g.values
+                assert all(type(v) is float for v in g.values.values())
+
+
+class TestOneSolve:
+    """Functions that need both the Perron triple and the Gibbs measure or
+    the normalized potential solve A(f) once."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: gibbs_constant_audit(f, depth=4),
+            lambda f: eigen_measure_cylinder(f, (1, 2, 1)),
+            lambda f: jacobian(f, (1, 2), kind="gibbs"),
+            lambda f: jacobian(f, (1, 2), kind="eigen"),
+            gibbs_markov,
+            normalize_potential,
+        ],
+        ids=["audit", "eigen-cylinder", "gibbs-jacobian", "eigen-jacobian", "gibbs", "normalize"],
+    )
+    def test_single_perron_solve(self, monkeypatch, call, ring):
+        import markovspectra.thermo as thermo
+
+        solves = []
+        original = thermo.perron
+        monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or original(A))
+        call(random_potential(ring, seed=3))
+        assert len(solves) == 1
 
 
 class TestPressure:
@@ -435,6 +478,13 @@ class TestGibbsAuditOracle:
         def no_enumeration(*args):
             raise AssertionError("enumeration started past the cap")
 
-        monkeypatch.setattr("markovspectra.thermo.gibbs_markov", no_enumeration)
+        monkeypatch.setattr("markovspectra.thermo._gibbs", no_enumeration)
         with pytest.raises(EnumerationCapError, match=f"{total} cylinders"):
             gibbs_constant_audit(f, depth=10, cap=total - 1)
+
+    def test_cap_stops_at_first_partial_sum_past_it(self, full2):
+        # 2^2 + ... + 2^(m+1) = 2^(m+2) - 4 cylinders up to depth m
+        f = Potential.constant(full2, 0.0)
+        with pytest.raises(EnumerationCapError) as exc:
+            gibbs_constant_audit(f, depth=40, cap=1000)
+        assert str(exc.value) == "1020 cylinders up to depth 8 exceed the cap 1000"
