@@ -3,7 +3,8 @@
 Structured results go to stdout as JSON; curves and histograms go to CSV
 files.  Exit codes: 0 success, 2 parse/validation error, 3 solver
 non-convergence or a potential out of floating-point range, 4 Gibbs-audit
-violation, 5 resource cap exceeded or memory exhausted.
+violation, 5 resource cap exceeded or memory exhausted.  A library error
+exits with its type's ``exit_code``.
 Verdict-carrying commands (compare, classify) always exit 0 on valid input.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -18,14 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    EnumerationCapError,
-    ModelFormatError,
-    NonConvergenceError,
-    PotentialRangeError,
-    SolverError,
-    StochasticityError,
-)
+from .errors import MarkovSpectraError
 from .modelio import parse_model, serialize_model, word_key
 from .perron import perron
 from .rigidity import classify_2x2, classify_general
@@ -46,6 +41,7 @@ EXIT_AUDIT = 4
 EXIT_RESOURCE = 5
 
 MAX_Q_POINTS = 100_001
+MAX_ORACLE_DEPTH = 10_000
 
 
 def _emit(payload: dict) -> None:
@@ -116,16 +112,7 @@ def cmd_spectrum(args) -> int:
 def cmd_compare(args) -> int:
     f = parse_model(args.model_f).potential
     g = parse_model(args.model_g).potential
-    verdict = spectra_equal(f, g, tol=args.tol)
-    _emit(
-        {
-            "equal": verdict.equal,
-            "tol": verdict.tol,
-            "witness_q": verdict.witness_q,
-            "beta_gap": verdict.beta_gap,
-            "endpoint_gap": verdict.endpoint_gap,
-        }
-    )
+    _emit(dataclasses.asdict(spectra_equal(f, g, tol=args.tol)))
     return EXIT_OK
 
 
@@ -155,18 +142,7 @@ def cmd_classify(args) -> int:
 def cmd_gibbs_audit(args) -> int:
     model = parse_model(args.model)
     audit = gibbs_constant_audit(model.potential, depth=args.depth)
-    _emit(
-        {
-            "pressure": audit.pressure,
-            "constant": audit.constant,
-            "observed_min": audit.observed_min,
-            "observed_max": audit.observed_max,
-            "theoretical_min": audit.theoretical_min,
-            "theoretical_max": audit.theoretical_max,
-            "depth": audit.depth,
-            "within_bounds": audit.within_bounds,
-        }
-    )
+    _emit(dataclasses.asdict(audit))
     return EXIT_OK if audit.within_bounds else EXIT_AUDIT
 
 
@@ -194,8 +170,9 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _bounded(kind, low=-math.inf, strict: bool = False):
-    """argparse type: a finite ``kind`` number >= low (> low when strict)."""
+def _bounded(kind, low=-math.inf, strict: bool = False, high=math.inf):
+    """argparse type: a finite ``kind`` number >= low (> low when strict)
+    and <= high."""
 
     def number(text: str):
         value = kind(text)
@@ -205,6 +182,8 @@ def _bounded(kind, low=-math.inf, strict: bool = False):
         if not (value > low if strict else value >= low):
             bound = "greater than" if strict else "at least"
             raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return value
 
     return number
@@ -220,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pressure", help="topological pressure and Perron data")
     p.add_argument("model")
-    p.add_argument("--oracle-depth", type=_bounded(int, 2), default=None)
+    p.add_argument("--oracle-depth", type=_bounded(int, 2, high=MAX_ORACLE_DEPTH), default=None)
     p.set_defaults(handler=cmd_pressure)
 
     p = sub.add_parser("spectrum", help="sample the entropy spectrum curve")
@@ -260,15 +239,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ModelFormatError, ValueError) as exc:
+    except MarkovSpectraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NonConvergenceError, PotentialRangeError, SolverError, StochasticityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -33,8 +33,8 @@ class GnReport:
     values: dict[Word, float]
 
 
-def normalized_word_values(f: Potential) -> dict[Word, float]:
-    """Values of the normalized potential on W_A^n for an order-n input.
+def g_n_membership(f: Potential) -> GnReport:
+    """Pairwise-distinctness of the normalized potential over n-words.
 
     For n >= 3 the eigenfunction lives on (n-1)-blocks; its logs transfer
     back to n-words through the recoding alphabet.  Order-1 inputs are
@@ -42,12 +42,7 @@ def normalized_word_values(f: Potential) -> dict[Word, float]:
     """
     f2, recoding = reduce_to_order2(f)
     word = recoding.edge_word if recoding else lambda s, t: (s, t)
-    return {word(s, t): v for (s, t), v in normalize_potential(f2).values.items()}
-
-
-def g_n_membership(f: Potential) -> GnReport:
-    """Pairwise-distinctness of the normalized potential over n-words."""
-    values = normalized_word_values(f)
+    values = {word(s, t): v for (s, t), v in normalize_potential(f2).values.items()}
     scale = max(1.0, max(abs(v) for v in values.values()))
     margin = np.inf
     collisions = []
@@ -69,42 +64,34 @@ class PairCheck:
 
 
 def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> list[PairCheck]:
-    """Per-pair distinctness expressions A(ij)/A(kl) - (eigenvector ratio).
+    """Per-pair distinctness expressions A(e)/A(e') - r(e)/r(e').
 
-    ``Af`` is an edge matrix A(f); its support ``Af > 0`` is the base.
-    ``right-v`` uses the right eigenvector arrangement v_i v_l / (v_j v_k);
-    ``left-u`` uses u_k u_j / (u_i u_l), which matches the collision
-    condition of the normalized potential exactly.  Each verdict is
-    cross-reported against the definitional collision test.
+    ``Af`` is an edge matrix A(f); its support ``Af > 0`` is the base.  For
+    an edge e = (i, j), r(e) = w_i / w_j with w = v (``right-v``) or
+    w = 1/u (``left-u``); the latter matches the collision condition of the
+    normalized potential exactly.  Each verdict is cross-reported against
+    the definitional collision test.
     """
-    triple = perron(Af)
-    if orientation == "right-v":
-        w = triple.right
-
-        def ratio(i, j, k, l):
-            return w[i] * w[l] / (w[j] * w[k])
-
-    elif orientation == "left-u":
-        w = triple.left
-
-        def ratio(i, j, k, l):
-            return w[k] * w[j] / (w[i] * w[l])
-
-    else:
+    if orientation not in ("right-v", "left-u"):
         raise ValueError("orientation must be 'right-v' or 'left-u'")
+    triple = perron(Af)
+    w = triple.right if orientation == "right-v" else 1.0 / triple.left
 
     base = TransitionMatrix.from_entries((Af > 0).astype(int))
-    f = Potential.from_matrix_log(base, Af)
-    report = g_n_membership(f)
+    report = g_n_membership(Potential.from_matrix_log(base, Af))
     colliding = {frozenset(pair) for pair in report.collisions}
 
     words = admissible_words(base, 2)
+    i, j = np.array(words).T - 1
+    a = Af[i, j]
+    # r(e)/r(e') = w_i w_l / (w_j w_k) for e = (i, j), e' = (k, l)
+    expressions = a[:, None] / a[None, :] - np.outer(w[i], w[j]) / np.outer(w[j], w[i])
     checks = []
-    for (i, j), (k, l) in itertools.permutations(words, 2):
-        expr = float(Af[i - 1, j - 1] / Af[k - 1, l - 1] - ratio(i - 1, j - 1, k - 1, l - 1))
+    for (x, e), (y, e2) in itertools.permutations(enumerate(words), 2):
+        expr = float(expressions[x, y])
         is_zero = abs(expr) <= GAP_TOL
-        collision = frozenset(((i, j), (k, l))) in colliding
-        checks.append(PairCheck(((i, j), (k, l)), float(expr), is_zero, collision, is_zero == collision))
+        collision = frozenset((e, e2)) in colliding
+        checks.append(PairCheck((e, e2), expr, is_zero, collision, is_zero == collision))
     return checks
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,19 @@ def random_aperiodic_base(rng, n: int) -> TransitionMatrix:
         support = (rng.random((n, n)) < density).astype(int)
         if check_aperiodic(support).accepted:
             return TransitionMatrix.from_entries(support)
+
+
+def pytest_runtest_makereport(item, call):
+    # hypothesis imports libcst to suggest a patch for a falsifying example;
+    # that import warns (DeprecationWarning), and filterwarnings = error would
+    # turn the report into an internal error that hides the example
+    if getattr(item, "_hypothesis_failing_examples", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
 
 
 @pytest.fixture(scope="session")

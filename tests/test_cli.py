@@ -15,8 +15,11 @@ from markovspectra.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    MAX_ORACLE_DEPTH,
+    build_parser,
     main,
 )
+from markovspectra.errors import MarkovSpectraError
 
 P1_THIRD = "models/full2_p1_third.json"
 P1_QUARTER = "models/full2_p1_quarter.json"
@@ -209,8 +212,20 @@ class TestExitCodes:
             ("spectrum", P1_THIRD, "--qmax", "inf"),
             ("sample", P1_THIRD, "--seed", "-1"),
             ("pressure", P1_THIRD, "--oracle-depth", "1" + "0" * 400),
+            # refused by the parser, before the (missing) model is read
+            ("pressure", "/no/such/model.json", "--oracle-depth", str(MAX_ORACLE_DEPTH + 1)),
         ],
-        ids=["qstep", "oracle-depth", "trials", "depth", "qmin", "qmax", "seed", "int-past-float-range"],
+        ids=[
+            "qstep",
+            "oracle-depth",
+            "trials",
+            "depth",
+            "qmin",
+            "qmax",
+            "seed",
+            "int-past-float-range",
+            "oracle-depth-past-cap",
+        ],
     )
     def test_out_of_range_flag(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -218,6 +233,34 @@ class TestExitCodes:
         assert exc.value.code == EXIT_PARSE
         out = capsys.readouterr()
         assert out.out == "" and f"argument {argv[2]}" in out.err
+
+    def test_largest_oracle_depth_accepted(self):
+        args = build_parser().parse_args(["pressure", P1_THIRD, "--oracle-depth", str(MAX_ORACLE_DEPTH)])
+        assert MAX_ORACLE_DEPTH == 10_000 and args.oracle_depth == MAX_ORACLE_DEPTH
+
+    @pytest.mark.parametrize("error", MarkovSpectraError.__subclasses__(), ids=lambda cls: cls.__name__)
+    def test_library_error_exits_with_its_code(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("injected")
+
+        monkeypatch.setattr("markovspectra.cli.cmd_pressure", fail)
+        code, out, err = run(capsys, "pressure", P1_THIRD)
+        assert code == error.exit_code and code in (EXIT_PARSE, EXIT_MATH, EXIT_RESOURCE)
+        assert out == "" and err == "error: injected\n"
+
+    def test_error_codes(self):
+        codes = {cls.__name__: cls.exit_code for cls in MarkovSpectraError.__subclasses__()}
+        assert codes == {
+            "AperiodicityError": EXIT_PARSE,
+            "EnumerationCapError": EXIT_RESOURCE,
+            "ModelFormatError": EXIT_PARSE,
+            "NonConvergenceError": EXIT_MATH,
+            "PotentialRangeError": EXIT_MATH,
+            "SingularSystemError": EXIT_MATH,
+            "SolverError": EXIT_MATH,
+            "StochasticityError": EXIT_MATH,
+            "WordLengthError": EXIT_PARSE,
+        }
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
     def test_out_of_range_tol(self, capsys, tol):

@@ -23,6 +23,16 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "cli.json"
 
 MODELS = sorted(f"models/{p.name}" for p in (ROOT / "models").glob("*.json"))
+FULL2 = [[1, 1], [1, 1]]
+RING3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+def inline_model(transition, order: int, values: dict) -> str:
+    """A model given on the command line as a JSON document."""
+    model = {"transition": transition, "potential": {"order": order, "values": values}}
+    return json.dumps(model, separators=(",", ":"))
+
+
 COMMANDS = [
     argv
     for model in MODELS
@@ -36,6 +46,13 @@ COMMANDS = [
 ] + [
     ("compare", "models/full2_p1_third.json", "models/full2_p2_third.json"),
     ("compare", "models/full2_p1_third.json", "models/full2_p1_quarter.json"),
+    # library failures: invalid input (2), numerical failure (3), resource cap (5)
+    ("pressure", inline_model(FULL2, 1, {"1": True, "2": 0})),
+    ("pressure", inline_model(FULL2, 1, {"1": 800, "2": 0})),
+    ("spectrum", inline_model(RING3, 1, {"1": 40, "2": -40, "3": 0})),
+    ("spectrum", inline_model(RING3, 2, {"12": 40, "13": -40, "21": -40, "23": 40, "31": 40, "32": -40})),
+    ("gibbs-audit", "models/full2_zero.json", "--depth", "40"),
+    ("spectrum", "models/full2_p1_third.json", "--qstep", "1e-6"),
 ]
 
 

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from markovspectra import (
     Potential,
+    TransitionMatrix,
     parse_model,
     pressure,
     serialize_model,
@@ -94,7 +96,6 @@ class TestParseModel:
         with pytest.raises(ModelFormatError, match=needle):
             parse_model(json.loads(json.dumps(data)))
 
-
     @pytest.mark.parametrize(
         "values,needle",
         [
@@ -113,6 +114,25 @@ class TestParseModel:
         with pytest.raises(ModelFormatError, match=needle):
             parse_model(data)
 
+    @pytest.mark.parametrize(
+        "document,needle",
+        [
+            ("[1, 2]", "model must be a JSON object"),
+            ('{"transition": [[1, 1], [1, 1]]}', "missing key 'potential'"),
+            ('{"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": 5}}', "an object or a pair list"),
+            ('{"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": {"1": 0, "x": 0}}}',
+             "key 'x' is not a digit string"),
+            ('{"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": [[1, 0], [2, 0]]}}',
+             "key 1 has unsupported type"),
+        ],
+        ids=["not-an-object", "no-potential", "values-number", "non-digit-key", "integer-key"],
+    )
+    def test_malformed_document_refused(self, tmp_path, document, needle):
+        path = tmp_path / "m.json"
+        path.write_text(document)
+        with pytest.raises(ModelFormatError, match=needle):
+            parse_model(str(path))
+
 
 class TestSerializeModel:
     def test_round_trip_exact(self, golden, ring):
@@ -130,6 +150,16 @@ class TestSerializeModel:
         model = parse_model(text)
         assert model.potential.values == f.values
         assert pressure(model.potential) == pressure(f)
+
+    def test_round_trip_past_nine_symbols(self):
+        # digit-string keys cannot name symbol 10, so values become [word, value] pairs
+        base = TransitionMatrix.from_entries(np.ones((10, 10), dtype=int))
+        f = random_potential(base, seed=4, scale=0.9)
+        data = serialize_model(f)
+        assert [[10, 10], f.values[(10, 10)]] in data["potential"]["values"]
+        model = parse_model(json.dumps(data))
+        assert (model.base.entries == base.entries).all()
+        assert model.potential.values == f.values
 
     def test_word_key(self):
         assert word_key((1, 2, 1)) == "121"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from markovspectra import (
     Potential,
+    admissible_words,
     appendix_condition_check,
     bernoulli_twin,
     classify_2x2,
@@ -19,7 +21,8 @@ from markovspectra import (
     out_degrees,
     spectra_equal,
 )
-from conftest import random_potential
+from markovspectra.perron import perron
+from conftest import random_potential, random_support_matrix
 
 
 class TestGnMembership:
@@ -91,6 +94,25 @@ class TestAppendixConditionCheck:
             f2, _ = reduce_to_order2(f)
             checks = appendix_condition_check(edge_matrix(f2), orientation="left-u")
             assert all(c.agrees for c in checks)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_expressions_match_pairwise_formulas(self, n):
+        # reference: the appendix's two arrangements, one pair at a time
+        for seed in range(3):
+            base, Af = random_support_matrix(n, 100 * n + seed)
+            triple = perron(Af)
+            u, v = triple.left, triple.right
+            for orientation, ratio in (
+                ("right-v", lambda i, j, k, l: v[i] * v[l] / (v[j] * v[k])),
+                ("left-u", lambda i, j, k, l: u[k] * u[j] / (u[i] * u[l])),
+            ):
+                checks = appendix_condition_check(Af, orientation)
+                pairs = list(itertools.permutations(admissible_words(base, 2), 2))
+                assert [c.pair for c in checks] == pairs
+                for c, ((i, j), (k, l)) in zip(checks, pairs):
+                    a = Af[i - 1, j - 1] / Af[k - 1, l - 1]
+                    expected = a - ratio(i - 1, j - 1, k - 1, l - 1)
+                    assert abs(c.expression - expected) <= 1e-14 * max(1.0, a)
 
     def test_bad_orientation(self, f_p2_third):
         with pytest.raises(ValueError):
