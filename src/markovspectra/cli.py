@@ -20,10 +20,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import MarkovSpectraError
+from .errors import EnumerationCapError, MarkovSpectraError
 from .modelio import parse_model, serialize_model, word_key
 from .perron import perron
 from .rigidity import classify_2x2, classify_general
+from .shiftspace import word_count
 from .spectrum import BetaFunction, alpha_range, sample_spectrum, spectra_equal
 from .sim import empirical_local_entropy
 from .thermo import (
@@ -42,6 +43,11 @@ EXIT_RESOURCE = 5
 
 MAX_Q_POINTS = 100_001
 MAX_ORACLE_DEPTH = 10_000
+# The oracle runs one preimage sum per order-2 symbol, each depth steps over
+# all symbols^2 entries: depth x symbols^3 cell updates.  With the depth cap
+# this bounds a request to about 7 s (21 symbols at depth 10,000 on a 2-vCPU
+# x86-64 host); depth 10,000 on 256 symbols would take about an hour.
+MAX_ORACLE_WORK = 10**8
 
 
 def _emit(payload: dict) -> None:
@@ -50,6 +56,14 @@ def _emit(payload: dict) -> None:
 
 def cmd_pressure(args) -> int:
     model = parse_model(args.model)
+    if args.oracle_depth is not None:
+        symbols = word_count(model.base, max(model.potential.order, 2) - 1)
+        work = args.oracle_depth * symbols**3
+        if work > MAX_ORACLE_WORK:
+            raise EnumerationCapError(
+                f"--oracle-depth {args.oracle_depth} on {symbols} order-2 symbols needs"
+                f" {work} cell updates, over the cap {MAX_ORACLE_WORK}"
+            )
     bf = BetaFunction(model.potential)
     triple = perron(edge_matrix(bf.f2))
     out = {

@@ -4,6 +4,14 @@
 with one dense LAPACK ``dgeev`` eigen-solve per eigenvector, each refined by
 one Newton step so that every entry is accurate relative to its own size.
 
+The 2x2 closed form runs hundreds of times per request, so it works on
+Python floats: NumPy's overhead on 2-element arrays would cost more than
+the arithmetic.  Each scalar step is one IEEE operation and rounds as in
+NumPy, with two exceptions kept in NumPy: ``np.hypot`` (``math.hypot``
+rounds differently on some inputs), and the products M v, u M and u . v,
+whose BLAS kernels fuse multiply-adds that plain float arithmetic would
+round twice.
+
 Normalization convention used throughout the library: the right eigenvector
 v has unit coordinate sum and the left eigenvector u satisfies u . v = 1.
 With this choice the Gibbs-Markov stationary vector is u_i v_i directly.
@@ -11,6 +19,7 @@ With this choice the Gibbs-Markov stationary vector is u_i v_i directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,30 +70,72 @@ def _perron_vector(B: np.ndarray) -> tuple[float, np.ndarray]:
     return mu + float(step[n]), v * (1.0 + step[:n])
 
 
+def _perron_2x2(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Closed form for a primitive 2x2 matrix (positive off-diagonals): the
+    root and the normalized left and right vectors, before acceptance.
+
+    All terms under the square root are non-negative and root - a is taken
+    without cancellation (conjugate form when a dominates), so the result
+    is exact up to rounding unless an entry product under- or overflows.
+    """
+    (a, b), (c, d) = M.tolist()
+    s = float(np.hypot(a - d, 2.0 * math.sqrt(b * c)))
+    try:
+        # Python floats raise on a zero divisor where NumPy gave NaN or inf;
+        # other NaN or inf results fail the acceptance check.
+        gap = 2.0 * b * c / (s + (a - d)) if a >= d else ((d - a) + s) / 2.0
+        total = b + gap
+        right = np.array([b / total, gap / total])
+        dot = float(np.array([c, gap]) @ right)
+        left = np.array([c / dot, gap / dot])
+    except ZeroDivisionError as exc:
+        raise NonConvergenceError("2x2 closed form divides by zero: an entry product under- or overflows") from exc
+    return a + gap, left, right
+
+
+def _accepted_residual(M: np.ndarray, root: float, left: np.ndarray, right: np.ndarray) -> float:
+    """Residual of a normalized Perron triple that passes the acceptance
+    check, else NonConvergenceError.
+
+    The check asks for finite and strictly positive vectors, a finite
+    positive root, and a max-normalized residual max|Mx - root x| / max x
+    (for M v and u M, against M) of at most ``RESIDUAL_TOL * root``.
+    Finiteness is tested entry by entry, because ``min`` and ``max`` over a
+    list skip a NaN that is not first.  With finite vectors and root, a
+    residual term is NaN only when a product overflows, which the last test
+    catches.
+    """
+    l, r = left.tolist(), right.tolist()
+    if not (all(map(math.isfinite, l + r)) and min(l + r) > 0):
+        raise NonConvergenceError("Perron eigenvectors are not strictly positive")
+    if not 0 < root < math.inf:
+        raise NonConvergenceError(f"Perron root {root!r} is not positive and finite")
+    Mr, lM = (M @ right).tolist(), (left @ M).tolist()
+    residual = max(
+        max([abs(y - root * x) for y, x in zip(Mr, r)]) / max(r),
+        max([abs(y - root * x) for y, x in zip(lM, l)]) / max(l),
+    )
+    if not (residual <= RESIDUAL_TOL * root and all(map(math.isfinite, Mr + lM))):
+        raise NonConvergenceError(f"Perron residual {residual:.3e} exceeds tol={RESIDUAL_TOL} times the root")
+    return residual
+
+
 def perron(A: np.ndarray) -> PerronTriple:
     """Perron root and positive left/right eigenvectors of the primitive
     non-negative array ``A``.
 
-    Primitive 2x2 matrices use the quadratic closed form; larger ones are
-    scaled to M / max(M) and solved by dgeev (which balances them itself)
-    for the right vector and on the transpose for the left one.  The result
-    must pass an acceptance check, else NonConvergenceError is raised: a
-    real positive root, strictly positive eigenvectors, and for both vectors
-    a max-normalized residual max|Mx - root x| / max|x| (against M, kept as
-    ``residual``) of at most ``RESIDUAL_TOL * root``.
+    Primitive 2x2 matrices use the quadratic closed form in Python-float
+    arithmetic (``np.hypot`` and the three BLAS products stay in NumPy, for
+    their rounding; see the module docstring); larger ones are scaled to
+    M / max(M) and solved by dgeev (which balances them itself) for the
+    right vector and on the transpose for the left one.  Both paths return
+    only a triple that passes ``_accepted_residual``, else raise
+    NonConvergenceError.
     """
     M = np.asarray(A, dtype=float)
     n = M.shape[0]
     if n == 2 and M[0, 1] > 0 and M[1, 0] > 0:
-        # Primitive 2x2 matrices have positive off-diagonals, so the
-        # quadratic closed form is exact and numerically stable (all terms
-        # in the square root are non-negative).
-        a, b, c, d = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
-        s = np.hypot(a - d, 2.0 * np.sqrt(b * c))
-        # root - a without cancellation (conjugate form when a dominates)
-        gap = 2.0 * b * c / (s + (a - d)) if a >= d else ((d - a) + s) / 2.0
-        root = float(a + gap)
-        right, left = np.array([b, gap]), np.array([c, gap])
+        root, left, right = _perron_2x2(M)
         iterations = 0
     else:
         # Work on M / max(M): the root scales linearly and extreme
@@ -96,20 +147,10 @@ def perron(A: np.ndarray) -> PerronTriple:
         mu, right = _perron_vector(B)
         _, left = _perron_vector(B.T)
         root = mu * magnitude
+        right = right / right.sum()
+        left = left / float(left @ right)
         iterations = 1
-    right = right / right.sum()
-    left = left / float(left @ right)
-    # Plain-list minimum: cheap enough for the closed form, which runs
-    # hundreds of times per request.  NaN entries fail the residual check.
-    if not min(right.tolist() + left.tolist()) > 0:
-        raise NonConvergenceError("Perron eigenvectors are not strictly positive")
-    residual = max(
-        float(np.abs(M @ right - root * right).max() / right.max()),
-        float(np.abs(left @ M - root * left).max() / left.max()),
-    )
-    if not residual <= RESIDUAL_TOL * root:
-        raise NonConvergenceError(f"Perron residual {residual:.3e} exceeds tol={RESIDUAL_TOL} times the root")
-    return PerronTriple(root, left, right, residual, iterations)
+    return PerronTriple(root, left, right, _accepted_residual(M, root, left, right), iterations)
 
 
 def perron_vector_by_linear_solve(A: np.ndarray, lam: float) -> np.ndarray:

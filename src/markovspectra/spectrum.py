@@ -43,7 +43,8 @@ class BetaFunction:
         """A(qf) = A(f)**q entrywise on the support, 0 elsewhere."""
         with np.errstate(over="ignore"):
             weights = self._weights ** q
-        if not (weights.min() > 0 and weights.max() < math.inf):
+        # one scan of the list, cheaper than two NumPy reductions on a few entries
+        if not all(0 < w < math.inf for w in weights.tolist()):
             raise PotentialRangeError(f"an entry of A(f)**q is out of floating-point range at q={q!r}")
         M = np.zeros(self._support.shape)
         M[self._support] = weights

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from markovspectra.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     MAX_ORACLE_DEPTH,
+    MAX_ORACLE_WORK,
     build_parser,
     main,
 )
@@ -27,6 +29,13 @@ P2_THIRD = "models/full2_p2_third.json"
 GOLDEN = "models/golden_zero.json"
 MEMBER = "models/full2_member_example.json"
 RING_40_VALUES = (40.0, -40.0, 40.0, -40.0, -40.0, -40.0)
+# The full 2-shift at order 6 recodes to 32 order-2 symbols.
+FULL2_ORDER6 = json.dumps(
+    {
+        "transition": [[1, 1], [1, 1]],
+        "potential": {"order": 6, "values": {"".join(w): 0.1 * w.count("1") for w in itertools.product("12", repeat=6)}},
+    }
+)
 
 
 def run(capsys, *argv):
@@ -370,6 +379,29 @@ class TestExitCodes:
         code, out, err = run(capsys, "pressure", model)
         assert code == EXIT_RESOURCE
         assert out == "" and err == "error: more than 10000000 words of length 20000 (the enumeration cap)\n"
+
+    def test_oracle_work_past_cap_exits_resource(self, capsys, monkeypatch):
+        # 3052 x 32^3 is just over the cap; it is refused before any solve
+        assert 3052 * 32**3 > MAX_ORACLE_WORK == 10**8
+        monkeypatch.setattr("markovspectra.cli.BetaFunction", None)
+        code, out, err = run(capsys, "pressure", FULL2_ORDER6, "--oracle-depth", "3052")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err == (
+            "error: --oracle-depth 3052 on 32 order-2 symbols needs 100007936 cell updates, over the cap 100000000\n"
+        )
+
+    def test_largest_oracle_work_accepted(self, capsys, monkeypatch):
+        # 3051 x 32^3 is just under the cap; the (seconds-long) sums are stubbed
+        assert 3051 * 32**3 <= MAX_ORACLE_WORK
+        calls = []
+
+        def oracle(f, terminal_symbol, depth):
+            calls.append((terminal_symbol, depth))
+            return 0.0
+
+        monkeypatch.setattr("markovspectra.cli.pressure_by_preimages", oracle)
+        code, _, _ = run(capsys, "pressure", FULL2_ORDER6, "--oracle-depth", "3051")
+        assert code == EXIT_OK and calls == [(s, 3051) for s in range(1, 33)]
 
     def test_unallocatable_sample_exits_resource(self, capsys):
         # 10^12 steps x 100 trials needs 728 TiB, which no allocator grants

@@ -49,6 +49,8 @@ COMMANDS = [
     # library failures: invalid input (2), numerical failure (3), resource cap (5)
     ("pressure", inline_model(FULL2, 1, {"1": True, "2": 0})),
     ("pressure", inline_model(FULL2, 1, {"1": 800, "2": 0})),
+    # exp(-460) off the diagonal: the 2x2 closed form's b*c underflows to 0
+    ("pressure", inline_model(FULL2, 2, {"11": 0, "12": -460, "21": -460, "22": 0})),
     ("spectrum", inline_model(RING3, 1, {"1": 40, "2": -40, "3": 0})),
     ("spectrum", inline_model(RING3, 2, {"12": 40, "13": -40, "21": -40, "23": 40, "31": 40, "32": -40})),
     ("gibbs-audit", "models/full2_zero.json", "--depth", "40"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovspectra import (
     BetaFunction,
@@ -9,7 +11,7 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.perron import CycleMeanExtremes, perron
+from markovspectra.perron import CycleMeanExtremes, _perron_vector, perron
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
 
@@ -82,12 +84,101 @@ class TestPerron:
         assert np.abs(M @ t.right / (t.root * t.right) - 1).max() <= 1e-12
         assert np.abs(t.left @ M / (t.root * t.left) - 1).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[1e308, 1e308, 1e308]] * 3,  # the root, 3e308, overflows
+            # u's first entry, c / (u . v) = 7e306 / 1.8e-4, overflows
+            [[2.6234821987362867e-24, 1.13289034e-315], [6.961317086450217e306, 1.141741848314e-312]],
+        ],
+        ids=["root", "left-entry"],
+    )
+    def test_overflowing_result_rejected(self, M):
+        with pytest.raises(NonConvergenceError):
+            perron(np.array(M))
+
     def test_underflowing_perron_vector_rejected(self):
         # 1 -> 2 -> 3 -> 1 with two weights of 1e-200: the right vector's
         # second entry is ~1e-400, below the smallest double.
         M = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1e-200], [1e-200, 0.0, 0.0]])
         with pytest.raises(NonConvergenceError):
             perron(M)
+
+
+def hex_triple(t) -> tuple:
+    return (t.root.hex(), [x.hex() for x in t.left.tolist()], [x.hex() for x in t.right.tolist()], t.residual.hex())
+
+
+class TestClosedForm:
+    """The 2x2 closed form: exact bits, agreement with the dense solve, and
+    a clean NonConvergenceError (no NumPy warning) where it breaks down."""
+
+    @pytest.mark.parametrize(
+        "M, bits",
+        [
+            (  # a >= d
+                [[3.0, 0.5], [2.0, 1.25]],
+                ("0x1.ba1513c69681bp+1", ["0x1.94f2bec907326p+0", "0x1.6f8159ad606b5p-2"],
+                 ["0x1.0c68b5e0b93d2p-1", "0x1.e72e943e8d85bp-2"], "0x1.e8544f1a5a06cp-52"),
+            ),
+            (  # a < d
+                [[0.25, 1.5], [0.75, 2.0]],
+                ("0x1.4000000000000p+1", ["0x1.d1745d1745d18p-2", "0x1.5d1745d1745d2p+0"],
+                 ["0x1.999999999999ap-2", "0x1.3333333333333p-1"], "0x1.aaaaaaaaaaaabp-53"),
+            ),
+            (  # golden mean
+                [[1.0, 1.0], [1.0, 0.0]],
+                ("0x1.9e3779b97f4a8p+0", ["0x1.2bbae2a27f932p+0", "0x1.727c9716ffb76p-1"],
+                 ["0x1.3c6ef372fe94fp-1", "0x1.8722191a02d60p-2"], "0x1.b54cda58fbbeep-53"),
+            ),
+            (  # entries over 200 decades, a >= d
+                [[1e100, 1e-100], [1e-37, 1e-100]],
+                ("0x1.249ad2594c37dp+332", ["0x1.0000000000000p+0", "0x1.87e92154ef7adp-665"],
+                 ["0x1.0000000000000p+0", "0x1.dc574d80cf16cp-456"], "0x1.0000000000000p-385"),
+            ),
+            (  # entries over 200 decades, a < d
+                [[1e-100, 1e71], [1e-100, 1e100]],
+                ("0x1.249ad2594c37dp+332", ["0x1.87e92154ef7acp-665", "0x1.0000000000000p+0"],
+                 ["0x1.95a5efea6b348p-97", "0x1.0000000000000p+0"], "0x0.0p+0"),
+            ),
+        ],
+        ids=["a>=d", "a<d", "golden-mean", "spread-a>=d", "spread-a<d"],
+    )
+    def test_bits_pinned(self, M, bits):
+        t = perron(np.array(M))
+        assert t.iterations == 0 and type(t.root) is float and type(t.residual) is float
+        assert hex_triple(t) == bits
+
+    @settings(max_examples=200, deadline=10_000, derandomize=True, database=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), st.integers(-100, 100))
+    def test_agrees_with_dense_and_linear_solves(self, log10_entries, log10_scale):
+        # Entries within a decade of 10**log10_scale keep both oracles
+        # accurate: the dense solve loses about max(M) / (root - other
+        # eigenvalue) ulps in each entry, and the row-deletion solve is
+        # accurate only normwise, to about cond(M - root I) ulps.
+        M = 10.0 ** (np.array(log10_entries).reshape(2, 2) + log10_scale)
+        t = perron(M)
+        mu, v = _perron_vector(M / M.max())
+        _, u = _perron_vector(M.T / M.max())
+        v = v / v.sum()
+        assert t.root == pytest.approx(mu * M.max(), rel=1e-13)
+        assert t.right == pytest.approx(v, rel=1e-13)
+        assert t.left == pytest.approx(u / float(u @ v), rel=1e-13)
+        x = perron_vector_by_linear_solve(M / M.max(), t.root / M.max())
+        assert np.abs(t.right - x).max() <= 1e-13 * x.max()
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[1.0, 1e-200], [1e-200, 1.0]],  # b*c underflows: 0/0
+            [[1e300, 1e300], [1e300, 1e300]],  # b*c overflows: inf/inf
+            [[0.0, 1e-170], [1e-170, 0.0]],  # b*c underflows and the root is 0
+        ],
+    )
+    def test_degenerate_inputs_raise_without_warning(self, M):
+        # pytest turns warnings into errors, so a NumPy RuntimeWarning fails here
+        with pytest.raises(NonConvergenceError):
+            perron(np.array(M))
 
 
 class TestLinearSolve:
