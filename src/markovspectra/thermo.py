@@ -135,6 +135,11 @@ def pressure(f: Potential) -> float:
     return math.log(triple.root)
 
 
+# Floats in pressure_by_preimages' dense buffer (2 MiB): up to 64 recoded
+# symbols run in one block, 256 symbols run 4 terminals a block.
+ORACLE_BUFFER_FLOATS = 2**18
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the last axis, shifted by the finite maximum."""
     peak = np.max(a, axis=-1, keepdims=True)
@@ -143,26 +148,42 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return np.log(np.sum(np.exp(a - peak), axis=-1)) + peak[..., 0]
 
 
-def pressure_by_preimages(f: Potential, terminal_symbol: int, depth: int) -> float:
-    """Pressure estimate from weighted preimage sums ending at one symbol.
+def pressure_by_preimages(f: Potential, depth: int) -> list[float]:
+    """Pressure estimates from weighted preimage sums, one per terminal symbol.
 
-    Returns log(s_depth / s_{depth-1}) with s_m the terminal column sum of
-    A(f)^m, accumulated in log-space.
+    Entry t-1 is log(s_depth / s_{depth-1}), with s_m the column sum of
+    A(f)^m at terminal symbol t, accumulated in log-space.  All terminals
+    advance together on the support's edge arrays, and exp is taken on the
+    edges only.  The exponentials are then summed where they sit in a dense
+    n x n row, zeros included: np.sum adds rows of 8 or more entries
+    pairwise, grouped by position, so summing the edges alone would change
+    the last bits.  The dense sum gives every estimate the bits of a
+    one-terminal loop of n x n log-sum-exp steps.  Terminals run in blocks
+    whose dense buffer holds at most ORACLE_BUFFER_FLOATS floats (one
+    terminal's n x n floats when that is more).
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
     f2, _ = reduce_to_order2(f)
     n = f2.base.n_symbols
-    if not 1 <= terminal_symbol <= n:
-        raise ValueError(f"terminal symbol must be in 1..{n}")
-    with np.errstate(divide="ignore"):
-        logA = np.log(edge_matrix(f2))
-    log_col = np.full(n, -np.inf)
-    log_col[terminal_symbol - 1] = 0.0
-    for _ in range(depth - 1):
-        log_col = _logsumexp(logA + log_col[np.newaxis, :])
-    last = _logsumexp(logA + log_col[np.newaxis, :])
-    return float(_logsumexp(last) - _logsumexp(log_col))
+    src, dst = np.nonzero(f2.base.entries)  # row-major: each row's edges are contiguous
+    row_starts = np.flatnonzero(np.diff(src, prepend=-1))  # a primitive support has no empty row
+    w = np.log(edge_matrix(f2)[src, dst])
+    block = max(1, ORACLE_BUFFER_FLOATS // (n * n))
+    estimates: list[float] = []
+    for first in range(0, n, block):
+        log_col = np.where(np.eye(n, dtype=bool)[first : first + block], 0.0, -np.inf)
+        dense = np.zeros((log_col.shape[0], n, n))  # off-edge entries stay 0
+        for _ in range(depth):
+            prev = log_col
+            a = w + log_col[:, dst]
+            peak = np.maximum.reduceat(a, row_starts, axis=1)
+            peak[~np.isfinite(peak)] = 0.0
+            dense[:, src, dst] = np.exp(a - peak[:, src])
+            with np.errstate(divide="ignore"):
+                log_col = np.log(np.sum(dense, axis=-1)) + peak
+        estimates.extend((_logsumexp(log_col) - _logsumexp(prev)).tolist())
+    return estimates
 
 
 @dataclass(frozen=True, eq=False)

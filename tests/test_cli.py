@@ -391,17 +391,17 @@ class TestExitCodes:
         )
 
     def test_largest_oracle_work_accepted(self, capsys, monkeypatch):
-        # 3051 x 32^3 is just under the cap; the (seconds-long) sums are stubbed
+        # 3051 x 32^3 is just under the cap; the oracle itself is stubbed
         assert 3051 * 32**3 <= MAX_ORACLE_WORK
         calls = []
 
-        def oracle(f, terminal_symbol, depth):
-            calls.append((terminal_symbol, depth))
-            return 0.0
+        def oracle(f, depth):
+            calls.append(depth)
+            return [0.0] * 32
 
         monkeypatch.setattr("markovspectra.cli.pressure_by_preimages", oracle)
         code, _, _ = run(capsys, "pressure", FULL2_ORDER6, "--oracle-depth", "3051")
-        assert code == EXIT_OK and calls == [(s, 3051) for s in range(1, 33)]
+        assert code == EXIT_OK and calls == [3051]
 
     def test_unallocatable_sample_exits_resource(self, capsys):
         # 10^12 steps x 100 trials needs 728 TiB, which no allocator grants

@@ -21,11 +21,15 @@ from markovspectra import (
     TransitionMatrix,
     admissible_words,
     classify_2x2,
+    edge_matrix,
     log_p1_potential,
     log_p2_potential,
+    normalize_potential,
+    perron_vector_by_linear_solve,
     spectra_equal,
 )
 from markovspectra.cli import main
+from markovspectra.perron import perron
 from conftest import random_aperiodic_base, random_potential
 
 
@@ -35,14 +39,14 @@ def bounded(max_examples: int):
 
 
 @st.composite
-def order2_potentials(draw, max_symbols: int = 4):
+def order2_potentials(draw, max_symbols: int = 4, min_symbols: int = 2):
     """A random order-2 potential with values in [-0.4, 0.4] on a random
     aperiodic support.  Wider values fail the Perron solve itself at
     |q| = 20 (dgeev loses the small eigenvector entries), before any
     comparison: the log-domain solve on the roadmap lifts this bound."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    base = random_aperiodic_base(rng, draw(st.integers(2, max_symbols)))
+    base = random_aperiodic_base(rng, draw(st.integers(min_symbols, max_symbols)))
     return random_potential(base, seed, scale=0.4)
 
 
@@ -89,6 +93,26 @@ def test_bernoulli_twins_equal_spectra_not_isomorphic(alpha):
     report = classify_2x2(p1)
     assert not report.weak_rigid and report.twin_kind == "P1"
     assert report.twin.values == p2.values
+
+
+class TestPerronData:
+    @bounded(12)
+    @given(order2_potentials(max_symbols=6))
+    def test_normalized_columns_sum_to_lambda(self, f):
+        lam = perron(edge_matrix(f)).root
+        column_sums = np.zeros(f.base.n_symbols)
+        for (_, j), v in normalize_potential(f).values.items():
+            column_sums[j - 1] += np.exp(v)
+        assert np.abs(column_sums - lam).max() <= 1e-13 * lam
+
+    @bounded(12)
+    @given(order2_potentials(max_symbols=6, min_symbols=3))
+    def test_dense_path_matches_linear_solve(self, f):
+        A = edge_matrix(f)
+        t = perron(A)
+        assert t.iterations == 1  # n >= 3 takes the dgeev path
+        x = perron_vector_by_linear_solve(A, t.root)
+        assert np.abs(t.right - x).max() <= 1e-13 * x.max()
 
 
 SUPPORTS = [[[1, 1], [1, 1]], [[1, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from markovspectra import (
     word_count,
 )
 from markovspectra.errors import EnumerationCapError, WordLengthError
-from markovspectra.thermo import _logsumexp, _reduced_triple
+from markovspectra.thermo import ORACLE_BUFFER_FLOATS, _logsumexp, _reduced_triple
 from conftest import random_aperiodic_base, random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -154,24 +155,43 @@ class TestPressure:
         assert pressure(f3) == pytest.approx(pressure(f2), abs=1e-12)
 
 
+def preimage_loop(f, symbol, depth):
+    """One terminal's n x n log-sum-exp loop, as the oracle ran before it
+    advanced every terminal together."""
+    f2, _ = reduce_to_order2(f)
+    n = f2.base.n_symbols
+    with np.errstate(divide="ignore"):
+        logA = np.log(edge_matrix(f2))
+    log_col = np.full(n, -np.inf)
+    log_col[symbol - 1] = 0.0
+    for _ in range(depth - 1):
+        log_col = _logsumexp(logA + log_col[np.newaxis, :])
+    last = _logsumexp(logA + log_col[np.newaxis, :])
+    return float(_logsumexp(last) - _logsumexp(log_col))
+
+
+def parity_potentials(scale):
+    """Order-2 potentials on random 2-6 symbol supports, and order-3..5
+    potentials whose recodings have 8 or more states with sparse rows."""
+    rng = np.random.default_rng(12)
+    potentials = [random_potential(random_aperiodic_base(rng, k), k, scale) for k in range(2, 7)]
+    for order, k in ((3, 3), (4, 3), (5, 2), (5, 3)):
+        base = random_aperiodic_base(rng, k)
+        potentials.append(random_potential(base, order, scale, order=order))
+    return potentials
+
+
 class TestPressureByPreimages:
     def test_p1_third_exact(self, f_p1_third):
-        for symbol in (1, 2):
-            assert pressure_by_preimages(f_p1_third, symbol, 40) == pytest.approx(
-                0.0, abs=1e-12
-            )
+        assert pressure_by_preimages(f_p1_third, 40) == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_golden_converges_to_log_phi(self, golden):
         f = Potential.constant(golden, 0.0)
-        for symbol in (1, 2):
-            est = pressure_by_preimages(f, symbol, 60)
-            assert est == pytest.approx(math.log(PHI), abs=1e-8)
+        assert pressure_by_preimages(f, 60) == pytest.approx([math.log(PHI)] * 2, abs=1e-8)
 
     def test_terminal_symbol_independence(self, ring):
         f = random_potential(ring, seed=3, scale=0.25)
-        p = pressure(f)
-        for symbol in (1, 2, 3):
-            assert pressure_by_preimages(f, symbol, 60) == pytest.approx(p, abs=1e-8)
+        assert pressure_by_preimages(f, 60) == pytest.approx([pressure(f)] * 3, abs=1e-8)
 
     @pytest.mark.parametrize("depth", [2, 3, 10, 60])
     @pytest.mark.parametrize("support", ["full2", "golden", "ring"])
@@ -180,19 +200,49 @@ class TestPressureByPreimages:
         f = random_potential(request.getfixturevalue(support), seed=depth, scale=1.0)
         with np.errstate(divide="ignore"):
             logA = np.log(edge_matrix(f))
+        estimates = pressure_by_preimages(f, depth)
+        assert len(estimates) == f.base.n_symbols
         for symbol in range(1, f.base.n_symbols + 1):
             log_col = np.where(np.arange(f.base.n_symbols) == symbol - 1, 0.0, -np.inf)
             for _ in range(depth):
                 prev_sum = _logsumexp(log_col)
                 log_col = _logsumexp(logA + log_col[np.newaxis, :])
             reference = float(_logsumexp(log_col) - prev_sum)
-            assert pressure_by_preimages(f, symbol, depth) == reference
+            assert estimates[symbol - 1] == reference
+
+    @pytest.mark.parametrize("depth", [2, 3, 60, 200])
+    @pytest.mark.parametrize("scale", [1.0, 300.0])
+    def test_identical_to_per_terminal_loop(self, monkeypatch, scale, depth):
+        # np.sum adds rows of 8 or more entries pairwise by position, so the
+        # recoded potentials catch an oracle that sums the edges alone
+        for f in parity_potentials(scale):
+            n = reduce_to_order2(f)[0].base.n_symbols
+            reference = [preimage_loop(f, t, depth) for t in range(1, n + 1)]
+            # one terminal a block, a short last block, and the default
+            for limit in (n * n, 3 * n * n, ORACLE_BUFFER_FLOATS):
+                monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", limit)
+                assert pressure_by_preimages(f, depth) == reference
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_buffer_bounded_by_the_constant(self, monkeypatch, full2, blocks):
+        # 64 recoded states: one unblocked buffer would hold n^3 floats (2 MiB);
+        # the request's peak stays within two buffers and four n x n arrays
+        f2, _ = reduce_to_order2(random_potential(full2, 5, scale=1.0, order=7))
+        n = f2.base.n_symbols
+        limit = blocks * n * n
+        monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", limit)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pressure_by_preimages(f2, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * limit + 4 * n * n) < 8 * n**3
 
     def test_depth_validation(self, f_p1_third):
         with pytest.raises(ValueError):
-            pressure_by_preimages(f_p1_third, 1, 1)
-        with pytest.raises(ValueError):
-            pressure_by_preimages(f_p1_third, 3, 10)
+            pressure_by_preimages(f_p1_third, 1)
 
 
 class TestGibbsMarkov:
