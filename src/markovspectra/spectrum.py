@@ -24,7 +24,6 @@ from .thermo import (
 
 Q_CAP = 200.0
 DEGENERACY_TOL = 1e-10
-SLOPE_STEP = 1e-5
 CROSS_CHECK_TOL = 1e-8
 
 
@@ -68,7 +67,31 @@ class BetaFunction:
         return self.pressure - dlam / t.root
 
     def alpha_slope(self, q: float) -> float:
-        return (self.alpha(q + SLOPE_STEP) - self.alpha(q - SLOPE_STEP)) / (2 * SLOPE_STEP)
+        """alpha'(q) = -beta''(q): minus the asymptotic variance of f under
+        the Gibbs chain of qf, from the cached Perron data at q (no solve).
+
+        With P the Gibbs matrix of qf, pi = u*v its stationary vector and
+        F~ the table centred at its mean, the variance is
+        pi.((F~*G)1) + 2 pi.(G w), where G = F~*P and w solves
+        (I - P) w = G1, pi.w = 0 (the group inverse of I - P; Meyer 1975).
+        Centring before squaring keeps the relative accuracy where the
+        variance is far below the squared mean.
+        """
+        t = self.triple(q)
+        n = self._support.shape[0]
+        P = self.matrix(q) * t.right / (t.root * t.right[:, None])
+        pi = t.left * t.right
+        mean = pi @ (self._table * P).sum(axis=1)
+        F = self._table - mean  # P is 0 off the support
+        G = F * P
+        g = G.sum(axis=1)
+        # bordered system [[P - I, 1], [pi, 0]] [w; s] = [-g; 0]
+        K = np.zeros((n + 1, n + 1))
+        K[:n, :n] = P - np.eye(n)
+        K[:n, n] = 1.0
+        K[n, :n] = pi
+        w = np.linalg.solve(K, np.append(-g, 0.0))[:n]
+        return -float(pi @ (F * G).sum(axis=1) + 2.0 * (pi @ (G @ w)))
 
 
 @dataclass(frozen=True)
@@ -103,35 +126,45 @@ class SpectrumValue:
 
 
 def _solve_alpha(bf: BetaFunction, target: float, q_cap: float) -> float | None:
-    """Monotone bracket + bisection + Newton for alpha(q) = target."""
+    """The q with alpha(q) = target, or None if it lies beyond +-q_cap.
+
+    alpha is decreasing.  A doubling bracket [lo, hi] is grown from [-1, 1];
+    from its midpoint, Newton steps on the exact slope alpha_slope run
+    inside the bracket, which each step tightens by the sign of the error.
+    A step that would leave the bracket, or a slope that is not finite and
+    negative (at strong tilts it underflows to -0), is replaced by bisection.
+    alpha and alpha_slope share the Perron data at q: one solve a step.
+    Once the next step is below 1e-12 relative, q itself is returned, so
+    its Perron data serve beta(q) as well.
+    """
     lo, hi = -1.0, 1.0
-    while bf.alpha(lo) < target:  # alpha is decreasing: move lo left
-        lo *= 2
+    while bf.alpha(lo) < target:  # alpha is decreasing: the root is left of lo
+        lo, hi = 2 * lo, lo
         if lo < -q_cap:
             return None
     while bf.alpha(hi) > target:
-        hi *= 2
+        lo, hi = hi, 2 * hi
         if hi > q_cap:
             return None
-    for _ in range(200):  # bisection to width 1e-6
-        if hi - lo <= 1e-6:
-            break
-        mid = 0.5 * (lo + hi)
-        if bf.alpha(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
+    for end in (lo, hi):  # cached: a Newton step from inside would round past it
+        if bf.alpha(end) == target:
+            return end
     q = 0.5 * (lo + hi)
-    for _ in range(60):  # Newton refinement
+    for _ in range(200):
         err = bf.alpha(q) - target
+        if err == 0.0:
+            break
+        if err > 0.0:
+            lo = q
+        else:
+            hi = q
         slope = bf.alpha_slope(q)
-        if slope == 0.0:
+        step = q - err / slope if -math.inf < slope < 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - q) <= 1e-12 * max(1.0, abs(q)):
             break
-        dq = err / slope
-        q -= dq
-        q = min(max(q, lo - 1.0), hi + 1.0)
-        if abs(dq) <= 1e-12 * max(1.0, abs(q)):
-            break
+        q = step
     return q
 
 
@@ -147,7 +180,15 @@ def _endpoint_limit(bf: BetaFunction, target: float, q_cap: float, sign: float) 
 
 
 def entropy_spectrum(f: Potential, alpha_value: float, q_cap: float = Q_CAP) -> SpectrumValue:
-    """E(alpha) via the variational formula; 0 outside the alpha-range."""
+    """E(alpha) via the variational formula; 0 outside the alpha-range.
+
+    alpha_value = +-inf is outside the range; nan is refused with
+    ValueError, as is a q_cap that is not finite and positive.
+    """
+    if math.isnan(alpha_value):
+        raise ValueError(f"alpha_value must be a number, got {alpha_value!r}")
+    if not 0.0 < q_cap < math.inf:
+        raise ValueError(f"q_cap must be finite and positive, got {q_cap!r}")
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
     rng = alpha_range(bf)
     if rng.degenerate:

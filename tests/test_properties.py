@@ -11,21 +11,26 @@ matrices drawn from a hypothesis-chosen seed.
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markovspectra import (
+    BetaFunction,
     Potential,
     TransitionMatrix,
     admissible_words,
+    alpha_range,
     classify_2x2,
     edge_matrix,
     log_p1_potential,
     log_p2_potential,
     normalize_potential,
     perron_vector_by_linear_solve,
+    pressure,
+    pressure_by_preimages,
     spectra_equal,
 )
 from markovspectra.cli import main
@@ -113,6 +118,31 @@ class TestPerronData:
         assert t.iterations == 1  # n >= 3 takes the dgeev path
         x = perron_vector_by_linear_solve(A, t.root)
         assert np.abs(t.right - x).max() <= 1e-13 * x.max()
+
+    @bounded(12)
+    @given(order2_potentials(max_symbols=6))
+    def test_pressure_matches_preimage_oracle(self, f):
+        # the preimage estimates converge as |lambda_2 / lambda|^depth:
+        # take the depth at which that reaches 1e-10
+        moduli = np.sort(np.abs(np.linalg.eigvals(edge_matrix(f))))
+        gap = moduli[-2] / moduli[-1]
+        depth = 2 if gap < 1e-10 else max(2, math.ceil(math.log(1e-10) / math.log(gap)))
+        assume(depth <= 2_000)
+        p = pressure(f)
+        assert np.abs(np.asarray(pressure_by_preimages(f, depth)) - p).max() <= 1e-8
+
+
+class TestExactSlope:
+    @bounded(12)
+    @given(order2_potentials(), st.floats(-3.0, 3.0))
+    def test_matches_central_difference_of_alpha(self, f, q):
+        assume(not alpha_range(f).degenerate)
+        bf = BetaFunction(f)
+        h = 1e-5
+        fd = (bf.alpha(q + h) - bf.alpha(q - h)) / (2 * h)
+        slope = bf.alpha_slope(q)
+        assert slope < 0
+        assert abs(slope - fd) <= 1e-6 * abs(fd)
 
 
 SUPPORTS = [[[1, 1], [1, 1]], [[1, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]]

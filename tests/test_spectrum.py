@@ -15,12 +15,14 @@ from markovspectra import (
     sample_spectrum,
     spectra_equal,
 )
+from markovspectra import spectrum
 from markovspectra.errors import PotentialRangeError
 from markovspectra.spectrum import (
     FLAG_DEGENERATE,
     FLAG_ENDPOINT,
     FLAG_INTERIOR,
     FLAG_OUTSIDE,
+    SpectrumValue,
 )
 from conftest import random_potential
 
@@ -118,6 +120,23 @@ class TestAlpha:
                 assert rng.alpha_min - 1e-12 <= bf.alpha(q) <= rng.alpha_max + 1e-12
 
 
+class TestAlphaSlope:
+    @pytest.mark.parametrize("q", [-150.0, -30.0, -3.0, 0.0, 0.7, 3.0, 30.0, 150.0])
+    def test_bernoulli_closed_form(self, f_p1_third, q):
+        # alpha'(q) = -p^q r^q (log p - log r)^2 / (p^q + r^q)^2 with
+        # (p, r) = (2/3, 1/3), written through s = (r/p)^q so that no side
+        # underflows even at |q| = 150
+        s = 0.5**q
+        exact = -s / (1 + s) ** 2 * math.log(2) ** 2
+        assert BetaFunction(f_p1_third).alpha_slope(q) == pytest.approx(exact, rel=1e-12)
+
+    def test_makes_no_perron_solve(self, f_p1_third, monkeypatch):
+        bf = BetaFunction(f_p1_third)
+        bf.alpha(2.5)
+        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("alpha_slope made a Perron solve"))
+        bf.alpha_slope(2.5)
+
+
 class TestAlphaRange:
     def test_p1_third(self, f_p1_third):
         rng = alpha_range(f_p1_third)
@@ -152,6 +171,8 @@ class TestEntropySpectrum:
         assert entropy_spectrum(f_p1_third, 0.1).flag == FLAG_OUTSIDE
         assert entropy_spectrum(f_p1_third, 2.0).flag == FLAG_OUTSIDE
         assert entropy_spectrum(f_p1_third, 2.0).value == 0.0
+        for a in (-math.inf, math.inf):
+            assert entropy_spectrum(f_p1_third, a) == SpectrumValue(0.0, FLAG_OUTSIDE)
 
     def test_endpoint_extrapolated(self, f_p1_third):
         rng = alpha_range(f_p1_third)
@@ -181,6 +202,49 @@ class TestEntropySpectrum:
                 val = entropy_spectrum(bf, float(a))
                 for q in np.linspace(-12, 12, 25):
                     assert val.value <= bf.beta(float(q)) + float(q) * a + 1e-8
+
+    @pytest.mark.parametrize("q0", [-2.5, -1.0, 0.0, 0.4, 1.7, 3.0])
+    def test_recovers_q_within_solve_budget(self, test_potentials, q0, monkeypatch):
+        # q0 = -1 is a bracket end: the cached alpha there is returned
+        # instead of Newton steps that round just past it
+        perron, solves = spectrum.perron, []
+
+        def counted(A):
+            solves.append(A)
+            return perron(A)
+
+        monkeypatch.setattr(spectrum, "perron", counted)
+        for f in test_potentials:
+            if alpha_range(f).degenerate:
+                continue
+            ref = BetaFunction(f)
+            a0 = ref.alpha(q0)
+            del solves[:]
+            val = entropy_spectrum(BetaFunction(f), a0)
+            assert len(solves) <= 14  # BetaFunction's pressure solve included
+            assert val.flag == FLAG_INTERIOR
+            assert val.q == pytest.approx(q0, abs=1e-9)
+            assert val.value == pytest.approx(ref.beta(q0) + q0 * a0, abs=1e-12)
+
+    def test_bernoulli_entropy_near_endpoints(self, f_p1_third):
+        # P1(1/3) is Bernoulli(2/3, 1/3): at alpha = log(3/2) + t log 2 the
+        # spectrum is the entropy of (1 - t, t)
+        rng = alpha_range(f_p1_third)
+        for a in (rng.alpha_min + 1e-9, rng.alpha_max - 1e-9):
+            t = (a - math.log(1.5)) / math.log(2)
+            exact = -t * math.log(t) - (1 - t) * math.log1p(-t)
+            val = entropy_spectrum(f_p1_third, a)
+            assert val.flag == FLAG_INTERIOR
+            assert val.value == pytest.approx(exact, abs=1e-14)
+
+    def test_nan_alpha_rejected(self, f_p1_third):
+        with pytest.raises(ValueError, match="alpha_value"):
+            entropy_spectrum(f_p1_third, math.nan)
+
+    @pytest.mark.parametrize("q_cap", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_q_cap_rejected(self, f_p1_third, q_cap):
+        with pytest.raises(ValueError, match="q_cap"):
+            entropy_spectrum(f_p1_third, 0.7, q_cap=q_cap)
 
     def test_concavity_on_interior(self, f_p1_third):
         bf = BetaFunction(f_p1_third)
