@@ -113,10 +113,11 @@ def parse_model(source) -> Model:
 
 def serialize_model(f: Potential, labels: dict | None = None) -> dict:
     """Model-file dict for a potential; re-parses to an identical model."""
+    pairs = zip(f.words, f.table.tolist())
     if f.base.n_symbols <= 9:
-        values = {word_key(w): v for w, v in sorted(f.values.items())}
+        values = {word_key(w): v for w, v in pairs}
     else:
-        values = [[list(w), v] for w, v in sorted(f.values.items())]
+        values = [[list(w), v] for w, v in pairs]
     model = {
         "transition": f.base.entries.astype(int).tolist(),
         "potential": {"order": f.order, "values": values},

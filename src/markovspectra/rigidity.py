@@ -16,7 +16,7 @@ import numpy as np
 
 from .families import log_p1_potential, log_p2_potential
 from .perron import perron
-from .shiftspace import TransitionMatrix, Word, admissible_words, out_degrees
+from .shiftspace import TransitionMatrix, Word, out_degrees
 from .thermo import Potential, gibbs_markov, normalize_potential, reduce_to_order2
 
 ROW_TOL = 1e-10
@@ -41,12 +41,12 @@ def g_n_membership(f: Potential) -> GnReport:
     reported on 2-words.
     """
     f2, recoding = reduce_to_order2(f)
-    word = recoding.edge_word if recoding else lambda s, t: (s, t)
-    values = {word(s, t): v for (s, t), v in normalize_potential(f2).values.items()}
+    words = f.words if recoding else f2.words
+    values = dict(zip(words, normalize_potential(f2).table.tolist()))
     scale = max(1.0, max(abs(v) for v in values.values()))
     margin = np.inf
     collisions = []
-    for (w1, v1), (w2, v2) in itertools.combinations(sorted(values.items()), 2):
+    for (w1, v1), (w2, v2) in itertools.combinations(values.items(), 2):
         gap = abs(v1 - v2) / scale
         margin = min(margin, gap)
         if gap <= GAP_TOL:
@@ -78,16 +78,15 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
     w = triple.right if orientation == "right-v" else 1.0 / triple.left
 
     base = TransitionMatrix.from_entries((Af > 0).astype(int))
-    report = g_n_membership(Potential.from_matrix_log(base, Af))
-    colliding = {frozenset(pair) for pair in report.collisions}
+    f = Potential.from_matrix_log(base, Af)
+    colliding = {frozenset(pair) for pair in g_n_membership(f).collisions}
 
-    words = admissible_words(base, 2)
-    i, j = np.array(words).T - 1
+    i, j = np.nonzero(base.entries)
     a = Af[i, j]
     # r(e)/r(e') = w_i w_l / (w_j w_k) for e = (i, j), e' = (k, l)
     expressions = a[:, None] / a[None, :] - np.outer(w[i], w[j]) / np.outer(w[j], w[i])
     checks = []
-    for (x, e), (y, e2) in itertools.permutations(enumerate(words), 2):
+    for (x, e), (y, e2) in itertools.permutations(enumerate(f.words), 2):
         expr = float(expressions[x, y])
         is_zero = abs(expr) <= GAP_TOL
         collision = frozenset((e, e2)) in colliding
@@ -181,11 +180,9 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
     """Fraction of uniform table perturbations that have pairwise-distinct
     normalized values, with a shrunken-ball probe around each member found."""
     f2, _ = reduce_to_order2(f)
-    words = sorted(f2.values)
 
-    def perturbed(rng, center: dict, eps: float) -> Potential:
-        noise = rng.uniform(-eps, eps, size=len(words))
-        return Potential(f2.base, 2, {w: center[w] + noise[k] for k, w in enumerate(words)})
+    def perturbed(rng, center: np.ndarray, eps: float) -> Potential:
+        return Potential(f2.base, 2, f2.words, center + rng.uniform(-eps, eps, size=center.size))
 
     members = 0
     openness_checked = 0
@@ -193,12 +190,12 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
     for trial in range(trials):
         # Per-trial stream so trials can be partitioned without changing results.
         rng = np.random.default_rng((seed, trial))
-        g = perturbed(rng, f2.values, radius)
+        g = perturbed(rng, f2.table, radius)
         if g_n_membership(g).member:
             members += 1
             for _ in range(OPENNESS_SUBTRIALS):
                 openness_checked += 1
-                h = perturbed(rng, g.values, radius / 100.0)
+                h = perturbed(rng, g.table, radius / 100.0)
                 if not g_n_membership(h).member:
                     openness_violations += 1
     return DensityProbeResult(

@@ -108,12 +108,12 @@ def word_count(A: TransitionMatrix, n: int) -> int:
     return int(power.sum())
 
 
-def admissible_words(A: TransitionMatrix, n: int, cap: int = ENUMERATION_CAP) -> list[Word]:
+def admissible_words(A: TransitionMatrix, n: int) -> list[Word]:
     """All admissible words of length n, lexicographically ordered."""
     if n < 0:
         raise ValueError("word length must be non-negative")
-    if word_count(A, n) > cap:
-        raise EnumerationCapError(f"more than {cap} words of length {n} (the enumeration cap)")
+    if word_count(A, n) > ENUMERATION_CAP:
+        raise EnumerationCapError(f"more than {ENUMERATION_CAP} words of length {n} (the enumeration cap)")
     if n == 0:
         return [()]
     symbols = range(1, A.n_symbols + 1)

@@ -15,6 +15,7 @@ from .spectrum import BetaFunction
 from .thermo import MarkovMeasure, Potential, gibbs_markov
 
 CHUNK = 512
+HISTOGRAM_BINS = 50
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,12 @@ def _exponent_batches(sampler, evaluator, n, trials, seed, key=()) -> np.ndarray
     return exponents
 
 
-def empirical_local_entropy(
-    mu: MarkovMeasure,
-    n: int,
-    trials: int,
-    seed: int,
-    bins=50,
-) -> LocalEntropyResult:
+def empirical_local_entropy(mu: MarkovMeasure, n: int, trials: int, seed: int) -> LocalEntropyResult:
     """Sampled distribution of -(1/n) log mu([omega|n]) over seeded trials."""
     if trials < 100:
         raise ValueError("at least 100 trials are required")
     exponents = _exponent_batches(mu, mu, n, trials, seed)
-    counts, edges = np.histogram(exponents, bins=bins)
+    counts, edges = np.histogram(exponents, bins=HISTOGRAM_BINS)
     std = exponents.std(ddof=1)
     return LocalEntropyResult(
         float(exponents.mean()),

@@ -125,8 +125,8 @@ class SpectrumValue:
     q: float | None = None
 
 
-def _solve_alpha(bf: BetaFunction, target: float, q_cap: float) -> float | None:
-    """The q with alpha(q) = target, or None if it lies beyond +-q_cap.
+def _solve_alpha(bf: BetaFunction, target: float) -> float | None:
+    """The q with alpha(q) = target, or None if it lies beyond +-Q_CAP.
 
     alpha is decreasing.  A doubling bracket [lo, hi] is grown from [-1, 1];
     from its midpoint, Newton steps on the exact slope alpha_slope run
@@ -140,11 +140,11 @@ def _solve_alpha(bf: BetaFunction, target: float, q_cap: float) -> float | None:
     lo, hi = -1.0, 1.0
     while bf.alpha(lo) < target:  # alpha is decreasing: the root is left of lo
         lo, hi = 2 * lo, lo
-        if lo < -q_cap:
+        if lo < -Q_CAP:
             return None
     while bf.alpha(hi) > target:
         lo, hi = hi, 2 * hi
-        if hi > q_cap:
+        if hi > Q_CAP:
             return None
     for end in (lo, hi):  # cached: a Newton step from inside would round past it
         if bf.alpha(end) == target:
@@ -168,27 +168,24 @@ def _solve_alpha(bf: BetaFunction, target: float, q_cap: float) -> float | None:
     return q
 
 
-def _endpoint_limit(bf: BetaFunction, target: float, q_cap: float, sign: float) -> float:
+def _endpoint_limit(bf: BetaFunction, target: float, sign: float) -> float:
     """Limit of beta(q) + q*target as q -> sign*infinity, with a step-halving check."""
-    full = bf.beta(sign * q_cap) + sign * q_cap * target
-    half = bf.beta(sign * q_cap / 2) + sign * (q_cap / 2) * target
+    full = bf.beta(sign * Q_CAP) + sign * Q_CAP * target
+    half = bf.beta(sign * Q_CAP / 2) + sign * (Q_CAP / 2) * target
     if abs(full - half) > 1e-4 * max(1.0, abs(full)):
         raise SolverError(
-            f"endpoint value not settled at q_cap={q_cap}: {full} vs {half} at half cap"
+            f"endpoint value not settled at q_cap={Q_CAP}: {full} vs {half} at half cap"
         )
     return max(full, 0.0)
 
 
-def entropy_spectrum(f: Potential, alpha_value: float, q_cap: float = Q_CAP) -> SpectrumValue:
+def entropy_spectrum(f: Potential, alpha_value: float) -> SpectrumValue:
     """E(alpha) via the variational formula; 0 outside the alpha-range.
 
-    alpha_value = +-inf is outside the range; nan is refused with
-    ValueError, as is a q_cap that is not finite and positive.
+    alpha_value = +-inf is outside the range; nan is refused with ValueError.
     """
     if math.isnan(alpha_value):
         raise ValueError(f"alpha_value must be a number, got {alpha_value!r}")
-    if not 0.0 < q_cap < math.inf:
-        raise ValueError(f"q_cap must be finite and positive, got {q_cap!r}")
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
     rng = alpha_range(bf)
     if rng.degenerate:
@@ -197,10 +194,10 @@ def entropy_spectrum(f: Potential, alpha_value: float, q_cap: float = Q_CAP) -> 
         return SpectrumValue(0.0, FLAG_OUTSIDE)
     if alpha_value < rng.alpha_min - 1e-12 or alpha_value > rng.alpha_max + 1e-12:
         return SpectrumValue(0.0, FLAG_OUTSIDE)
-    q = _solve_alpha(bf, alpha_value, q_cap)
+    q = _solve_alpha(bf, alpha_value)
     if q is None:
         sign = 1.0 if alpha_value <= bf.alpha(0.0) else -1.0
-        return SpectrumValue(_endpoint_limit(bf, alpha_value, q_cap, sign), FLAG_ENDPOINT)
+        return SpectrumValue(_endpoint_limit(bf, alpha_value, sign), FLAG_ENDPOINT)
     return SpectrumValue(bf.beta(q) + q * alpha_value, FLAG_INTERIOR, q)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from .errors import (
@@ -32,29 +34,42 @@ from .shiftspace import (
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """n-locally constant potential given by a total table on W_A^n.
-
-    ``from_table`` validates outside tables; derived potentials are built
-    directly, with Python-float values."""
+    """n-locally constant potential: ``table`` holds, read-only, its values on
+    ``words``, the admissible ``order``-words in lexicographic order;
+    ``values`` is a read-only word -> float view of them.  The recoded edges
+    of a higher-block recoding, row-major, are the n-words in lexicographic
+    order, so for order >= 2 the table is the edge array (``np.nonzero``
+    order) of the order-2 base.  ``from_table`` validates outside tables;
+    derived potentials are built directly."""
 
     base: TransitionMatrix
     order: int
-    values: dict[Word, float]
+    words: tuple[Word, ...]
+    table: np.ndarray
+
+    def __post_init__(self):
+        self.table.setflags(write=False)
+
+    @cached_property
+    def values(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.words, self.table.tolist())))
 
     @classmethod
     def from_table(cls, base: TransitionMatrix, order: int, table) -> "Potential":
         if order < 1:
             raise ValueError("potential order must be at least 1")
-        expected = set(admissible_words(base, order))
+        words = tuple(admissible_words(base, order))
+        expected = set(words)
         keys = {tuple(k) for k in table}
         if keys != expected:
             missing = sorted(expected - keys)
             extra = sorted(keys - expected)
             raise ValueError(f"table must be total on admissible words; missing={missing[:5]} extra={extra[:5]}")
         values = {tuple(k): float(v) for k, v in table.items()}
-        if any(not math.isfinite(v) for v in values.values()):
+        array = np.array([values[w] for w in words])
+        if not np.isfinite(array).all():
             raise ValueError("potential values must be finite")
-        return cls(base, order, values)
+        return cls(base, order, words, array)
 
     @classmethod
     def constant(cls, base: TransitionMatrix, c: float, order: int = 2) -> "Potential":
@@ -71,10 +86,10 @@ class Potential:
         return self.values[tuple(w)]
 
     def scale(self, q: float) -> "Potential":
-        return Potential(self.base, self.order, {w: q * v for w, v in self.values.items()})
+        return Potential(self.base, self.order, self.words, q * self.table)
 
     def shift(self, c: float) -> "Potential":
-        return Potential(self.base, self.order, {w: v + c for w, v in self.values.items()})
+        return Potential(self.base, self.order, self.words, self.table + c)
 
 
 def reduce_to_order2(f: Potential) -> tuple[Potential, BlockRecoding | None]:
@@ -82,24 +97,23 @@ def reduce_to_order2(f: Potential) -> tuple[Potential, BlockRecoding | None]:
     if f.order == 2:
         return f, None
     if f.order == 1:
-        table = {(i, j): f.values[(i,)] for i, j in f.base.edges()}
-        return Potential(f.base, 2, table), None
+        src, _ = np.nonzero(f.base.entries)
+        return Potential(f.base, 2, tuple(f.base.edges()), f.table[src]), None
     recoding = higher_block_recode(f.base, f.order)
-    table = {
-        (s, t): f.values[recoding.edge_word(s, t)]
-        for s, t in recoding.matrix.edges()
-    }
-    return Potential(recoding.matrix, 2, table), recoding
+    return Potential(recoding.matrix, 2, tuple(recoding.matrix.edges()), f.table), recoding
+
+
+def _edges(f: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """0-based support edges (src, dst), row-major: the order of f.table."""
+    if f.order != 2:
+        raise ValueError(f"needs an order-2 potential, got order {f.order}; reduce first")
+    return np.nonzero(f.base.entries)
 
 
 def _table_array(f: Potential) -> np.ndarray:
     """The order-2 table of f as an n x n array, 0 off the support."""
-    if f.order != 2:
-        raise ValueError(f"needs an order-2 potential, got order {f.order}; reduce first")
-    n = f.base.n_symbols
-    table = np.zeros((n, n))
-    for (i, j), v in f.values.items():
-        table[i - 1, j - 1] = v
+    table = np.zeros(f.base.entries.shape)
+    table[_edges(f)] = f.table
     return table
 
 
@@ -117,10 +131,8 @@ def _checked_exp(v: float) -> float:
 
 def edge_matrix(f: Potential) -> np.ndarray:
     """A(f): exp(f) on support edges, 0 elsewhere.  Requires order 2."""
-    table = _table_array(f)
-    support = f.base.entries == 1
-    A = np.zeros_like(table)
-    A[support] = [_checked_exp(v) for v in table[support].tolist()]
+    A = np.zeros(f.base.entries.shape)
+    A[_edges(f)] = [_checked_exp(v) for v in f.table.tolist()]
     return A
 
 
@@ -266,11 +278,9 @@ def birkhoff_sum(f: Potential, w: Word, m: int) -> float:
 
 def _normalized(f2: Potential, triple: PerronTriple) -> Potential:
     """Normalized form of the order-2 f2 from its Perron triple."""
-    log_u = np.log(triple.left).tolist()
-    table = {
-        (i, j): float(v + log_u[i - 1] - log_u[j - 1]) for (i, j), v in f2.values.items()
-    }
-    return Potential(f2.base, 2, table)
+    log_u = np.log(triple.left)
+    src, dst = _edges(f2)
+    return Potential(f2.base, 2, f2.words, f2.table + log_u[src] - log_u[dst])
 
 
 def normalize_potential(f: Potential) -> Potential:
@@ -331,7 +341,7 @@ class GibbsAudit:
     within_bounds: bool
 
 
-def gibbs_constant_audit(f: Potential, depth: int = 12, cap: int = ENUMERATION_CAP) -> GibbsAudit:
+def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     """Audit the defining Gibbs inequality over all cylinders up to `depth`.
 
     For each w in W_A^{m+1} (m <= depth) the audited ratio is
@@ -343,8 +353,8 @@ def gibbs_constant_audit(f: Potential, depth: int = 12, cap: int = ENUMERATION_C
     total_words = 0
     for m in range(1, depth + 1):
         total_words += word_count(f2.base, m + 1)
-        if total_words > cap:
-            raise EnumerationCapError(f"{total_words} cylinders up to depth {m} exceed the cap {cap}")
+        if total_words > ENUMERATION_CAP:
+            raise EnumerationCapError(f"{total_words} cylinders up to depth {m} exceed the cap {ENUMERATION_CAP}")
 
     mu = _gibbs(f2, triple)
     P_press = math.log(triple.root)

@@ -1,4 +1,5 @@
-"""Property tests: the paper's spectrum invariances and a CLI fuzz.
+"""Property tests: the paper's spectrum invariances, the potential's
+array representation and a CLI fuzz.
 
 Isomorphic Gibbs systems have equal entropy spectra.  Relabelling the
 symbols, adding a constant, adding a coboundary h - h∘σ and rewriting a
@@ -14,6 +15,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     pressure,
     pressure_by_preimages,
+    reduce_to_order2,
     spectra_equal,
 )
 from markovspectra.cli import main
@@ -130,6 +133,54 @@ class TestPerronData:
         assume(depth <= 2_000)
         p = pressure(f)
         assert np.abs(np.asarray(pressure_by_preimages(f, depth)) - p).max() <= 1e-8
+
+
+@st.composite
+def potentials_of_any_order(draw):
+    """A random potential of order 1-4 on a random aperiodic 2-4 symbol support."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = random_aperiodic_base(np.random.default_rng(seed), draw(st.integers(2, 4)))
+    return random_potential(base, seed, scale=0.4, order=draw(st.integers(1, 4)))
+
+
+class TestRepresentation:
+    """The array operations give the word-by-word formulas bit for bit."""
+
+    @bounded(60)
+    @given(potentials_of_any_order())
+    def test_reduction_carries_the_table_to_recoded_edges(self, f):
+        f2, rec = reduce_to_order2(f)
+        assert f2.words == tuple(f2.base.edges())
+        if f.order == 1:
+            assert f2.values == {(i, j): f.values[(i,)] for i, j in f.base.edges()}
+        elif f.order == 2:
+            assert f2 is f
+        else:
+            # the recoded edges, row-major, are the n-words in lexicographic order
+            assert [rec.edge_word(s, t) for s, t in f2.words] == list(f.words)
+            assert f2.values == {(s, t): f.values[rec.edge_word(s, t)] for s, t in f2.words}
+
+    @bounded(25)
+    @given(potentials_of_any_order(), st.floats(-30.0, 30.0), st.floats(-5.0, 5.0))
+    def test_scale_and_shift(self, f, q, c):
+        assert f.scale(q).values == {w: q * v for w, v in f.values.items()}
+        assert f.shift(c).values == {w: v + c for w, v in f.values.items()}
+
+    @bounded(25)
+    @given(potentials_of_any_order())
+    def test_normalized_table(self, f):
+        f2, _ = reduce_to_order2(f)
+        log_u = np.log(perron(edge_matrix(f2)).left).tolist()
+        expected = {(i, j): v + log_u[i - 1] - log_u[j - 1] for (i, j), v in f2.values.items()}
+        assert normalize_potential(f).values == expected
+
+    @bounded(25)
+    @given(potentials_of_any_order())
+    def test_read_only(self, f):
+        for g in (f, reduce_to_order2(f)[0], f.scale(2.0), normalize_potential(f)):
+            assert g.table.flags.writeable is False
+            with pytest.raises(TypeError):
+                g.values[g.words[0]] = 0.0
 
 
 class TestExactSlope:

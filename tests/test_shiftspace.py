@@ -60,9 +60,10 @@ class TestAdmissibleWords:
     def test_empty_word(self, golden):
         assert admissible_words(golden, 0) == [()]
 
-    def test_cap(self, full2):
+    def test_cap(self, full2, monkeypatch):
+        monkeypatch.setattr("markovspectra.shiftspace.ENUMERATION_CAP", 100)
         with pytest.raises(EnumerationCapError):
-            admissible_words(full2, 10, cap=100)
+            admissible_words(full2, 10)
 
     def test_cap_message_omits_the_count(self, full2):
         # 2^5000 has 1,506 digits; the refusal names only the cap

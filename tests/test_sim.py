@@ -95,7 +95,7 @@ class TestEmpiricalLocalEntropy:
         assert math.log(PHI) == pytest.approx(0.4812118250596035, abs=1e-12)
 
     def test_histogram_mass_and_mean(self, mu_third):
-        result = empirical_local_entropy(mu_third, n=500, trials=300, seed=3, bins=40)
+        result = empirical_local_entropy(mu_third, n=500, trials=300, seed=3)
         assert result.counts.sum() == result.trials
         midpoints = (result.bin_edges[:-1] + result.bin_edges[1:]) / 2
         histogram_mean = float((midpoints * result.counts).sum() / result.trials)

@@ -174,11 +174,12 @@ class TestEntropySpectrum:
         for a in (-math.inf, math.inf):
             assert entropy_spectrum(f_p1_third, a) == SpectrumValue(0.0, FLAG_OUTSIDE)
 
-    def test_endpoint_extrapolated(self, f_p1_third):
+    def test_endpoint_extrapolated(self, f_p1_third, monkeypatch):
         rng = alpha_range(f_p1_third)
         # a small q cap forces the extrapolated branch at the exact endpoints
+        monkeypatch.setattr(spectrum, "Q_CAP", 40.0)
         for target in (rng.alpha_min, rng.alpha_max):
-            val = entropy_spectrum(f_p1_third, target, q_cap=40.0)
+            val = entropy_spectrum(f_p1_third, target)
             assert val.flag == FLAG_ENDPOINT
             assert abs(val.value) <= 1e-3
 
@@ -240,11 +241,6 @@ class TestEntropySpectrum:
     def test_nan_alpha_rejected(self, f_p1_third):
         with pytest.raises(ValueError, match="alpha_value"):
             entropy_spectrum(f_p1_third, math.nan)
-
-    @pytest.mark.parametrize("q_cap", [0.0, -5.0, math.nan, math.inf])
-    def test_bad_q_cap_rejected(self, f_p1_third, q_cap):
-        with pytest.raises(ValueError, match="q_cap"):
-            entropy_spectrum(f_p1_third, 0.7, q_cap=q_cap)
 
     def test_concavity_on_interior(self, f_p1_third):
         bf = BetaFunction(f_p1_third)

@@ -529,12 +529,14 @@ class TestGibbsAuditOracle:
             raise AssertionError("enumeration started past the cap")
 
         monkeypatch.setattr("markovspectra.thermo._gibbs", no_enumeration)
+        monkeypatch.setattr("markovspectra.thermo.ENUMERATION_CAP", total - 1)
         with pytest.raises(EnumerationCapError, match=f"{total} cylinders"):
-            gibbs_constant_audit(f, depth=10, cap=total - 1)
+            gibbs_constant_audit(f, depth=10)
 
-    def test_cap_stops_at_first_partial_sum_past_it(self, full2):
+    def test_cap_stops_at_first_partial_sum_past_it(self, full2, monkeypatch):
         # 2^2 + ... + 2^(m+1) = 2^(m+2) - 4 cylinders up to depth m
         f = Potential.constant(full2, 0.0)
+        monkeypatch.setattr("markovspectra.thermo.ENUMERATION_CAP", 1000)
         with pytest.raises(EnumerationCapError) as exc:
-            gibbs_constant_audit(f, depth=40, cap=1000)
+            gibbs_constant_audit(f, depth=40)
         assert str(exc.value) == "1020 cylinders up to depth 8 exceed the cap 1000"
