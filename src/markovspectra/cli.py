@@ -66,7 +66,7 @@ def cmd_pressure(args) -> int:
                 f" {work} cell updates, over the cap {MAX_ORACLE_WORK}"
             )
     bf = BetaFunction(model.potential)
-    triple = perron(edge_matrix(bf.f2))
+    triple = perron(edge_matrix(bf.f2))  # bf.matrix(1.0) again: ROADMAP items 2 and 3 drop it
     out = {
         "pressure": bf.pressure,
         "lambda": triple.root,
@@ -112,6 +112,7 @@ def cmd_spectrum(args) -> int:
             "alpha_max": curve.alpha_max,
             "degenerate": curve.degenerate,
             "h_top": bf.beta(0.0),
+            # re-solves bf.matrix(1.0) bit for bit; ROADMAP items 2 and 3 read it from bf
             "h_mu": entropy_rate(gibbs_markov(bf.f2)),
             "peak": {"alpha": peak.alpha, "E": peak.entropy},
             "samples": len(curve.samples),

@@ -81,7 +81,7 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
     f = Potential.from_matrix_log(base, Af)
     colliding = {frozenset(pair) for pair in g_n_membership(f).collisions}
 
-    i, j = np.nonzero(base.entries)
+    i, j = base.edge_index
     a = Af[i, j]
     # r(e)/r(e') = w_i w_l / (w_j w_k) for e = (i, j), e' = (k, l)
     expressions = a[:, None] / a[None, :] - np.outer(w[i], w[j]) / np.outer(w[j], w[i])

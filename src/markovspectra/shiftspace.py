@@ -8,6 +8,7 @@ empty word ``()`` is a valid word of length 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,9 +94,18 @@ class TransitionMatrix:
             return False
         return all(self.entries[a - 1, b - 1] for a, b in zip(word, word[1:]))
 
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based support edges (rows, cols), row-major: ``np.nonzero(entries)``
+        computed once and read-only, as every potential on the base shares it."""
+        index = np.array(np.nonzero(self.entries))
+        index.setflags(write=False)
+        return tuple(index)  # views of a read-only array are read-only
+
     def edges(self) -> list[tuple[int, int]]:
         """All edges (i, j) with A(ij)=1, 1-based, lexicographic."""
-        return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(self.entries))]
+        rows, cols = self.edge_index
+        return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 def word_count(A: TransitionMatrix, n: int) -> int:

@@ -104,6 +104,8 @@ def _exponent_batches(sampler, evaluator, n, trials, seed, key=()) -> np.ndarray
 
 def empirical_local_entropy(mu: MarkovMeasure, n: int, trials: int, seed: int) -> LocalEntropyResult:
     """Sampled distribution of -(1/n) log mu([omega|n]) over seeded trials."""
+    if n < 1:
+        raise ValueError("path length must be at least 1")
     if trials < 100:
         raise ValueError("at least 100 trials are required")
     exponents = _exponent_batches(mu, mu, n, trials, seed)
@@ -140,6 +142,10 @@ def empirical_spectrum_histogram(
     Paths are drawn from the Gibbs measure of q*f but their exponents are
     evaluated under the Gibbs measure of f; the mean estimates alpha(q).
     """
+    if n < 1:
+        raise ValueError("path length must be at least 1")
+    if trials < 2:
+        raise ValueError("at least 2 trials are required for a standard error")
     bf = BetaFunction(f)
     mu_f = gibbs_markov(bf.f2)
     rows = []

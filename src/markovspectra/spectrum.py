@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PotentialRangeError, SolverError
+from .errors import SolverError
 from .perron import PerronTriple, cycle_mean_extremes, perron
 from .thermo import (
     Potential,
+    _exp_on_support,
     _table_array,
-    edge_matrix,
     entropy_rate,
     gibbs_markov,
     reduce_to_order2,
@@ -33,21 +33,12 @@ class BetaFunction:
     def __init__(self, f: Potential):
         self.f2, _ = reduce_to_order2(f)
         self._table = _table_array(self.f2)
-        self._support = self.f2.base.entries == 1
-        self._weights = edge_matrix(self.f2)[self._support]
         self._cache: dict[float, PerronTriple] = {}
         self.pressure = math.log(self.triple(1.0).root)
 
     def matrix(self, q: float) -> np.ndarray:
-        """A(qf) = A(f)**q entrywise on the support, 0 elsewhere."""
-        with np.errstate(over="ignore"):
-            weights = self._weights ** q
-        # one scan of the list, cheaper than two NumPy reductions on a few entries
-        if not all(0 < w < math.inf for w in weights.tolist()):
-            raise PotentialRangeError(f"an entry of A(f)**q is out of floating-point range at q={q!r}")
-        M = np.zeros(self._support.shape)
-        M[self._support] = weights
-        return M
+        """A(qf) = exp(q f) on the support, 0 elsewhere, from edge_matrix's builder."""
+        return _exp_on_support(self.f2, q)
 
     def triple(self, q: float) -> PerronTriple:
         t = self._cache.get(q)
@@ -78,7 +69,7 @@ class BetaFunction:
         variance is far below the squared mean.
         """
         t = self.triple(q)
-        n = self._support.shape[0]
+        n = self._table.shape[0]
         P = self.matrix(q) * t.right / (t.root * t.right[:, None])
         pi = t.left * t.right
         mean = pi @ (self._table * P).sum(axis=1)
@@ -234,6 +225,7 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
         a = bf.alpha(q)
         b = bf.beta(q)
         e = b + q * a
+        # re-solves bf.matrix(q) bit for bit; ROADMAP items 2 and 3 read it from bf
         h = entropy_rate(gibbs_markov(bf.f2.scale(q)))
         if abs(e - h) > CROSS_CHECK_TOL:
             raise SolverError(

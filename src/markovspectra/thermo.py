@@ -38,7 +38,7 @@ class Potential:
     ``words``, the admissible ``order``-words in lexicographic order;
     ``values`` is a read-only word -> float view of them.  The recoded edges
     of a higher-block recoding, row-major, are the n-words in lexicographic
-    order, so for order >= 2 the table is the edge array (``np.nonzero``
+    order, so for order >= 2 the table is the edge array (``edge_index``
     order) of the order-2 base.  ``from_table`` validates outside tables;
     derived potentials are built directly."""
 
@@ -97,8 +97,7 @@ def reduce_to_order2(f: Potential) -> tuple[Potential, BlockRecoding | None]:
     if f.order == 2:
         return f, None
     if f.order == 1:
-        src, _ = np.nonzero(f.base.entries)
-        return Potential(f.base, 2, tuple(f.base.edges()), f.table[src]), None
+        return Potential(f.base, 2, tuple(f.base.edges()), f.table[f.base.edge_index[0]]), None
     recoding = higher_block_recode(f.base, f.order)
     return Potential(recoding.matrix, 2, tuple(recoding.matrix.edges()), f.table), recoding
 
@@ -107,7 +106,7 @@ def _edges(f: Potential) -> tuple[np.ndarray, np.ndarray]:
     """0-based support edges (src, dst), row-major: the order of f.table."""
     if f.order != 2:
         raise ValueError(f"needs an order-2 potential, got order {f.order}; reduce first")
-    return np.nonzero(f.base.entries)
+    return f.base.edge_index
 
 
 def _table_array(f: Potential) -> np.ndarray:
@@ -117,33 +116,38 @@ def _table_array(f: Potential) -> np.ndarray:
     return table
 
 
-def _checked_exp(v: float) -> float:
-    """math.exp(v), which must be positive and finite.  (np.exp rounds
-    differently from math.exp in the last bit on some inputs.)"""
-    try:
-        weight = math.exp(v)
-    except OverflowError:
-        weight = math.inf
-    if not 0.0 < weight < math.inf:
-        raise PotentialRangeError(f"exp of the potential value {v!r} is out of floating-point range")
-    return weight
+def _exp_on_support(f2: Potential, q: float = 1.0) -> np.ndarray:
+    """A(q f2) = exp(q f2), positive and finite, on the support edges of the order-2
+    f2, 0 elsewhere; math.exp, as np.exp rounds differently."""
+    weights = []
+    for v in f2.table.tolist():
+        try:
+            weight = math.exp(q * v)
+        except OverflowError:
+            weight = math.inf
+        if not 0.0 < weight < math.inf:
+            tilt = "" if q == 1 else f" times q={q!r}"
+            raise PotentialRangeError(f"exp of the potential value {v!r}{tilt} is out of floating-point range")
+        weights.append(weight)
+    A = np.zeros(f2.base.entries.shape)
+    A[_edges(f2)] = weights
+    return A
 
 
 def edge_matrix(f: Potential) -> np.ndarray:
     """A(f): exp(f) on support edges, 0 elsewhere.  Requires order 2."""
-    A = np.zeros(f.base.entries.shape)
-    A[_edges(f)] = [_checked_exp(v) for v in f.table.tolist()]
-    return A
+    return _exp_on_support(f)
 
 
-def _reduced_triple(f: Potential) -> tuple[Potential, PerronTriple]:
+def _reduced_triple(f: Potential) -> tuple[Potential, np.ndarray, PerronTriple]:
     f2, _ = reduce_to_order2(f)
-    return f2, perron(edge_matrix(f2))
+    A = edge_matrix(f2)
+    return f2, A, perron(A)
 
 
 def pressure(f: Potential) -> float:
     """Topological pressure, log of the Perron root of the edge matrix."""
-    _, triple = _reduced_triple(f)
+    _, _, triple = _reduced_triple(f)
     return math.log(triple.root)
 
 
@@ -178,7 +182,7 @@ def pressure_by_preimages(f: Potential, depth: int) -> list[float]:
         raise ValueError("depth must be at least 2")
     f2, _ = reduce_to_order2(f)
     n = f2.base.n_symbols
-    src, dst = np.nonzero(f2.base.entries)  # row-major: each row's edges are contiguous
+    src, dst = f2.base.edge_index  # row-major: each row's edges are contiguous
     row_starts = np.flatnonzero(np.diff(src, prepend=-1))  # a primitive support has no empty row
     w = np.log(edge_matrix(f2)[src, dst])
     block = max(1, ORACLE_BUFFER_FLOATS // (n * n))
@@ -217,13 +221,12 @@ class MarkovMeasure:
         return cls(base, P, stationary_distribution(P))
 
 
-def _gibbs(f2: Potential, triple: PerronTriple) -> MarkovMeasure:
-    """Gibbs-Markov measure of the order-2 f2 from its Perron triple.
+def _gibbs(f2: Potential, A: np.ndarray, triple: PerronTriple) -> MarkovMeasure:
+    """Gibbs-Markov measure of the order-2 f2 from A(f2) and its Perron triple.
 
     P(f)_ij = A(f)_ij v_j / (lambda v_i); the stationary vector is u_i v_i
     under the library's eigenvector normalization.
     """
-    A = edge_matrix(f2)
     v = triple.right
     P = A * v[np.newaxis, :] / (triple.root * v[:, np.newaxis])
     defect = np.max(np.abs(P.sum(axis=1) - 1.0))
@@ -290,7 +293,8 @@ def normalize_potential(f: Potential) -> Potential:
     eigenfunctions obey the left eigen-equation; the normalized table
     satisfies sum_i exp(fhat_ij) = lambda for every j.
     """
-    return _normalized(*_reduced_triple(f))
+    f2, _, triple = _reduced_triple(f)
+    return _normalized(f2, triple)
 
 
 def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
@@ -298,7 +302,7 @@ def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
     lambda^-1 exp(fhat) (Gibbs measure)."""
     if len(w) < 2:
         raise WordLengthError("jacobian needs a word of length at least 2")
-    f2, triple = _reduced_triple(f)
+    f2, _, triple = _reduced_triple(f)
     if kind == "eigen":
         g = f2
     elif kind == "gibbs":
@@ -312,8 +316,8 @@ def eigen_measure_cylinder(f: Potential, w: Word) -> float:
     """Cylinder mass of the eigen-measure: mu_f([w]) / u_{w_0}."""
     if not w:
         return 1.0
-    f2, triple = _reduced_triple(f)
-    return cylinder_measure(_gibbs(f2, triple), w) / triple.left[w[0] - 1]
+    f2, A, triple = _reduced_triple(f)
+    return cylinder_measure(_gibbs(f2, A, triple), w) / triple.left[w[0] - 1]
 
 
 def entropy_rate(mu: MarkovMeasure) -> float:
@@ -347,18 +351,20 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     For each w in W_A^{m+1} (m <= depth) the audited ratio is
     mu([w|m]) / exp(-mP + S_m f on [w]); its closed form is
     pi_{w_0} v_{w_0}^{-1} v_{w_{m-1}} lambda / A(f)_{w_{m-1} w_m}, so the
-    theoretical extremes run over attainable (start, end, edge) triples.
+    theoretical extremes run over attainable (start, end) pairs and the least and
+    largest A(f) entry of each end's row (division rounds monotonically).
     """
-    f2, triple = _reduced_triple(f)
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    f2, A, triple = _reduced_triple(f)
     total_words = 0
     for m in range(1, depth + 1):
-        total_words += word_count(f2.base, m + 1)
+        total_words += word_count(f.base, m + max(f.order, 2) - 1)  # m+1 on the order-2 form
         if total_words > ENUMERATION_CAP:
             raise EnumerationCapError(f"{total_words} cylinders up to depth {m} exceed the cap {ENUMERATION_CAP}")
 
-    mu = _gibbs(f2, triple)
+    mu = _gibbs(f2, A, triple)
     P_press = math.log(triple.root)
-    A = edge_matrix(f2)
     pi, v = mu.pi, triple.right
     n = f2.base.n_symbols
     support = A > 0
@@ -369,10 +375,9 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     for _ in range(depth - 1):
         reach = reach.astype(np.int64) @ f2.base.entries > 0
         attain |= reach
-    with np.errstate(divide="ignore"):
-        closed_form = (pi / v)[:, None, None] * v[None, :, None] * triple.root / A[None]
-    theo_values = closed_form[attain[:, :, None] & support[None]]
-    theo_min, theo_max = float(theo_values.min()), float(theo_values.max())
+    head = (pi / v)[:, None] * v[None, :] * triple.root  # (start, end)
+    theo_min = float((head / A.max(axis=1))[attain].min())
+    theo_max = float((head / np.where(support, A, np.inf).min(axis=1))[attain].max())
     constant = max(theo_max, 1.0 / theo_min)
 
     # Level-m frontier: every admissible word u of length m, as parallel

@@ -351,6 +351,8 @@ class TestExitCodes:
         assert code == EXIT_MATH
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        # the message names the model's value and the tilt, not their product
+        assert "potential value 100.0 times q=-10.0 is out of floating-point range" in err
 
     @pytest.mark.parametrize(
         "values,needle",

@@ -174,6 +174,13 @@ class TestRepresentation:
         expected = {(i, j): v + log_u[i - 1] - log_u[j - 1] for (i, j), v in f2.values.items()}
         assert normalize_potential(f).values == expected
 
+    @bounded(40)
+    @given(potentials_of_any_order(), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-20.0, 20.0)))
+    def test_tilt_is_the_edge_matrix_of_the_scaled_table(self, f, q):
+        # one builder: A(qf) carries exp(q f) bit for bit, the matrix the tilted Gibbs measure solves
+        f2, _ = reduce_to_order2(f)
+        assert np.array_equal(BetaFunction(f).matrix(q), edge_matrix(f2.scale(q)))
+
     @bounded(25)
     @given(potentials_of_any_order())
     def test_read_only(self, f):

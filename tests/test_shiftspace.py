@@ -176,6 +176,42 @@ class TestRecodeOracle:
             assert not rec.matrix.entries.flags.writeable
 
 
+class TestEdgeIndex:
+    def test_is_nonzero_of_the_entries(self):
+        base = TransitionMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 1]])
+        rows, cols = base.edge_index
+        expected_rows, expected_cols = np.nonzero(base.entries)
+        assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
+        assert base.edges() == [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)]
+
+    def test_computed_once_and_read_only(self):
+        # shared by every potential on the base, so it must not be writable
+        base = TransitionMatrix.from_entries([[1, 1], [1, 0]])
+        assert base.edge_index is base.edge_index
+        for index in base.edge_index:
+            with pytest.raises(ValueError):
+                index[0] = 1
+        assert base.edge_index[0].tolist() == [0, 0, 1]
+
+    def test_consumers_read_the_cached_index(self, monkeypatch):
+        from markovspectra import edge_matrix, normalize_potential, pressure_by_preimages, reduce_to_order2
+        from conftest import random_potential
+
+        base = random_aperiodic_base(np.random.default_rng(5), 4)
+        f = random_potential(base, seed=5, order=1)
+        base.edge_index
+        calls = []
+        nonzero = np.nonzero
+        # a 2-d argument is a support's edge list (np.flatnonzero calls it on 1-d arrays)
+        monkeypatch.setattr(np, "nonzero", lambda a: (np.ndim(a) == 2 and calls.append(a)) or nonzero(a))
+        f2, _ = reduce_to_order2(f)
+        edge_matrix(f2)
+        normalize_potential(f)
+        pressure_by_preimages(f, 3)
+        base.edges()
+        assert calls == []
+
+
 class TestSymbolPermutation:
     def test_full_shift_swap_valid(self, full2):
         assert symbol_permutation(full2, (2, 1)).valid

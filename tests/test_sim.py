@@ -113,6 +113,10 @@ class TestEmpiricalLocalEntropy:
         with pytest.raises(ValueError):
             empirical_local_entropy(mu_half, n=10, trials=99, seed=0)
 
+    def test_path_length_floor(self, mu_half):
+        with pytest.raises(ValueError, match="path length must be at least 1"):
+            empirical_local_entropy(mu_half, n=0, trials=100, seed=0)
+
     def test_deterministic(self, mu_third):
         a = empirical_local_entropy(mu_third, n=100, trials=120, seed=11)
         b = empirical_local_entropy(mu_third, n=100, trials=120, seed=11)
@@ -121,6 +125,16 @@ class TestEmpiricalLocalEntropy:
 
 
 class TestEmpiricalSpectrumHistogram:
+    def test_path_length_floor(self, f_p1_third):
+        with pytest.raises(ValueError, match="path length must be at least 1"):
+            empirical_spectrum_histogram(f_p1_third, n=0, trials=10, q_list=[1.0], seed=0)
+
+    @pytest.mark.parametrize("trials", [1, 0])
+    def test_trials_floor(self, f_p1_third, trials):
+        # one trial has no standard error (NaN), none has no mean
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            empirical_spectrum_histogram(f_p1_third, n=10, trials=trials, q_list=[1.0], seed=0)
+
     def test_tilted_means_match_alpha(self, f_p1_third):
         rows = empirical_spectrum_histogram(
             f_p1_third, n=10_000, trials=300, q_list=[0.0, 1.0, 2.5], seed=0

@@ -97,8 +97,9 @@ class TestTrustedConstructions:
 
 
 class TestOneSolve:
-    """Functions that need both the Perron triple and the Gibbs measure or
-    the normalized potential solve A(f) once."""
+    """Each function solves A(f) once, builds it once, and every consumer of
+    the solve (Gibbs measure, normalized potential, audit) reads the matrix
+    that was solved."""
 
     @pytest.mark.parametrize(
         "call",
@@ -109,17 +110,20 @@ class TestOneSolve:
             lambda f: jacobian(f, (1, 2), kind="eigen"),
             gibbs_markov,
             normalize_potential,
+            pressure,
         ],
-        ids=["audit", "eigen-cylinder", "gibbs-jacobian", "eigen-jacobian", "gibbs", "normalize"],
+        ids=["audit", "eigen-cylinder", "gibbs-jacobian", "eigen-jacobian", "gibbs", "normalize", "pressure"],
     )
     def test_single_perron_solve(self, monkeypatch, call, ring):
         import markovspectra.thermo as thermo
 
-        solves = []
-        original = thermo.perron
+        built, solves = [], []
+        build, original = thermo._exp_on_support, thermo.perron
+        monkeypatch.setattr(thermo, "_exp_on_support", lambda f2: built.append(build(f2)) or built[-1])
         monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or original(A))
         call(random_potential(ring, seed=3))
         assert len(solves) == 1
+        assert len(built) == 1 and solves[0] is built[0]
 
 
 class TestPressure:
@@ -459,14 +463,19 @@ class TestGibbsAudit:
         assert audit.pressure == pytest.approx(0.0, abs=1e-12)
         assert audit.within_bounds
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, f_p1_third, depth):
+        # no cylinder would be audited, and an empty audit must not pass
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            gibbs_constant_audit(f_p1_third, depth=depth)
+
 
 def reference_gibbs_audit(f, depth):
     """The per-word audit: one log_cylinder_measure and one birkhoff_sum
     call per cylinder, over words grown as tuples."""
-    f2, triple = _reduced_triple(f)
+    f2, A, triple = _reduced_triple(f)
     mu = gibbs_markov(f2)
     P_press = math.log(triple.root)
-    A = edge_matrix(f2)
     pi, v = mu.pi, triple.right
     n = f2.base.n_symbols
 
@@ -540,3 +549,14 @@ class TestGibbsAuditOracle:
         with pytest.raises(EnumerationCapError) as exc:
             gibbs_constant_audit(f, depth=40)
         assert str(exc.value) == "1020 cylinders up to depth 8 exceed the cap 1000"
+
+    @pytest.mark.parametrize("order", [1, 3, 4])
+    def test_cap_counts_the_cylinders_of_the_order2_form(self, golden, monkeypatch, order):
+        # counted on the original base, the total equals that of the recoded base
+        f = random_potential(golden, seed=order, order=order)
+        f2, _ = reduce_to_order2(f)
+        total = sum(word_count(f2.base, m + 1) for m in range(1, 6))
+        monkeypatch.setattr("markovspectra.thermo.ENUMERATION_CAP", total - 1)
+        with pytest.raises(EnumerationCapError) as exc:
+            gibbs_constant_audit(f, depth=9)
+        assert str(exc.value) == f"{total} cylinders up to depth 5 exceed the cap {total - 1}"
