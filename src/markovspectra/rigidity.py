@@ -10,14 +10,23 @@ distinct-value membership and the degree condition are reported.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import log_p1_potential, log_p2_potential
-from .perron import perron
+from .perron import perron, perron_stack
 from .shiftspace import TransitionMatrix, Word, out_degrees
-from .thermo import Potential, gibbs_markov, normalize_potential, reduce_to_order2
+from .thermo import (
+    ORACLE_BUFFER_FLOATS,
+    Potential,
+    _exp_on_support,
+    _normalized_table,
+    gibbs_markov,
+    normalize_potential,
+    reduce_to_order2,
+)
 
 ROW_TOL = 1e-10
 HALF_TOL = 1e-10
@@ -33,6 +42,25 @@ class GnReport:
     values: dict[Word, float]
 
 
+def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
+    """Least scaled gap |v_i - v_j| / max(1, max |v|) of each row of a (k, E)
+    stack, and each row's index pairs with gap <= GAP_TOL, in combinations
+    order.  Rounding is monotone, so along a sorted row the gaps from one
+    value never fall: the least is an adjacent one, and a forward sweep
+    stops at its first gap above the tolerance."""
+    order = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=1)
+    scale = np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))
+    gaps = np.diff(ranked, axis=1) / scale[:, np.newaxis]
+    collisions: list[list[tuple[int, int]]] = [[] for _ in values]
+    for row, start in zip(*np.nonzero(gaps <= GAP_TOL)):
+        end = start + 1
+        while end < ranked.shape[1] and (ranked[row, end] - ranked[row, start]) / scale[row] <= GAP_TOL:
+            collisions[row].append(tuple(sorted((int(order[row, start]), int(order[row, end])))))
+            end += 1
+    return gaps.min(axis=1, initial=np.inf), [sorted(pairs) for pairs in collisions]
+
+
 def g_n_membership(f: Potential) -> GnReport:
     """Pairwise-distinctness of the normalized potential over n-words.
 
@@ -42,16 +70,10 @@ def g_n_membership(f: Potential) -> GnReport:
     """
     f2, recoding = reduce_to_order2(f)
     words = f.words if recoding else f2.words
-    values = dict(zip(words, normalize_potential(f2).table.tolist()))
-    scale = max(1.0, max(abs(v) for v in values.values()))
-    margin = np.inf
-    collisions = []
-    for (w1, v1), (w2, v2) in itertools.combinations(values.items(), 2):
-        gap = abs(v1 - v2) / scale
-        margin = min(margin, gap)
-        if gap <= GAP_TOL:
-            collisions.append((w1, w2))
-    return GnReport(not collisions, float(margin), tuple(collisions), values)
+    table = normalize_potential(f2).table
+    margin, collisions = _distinct_values(table[np.newaxis])
+    pairs = tuple((words[i], words[j]) for i, j in collisions[0])
+    return GnReport(not pairs, float(margin[0]), pairs, dict(zip(words, table.tolist())))
 
 
 @dataclass(frozen=True)
@@ -176,32 +198,38 @@ class DensityProbeResult:
     openness_violations: int
 
 
+def _member_rows(f2: Potential, tables: np.ndarray) -> np.ndarray:
+    """g_n_membership(...).member of each row of a (k, E) stack of f2's
+    tables, solved in blocks whose matrices hold at most ORACLE_BUFFER_FLOATS
+    floats, as in pressure_by_preimages."""
+    n = f2.base.n_symbols
+    block = max(1, ORACLE_BUFFER_FLOATS // (n * n))
+    member = []
+    for start in range(0, len(tables), block):
+        rows = tables[start : start + block]
+        left = perron_stack(_exp_on_support(f2, table=rows)).left
+        margin, _ = _distinct_values(_normalized_table(f2, left, rows))
+        member.extend((margin > GAP_TOL).tolist())
+    return np.array(member, dtype=bool)
+
+
 def density_probe(f: Potential, radius: float, trials: int, seed: int) -> DensityProbeResult:
     """Fraction of uniform table perturbations that have pairwise-distinct
-    normalized values, with a shrunken-ball probe around each member found."""
+    normalized values, with a shrunken-ball probe around each member found.
+    All trials are solved before any member's ball, so a failing trial table
+    raises even where an earlier member's ball fails too."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials!r}")
+    if not (radius >= 0 and math.isfinite(2.0 * radius)):
+        raise ValueError(f"radius must be non-negative, with 2 * radius finite, got {radius!r}")
     f2, _ = reduce_to_order2(f)
-
-    def perturbed(rng, center: np.ndarray, eps: float) -> Potential:
-        return Potential(f2.base, 2, f2.words, center + rng.uniform(-eps, eps, size=center.size))
-
-    members = 0
-    openness_checked = 0
-    openness_violations = 0
-    for trial in range(trials):
-        # Per-trial stream so trials can be partitioned without changing results.
-        rng = np.random.default_rng((seed, trial))
-        g = perturbed(rng, f2.table, radius)
-        if g_n_membership(g).member:
-            members += 1
-            for _ in range(OPENNESS_SUBTRIALS):
-                openness_checked += 1
-                h = perturbed(rng, g.table, radius / 100.0)
-                if not g_n_membership(h).member:
-                    openness_violations += 1
-    return DensityProbeResult(
-        members / trials if trials else 0.0,
-        members,
-        trials,
-        openness_checked,
-        openness_violations,
-    )
+    size = f2.table.size
+    # Per-trial streams so trials can be partitioned without changing results.
+    rngs = [np.random.default_rng((seed, trial)) for trial in range(trials)]
+    tables = f2.table + np.reshape([rng.uniform(-radius, radius, size) for rng in rngs], (trials, size))
+    members = np.flatnonzero(_member_rows(f2, tables))
+    shrunk = radius / 100.0
+    balls = [tables[t] + rngs[t].uniform(-shrunk, shrunk, (OPENNESS_SUBTRIALS, size)) for t in members]
+    openness = _member_rows(f2, np.reshape(balls, (-1, size)))
+    fraction = members.size / trials if trials else 0.0
+    return DensityProbeResult(fraction, members.size, trials, openness.size, int(openness.size - openness.sum()))

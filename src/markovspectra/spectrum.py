@@ -213,7 +213,8 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
     """Parametric spectrum samples (q, alpha(q), beta(q), E) over a sorted grid.
 
     Each entropy value is cross-checked against the entropy rate of the
-    tilted Gibbs measure.
+    tilted Gibbs measure.  A degenerate curve is one point: every sample
+    reports alpha_min and E = beta(0), not the rounding noise around them.
     """
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
     grid = [float(q) for q in q_grid]
@@ -231,6 +232,8 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
             raise SolverError(
                 f"duality cross-check failed at q={q}: E={e} vs entropy rate {h}"
             )
+        if rng.degenerate:
+            a, e = rng.alpha_min, bf.beta(0.0)
         samples.append(SpectrumSample(q, a, b, e, FLAG_DEGENERATE if rng.degenerate else FLAG_INTERIOR))
     return SpectrumCurve(tuple(samples), rng.alpha_min, rng.alpha_max, rng.degenerate)
 

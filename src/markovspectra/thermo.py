@@ -116,11 +116,13 @@ def _table_array(f: Potential) -> np.ndarray:
     return table
 
 
-def _exp_on_support(f2: Potential, q: float = 1.0) -> np.ndarray:
-    """A(q f2) = exp(q f2), positive and finite, on the support edges of the order-2
-    f2, 0 elsewhere; math.exp, as np.exp rounds differently."""
+def _exp_on_support(f2: Potential, q: float = 1.0, table: np.ndarray | None = None) -> np.ndarray:
+    """A(q g) = exp(q g), positive and finite, on the support edges of the order-2
+    f2, 0 elsewhere, for g = f2 or, stacked, each row of a (k, E) ``table`` on
+    its support; math.exp, as np.exp rounds differently."""
+    values = f2.table if table is None else table
     weights = []
-    for v in f2.table.tolist():
+    for v in values.ravel().tolist():
         try:
             weight = math.exp(q * v)
         except OverflowError:
@@ -129,8 +131,9 @@ def _exp_on_support(f2: Potential, q: float = 1.0) -> np.ndarray:
             tilt = "" if q == 1 else f" times q={q!r}"
             raise PotentialRangeError(f"exp of the potential value {v!r}{tilt} is out of floating-point range")
         weights.append(weight)
-    A = np.zeros(f2.base.entries.shape)
-    A[_edges(f2)] = weights
+    A = np.zeros(values.shape[:-1] + f2.base.entries.shape)
+    src, dst = _edges(f2)
+    A[..., src, dst] = np.array(weights).reshape(values.shape)
     return A
 
 
@@ -279,11 +282,16 @@ def birkhoff_sum(f: Potential, w: Word, m: int) -> float:
     return total
 
 
+def _normalized_table(f2: Potential, left: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """table + log u_i - log u_j on f2's edges (i, j); rows of a stack alike."""
+    log_u = np.log(left)
+    src, dst = _edges(f2)
+    return table + log_u.take(src, -1) - log_u.take(dst, -1)
+
+
 def _normalized(f2: Potential, triple: PerronTriple) -> Potential:
     """Normalized form of the order-2 f2 from its Perron triple."""
-    log_u = np.log(triple.left)
-    src, dst = _edges(f2)
-    return Potential(f2.base, 2, f2.words, f2.table + log_u[src] - log_u[dst])
+    return Potential(f2.base, 2, f2.words, _normalized_table(f2, triple.left, f2.table))
 
 
 def normalize_potential(f: Potential) -> Potential:
@@ -345,6 +353,17 @@ class GibbsAudit:
     within_bounds: bool
 
 
+def _attainable(base: TransitionMatrix, depth: int) -> np.ndarray:
+    """Start->end pairs joined by a path of length m-1 for some m in 1..depth.
+    0/1 path counts stay <= n, exact in float64, whose product has a BLAS
+    kernel where int64's has none."""
+    reach = attain = np.eye(base.n_symbols, dtype=bool)
+    for _ in range(depth - 1):
+        reach = reach.astype(float) @ base.entries.astype(float) > 0
+        attain = attain | reach
+    return attain
+
+
 def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     """Audit the defining Gibbs inequality over all cylinders up to `depth`.
 
@@ -369,12 +388,7 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     n = f2.base.n_symbols
     support = A > 0
 
-    # Attainable start->end pairs: a path of length m-1 for some m in 1..depth.
-    reach = np.eye(n, dtype=bool)
-    attain = reach.copy()
-    for _ in range(depth - 1):
-        reach = reach.astype(np.int64) @ f2.base.entries > 0
-        attain |= reach
+    attain = _attainable(f2.base, depth)
     head = (pi / v)[:, None] * v[None, :] * triple.root  # (start, end)
     theo_min = float((head / A.max(axis=1))[attain].min())
     theo_max = float((head / np.where(support, A, np.inf).min(axis=1))[attain].max())

@@ -11,7 +11,7 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.perron import CycleMeanExtremes, _perron_vector, perron
+from markovspectra.perron import CycleMeanExtremes, _perron_vector, perron, perron_stack
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
 
@@ -103,6 +103,37 @@ class TestPerron:
         M = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1e-200], [1e-200, 0.0, 0.0]])
         with pytest.raises(NonConvergenceError):
             perron(M)
+
+
+class TestPerronStack:
+    """Stacks that hold a failing row raise that row's own ``perron`` error."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # exp(-460) off the diagonal: the closed form's b*c underflows to 0
+            [[1.0, math.exp(-460.0)], [math.exp(-460.0), 1.0]],
+            # ring3 with vertex weights e^40, e^-40, 1 tilted to q = -10: the
+            # dense dgeev vector has a zero entry
+            [[0.0, math.exp(-400.0), math.exp(-400.0)], [math.exp(400.0), 0.0, math.exp(400.0)], [1.0, 1.0, 0.0]],
+        ],
+        ids=["closed-form-underflow", "ring3-40"],
+    )
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_failing_row_raises_its_perron_error(self, bad, position):
+        bad = np.array(bad)
+        n = bad.shape[0]
+        rows = [np.where(np.eye(n) == 1, 0.5, 1.0 + 0.1 * i) for i in range(3)]
+        rows[position] = bad
+        with pytest.raises(NonConvergenceError) as single:
+            perron(bad)
+        with pytest.raises(type(single.value)) as stacked:
+            perron_stack(np.array(rows))
+        assert str(stacked.value) == str(single.value)
+
+    def test_empty_stack(self):
+        t = perron_stack(np.zeros((0, 3, 3)))
+        assert t.root.shape == (0,) and t.left.shape == (0, 3)
 
 
 def hex_triple(t) -> tuple:

@@ -37,7 +37,7 @@ from markovspectra import (
     spectra_equal,
 )
 from markovspectra.cli import main
-from markovspectra.perron import perron
+from markovspectra.perron import perron, perron_stack
 from conftest import random_aperiodic_base, random_potential
 
 
@@ -133,6 +133,29 @@ class TestPerronData:
         assume(depth <= 2_000)
         p = pressure(f)
         assert np.abs(np.asarray(pressure_by_preimages(f, depth)) - p).max() <= 1e-8
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A (k, n, n) stack, k = 1..6 and n = 2..8, of matrices with entries
+    e^U(-2, 2) on random aperiodic supports of one size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    return np.array([
+        np.where(random_aperiodic_base(rng, n).entries == 1, np.exp(rng.uniform(-2.0, 2.0, (n, n))), 0.0)
+        for _ in range(k)
+    ])
+
+
+@bounded(60)
+@given(matrix_stacks())
+def test_perron_stack_rows_are_perron_bit_for_bit(A):
+    stacked = perron_stack(A)
+    for i, M in enumerate(A):
+        t = perron(M)
+        assert stacked.root[i] == t.root and stacked.residual[i] == t.residual
+        assert stacked.left[i].tolist() == t.left.tolist() and stacked.right[i].tolist() == t.right.tolist()
+        assert stacked.iterations[i] == t.iterations
 
 
 @st.composite

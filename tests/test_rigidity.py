@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovspectra import (
     Potential,
+    reduce_to_order2,
     admissible_words,
     appendix_condition_check,
     bernoulli_twin,
@@ -21,8 +24,37 @@ from markovspectra import (
     out_degrees,
     spectra_equal,
 )
-from markovspectra.perron import perron
-from conftest import random_potential, random_support_matrix
+from markovspectra.perron import perron, perron_stack
+from markovspectra.rigidity import GAP_TOL, OPENNESS_SUBTRIALS, DensityProbeResult
+from markovspectra.shiftspace import TransitionMatrix
+from conftest import random_aperiodic_base, random_potential, random_support_matrix
+
+
+def reference_g_n(f):
+    """Margin and collisions of g_n_membership over every pair of words, in
+    itertools.combinations order."""
+    f2, recoding = reduce_to_order2(f)
+    words = f.words if recoding else f2.words
+    values = dict(zip(words, normalize_potential(f2).table.tolist()))
+    scale = max(1.0, max(abs(v) for v in values.values()))
+    margin, collisions = np.inf, []
+    for (w1, v1), (w2, v2) in itertools.combinations(values.items(), 2):
+        gap = abs(v1 - v2) / scale
+        margin = min(margin, gap)
+        if gap <= GAP_TOL:
+            collisions.append((w1, w2))
+    return float(margin), tuple(collisions)
+
+
+def planted_ties(base, seed):
+    """A random order-2 potential whose self-loops and whose first and last
+    edges share one value: their normalized values tie up to rounding."""
+    rng = np.random.default_rng(seed)
+    words = admissible_words(base, 2)
+    table = {w: rng.uniform(-1.0, 1.0) for w in words}
+    for w in [w for w in words if w[0] == w[1]] + [words[0], words[-1]]:
+        table[w] = 0.25
+    return Potential.from_table(base, 2, table)
 
 
 class TestGnMembership:
@@ -64,6 +96,33 @@ class TestGnMembership:
             (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 1, 2)
         }
         assert report.member  # generic random values are pairwise distinct
+
+
+class TestGnMembershipReference:
+    """The sort-based kernel gives the pairwise loop's margin and collisions,
+    in its order."""
+
+    @settings(max_examples=40, deadline=10_000, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    def test_planted_ties(self, seed, n):
+        base = random_aperiodic_base(np.random.default_rng(seed), n)
+        for f in (planted_ties(base, seed), Potential.constant(base, 0.3), random_potential(base, seed)):
+            report = g_n_membership(f)
+            margin, collisions = reference_g_n(f)
+            assert report.margin == margin and report.collisions == collisions
+            assert report.member == (not collisions)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_other_orders(self, golden, full2, order):
+        for base in (golden, full2):
+            f = Potential.constant(base, -0.5, order=order)
+            assert (g_n_membership(f).margin, g_n_membership(f).collisions) == reference_g_n(f)
+
+    def test_families(self, f_p1_third, f_p2_third):
+        for f in (f_p1_third, f_p2_third):
+            report = g_n_membership(f)
+            assert (report.margin, report.collisions) == reference_g_n(f)
+            assert report.collisions
 
 
 class TestAppendixConditionCheck:
@@ -263,3 +322,65 @@ class TestDensityProbe:
         a = density_probe(f_p1_third, radius=1e-3, trials=60, seed=9)
         b = density_probe(f_p1_third, radius=1e-3, trials=60, seed=9)
         assert a == b
+
+
+def reference_density_probe(f, radius, trials, seed):
+    """The per-trial probe: one g_n_membership call per table, each trial's
+    openness tables drawn one at a time from its own stream."""
+    f2, _ = reduce_to_order2(f)
+    members = checked = violations = 0
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        g = Potential(f2.base, 2, f2.words, f2.table + rng.uniform(-radius, radius, size=f2.table.size))
+        if g_n_membership(g).member:
+            members += 1
+            for _ in range(OPENNESS_SUBTRIALS):
+                checked += 1
+                h = Potential(f2.base, 2, f2.words, g.table + rng.uniform(-radius / 100, radius / 100, size=g.table.size))
+                violations += not g_n_membership(h).member
+    return DensityProbeResult(members / trials if trials else 0.0, members, trials, checked, violations)
+
+
+class TestDensityProbeReference:
+    @pytest.fixture(scope="class")
+    def cases(self, f_p1_third, f_p2_third, full2):
+        ring = TransitionMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        return {
+            "P1": f_p1_third,
+            "P2": f_p2_third,
+            "member": Potential.from_matrix_log(full2, [[0.7, 0.3], [0.4, 0.6]]),
+            "ring3": random_potential(ring, seed=4, scale=0.5),
+        }
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-3, 0.05, 0.5])
+    @pytest.mark.parametrize("name", ["P1", "P2", "member", "ring3"])
+    def test_batched_probe_equals_per_trial_loop(self, cases, name, radius):
+        f = cases[name]
+        assert density_probe(f, radius, 30, 7) == reference_density_probe(f, radius, 30, 7)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_blocks_bound_the_stacked_matrices(self, monkeypatch, order, rows):
+        # Each stacked solve holds at most ORACLE_BUFFER_FLOATS floats of
+        # matrices; blocks of one row or a few rows give the loop's result.
+        ring = TransitionMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        f = random_potential(ring, seed=5, scale=0.5, order=order)
+        n = reduce_to_order2(f)[0].base.n_symbols
+        shapes = []
+
+        def spy(A):
+            shapes.append(A.shape)
+            return perron_stack(A)
+
+        monkeypatch.setattr("markovspectra.rigidity.ORACLE_BUFFER_FLOATS", rows * n * n)
+        monkeypatch.setattr("markovspectra.rigidity.perron_stack", spy)
+        assert density_probe(f, 0.05, 7, 3) == reference_density_probe(f, 0.05, 7, 3)
+        assert shapes and all(k <= rows and m == n for k, m, _ in shapes)
+
+    @pytest.mark.parametrize("trials, radius", [(-3, 1e-3), (5, -1e-3), (5, math.nan), (5, math.inf), (5, 1e308)])
+    def test_invalid_arguments_refused(self, f_p1_third, trials, radius):
+        with pytest.raises(ValueError, match="trials" if trials < 0 else "radius"):
+            density_probe(f_p1_third, radius, trials, 0)
+
+    def test_no_trials(self, f_p1_third):
+        assert density_probe(f_p1_third, 1e-3, 0, 0) == DensityProbeResult(0.0, 0, 0, 0, 0)

@@ -269,6 +269,14 @@ class TestSampleSpectrum:
         for f in test_potentials:
             sample_spectrum(f, [-4.0, -1.0, 0.0, 1.0, 3.0])
 
+    @pytest.mark.parametrize("c", [-1.0, -0.3, 0.0, 0.7, 2.0])
+    def test_degenerate_curve_is_one_point(self, full2, golden, ring, c):
+        for base in (full2, golden, ring):
+            bf = BetaFunction(Potential.constant(base, c))
+            curve = sample_spectrum(bf, np.arange(-10.0, 10.25, 0.5))
+            assert curve.degenerate
+            assert {(s.alpha, s.entropy) for s in curve.samples} == {(curve.alpha_min, bf.beta(0.0))}
+
     def test_order5_potential_on_default_grid(self, full2):
         # Perron vectors of this recoding span ten decades at |q| ~ 10; with
         # too few correct digits in the small entries the Gibbs matrix failed

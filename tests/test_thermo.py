@@ -26,7 +26,7 @@ from markovspectra import (
     word_count,
 )
 from markovspectra.errors import EnumerationCapError, WordLengthError
-from markovspectra.thermo import ORACLE_BUFFER_FLOATS, _logsumexp, _reduced_triple
+from markovspectra.thermo import ORACLE_BUFFER_FLOATS, _attainable, _logsumexp, _reduced_triple
 from conftest import random_aperiodic_base, random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -518,6 +518,18 @@ def reference_gibbs_audit(f, depth):
 
 class TestGibbsAuditOracle:
     """The array audit must reproduce the per-word audit bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_attainable_pairs_match_integer_product(self, n):
+        rng = np.random.default_rng(n)
+        for depth in (1, 2, 3, 7, 12):
+            base = random_aperiodic_base(rng, n)
+            reach = np.eye(n, dtype=bool)
+            attain = reach.copy()
+            for _ in range(depth - 1):
+                reach = reach.astype(np.int64) @ base.entries > 0
+                attain |= reach
+            assert (_attainable(base, depth) == attain).all()
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("support", ["full2", "full3", "golden", "ring"])
