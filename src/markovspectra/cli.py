@@ -42,7 +42,8 @@ EXIT_AUDIT = 4
 EXIT_RESOURCE = 5
 
 MAX_Q_POINTS = 100_001
-MAX_ORACLE_DEPTH = 10_000
+# Largest pressure --oracle-depth and gibbs-audit --depth.
+MAX_DEPTH = 10_000
 # The oracle advances every order-2 symbol's preimage sum together; each of
 # its depth steps sums a symbols^2 block per terminal: depth x symbols^3 cell
 # updates.  With the depth cap this bounds a whole request to under a second
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pressure", help="topological pressure and Perron data")
     p.add_argument("model")
-    p.add_argument("--oracle-depth", type=_bounded(int, 2, high=MAX_ORACLE_DEPTH), default=None)
+    p.add_argument("--oracle-depth", type=_bounded(int, 2, high=MAX_DEPTH), default=None)
     p.set_defaults(handler=cmd_pressure)
 
     p = sub.add_parser("spectrum", help="sample the entropy spectrum curve")
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gibbs-audit", help="audit the defining Gibbs inequality")
     p.add_argument("model")
-    p.add_argument("--depth", type=_bounded(int, 1), default=12)
+    p.add_argument("--depth", type=_bounded(int, 1, high=MAX_DEPTH), default=12)
     p.set_defaults(handler=cmd_gibbs_audit)
 
     p = sub.add_parser("sample", help="Monte-Carlo local entropy exponents")

@@ -15,7 +15,7 @@ class AperiodicityError(MarkovSpectraError):
 
 
 class EnumerationCapError(MarkovSpectraError):
-    """A word/cylinder enumeration or a preimage-sum oracle would exceed its cap."""
+    """A word enumeration or a preimage-sum oracle would exceed its cap."""
     exit_code = 5
 
 

@@ -298,5 +298,9 @@ def cycle_mean_extremes(base: TransitionMatrix, weights) -> CycleMeanExtremes:
     support = base.entries == 1
     lo, lo_cycle = _karp_min_mean(np.where(support, W, np.inf))
     hi_neg, hi_cycle = _karp_min_mean(np.where(support, -W, np.inf))
+    # the two runs keep different rounded Karp ratios: equal extremes (a
+    # constant W) can come out one ulp the wrong way round, so the means are
+    # returned in order
+    lo, hi = sorted((lo, -hi_neg))
     to_word = lambda cyc: tuple(v + 1 for v in cyc)
-    return CycleMeanExtremes(lo, -hi_neg, to_word(lo_cycle), to_word(hi_cycle))
+    return CycleMeanExtremes(lo, hi, to_word(lo_cycle), to_word(hi_cycle))

@@ -14,22 +14,9 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from .errors import (
-    EnumerationCapError,
-    PotentialRangeError,
-    StochasticityError,
-    WordLengthError,
-)
+from .errors import PotentialRangeError, StochasticityError, WordLengthError
 from .perron import PerronTriple, perron, stationary_distribution
-from .shiftspace import (
-    ENUMERATION_CAP,
-    BlockRecoding,
-    TransitionMatrix,
-    Word,
-    admissible_words,
-    higher_block_recode,
-    word_count,
-)
+from .shiftspace import BlockRecoding, TransitionMatrix, Word, admissible_words, higher_block_recode
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,20 +359,20 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     pi_{w_0} v_{w_0}^{-1} v_{w_{m-1}} lambda / A(f)_{w_{m-1} w_m}, so the
     theoretical extremes run over attainable (start, end) pairs and the least and
     largest A(f) entry of each end's row (division rounds monotonically).
+
+    The observed extremes come from a max-plus recursion over the support's
+    edges, exhaustive over the cylinders without building a word: hi[i]
+    (lo[i]) is the largest (least) log mu([u]) - S_{m-1} f(u) + (m-1)P over
+    the m-words u ending at i, and every audited w = u j adds the edge
+    (i, j): log ratio = hi[i] - f_ij + P.  The min side runs as the max of
+    the negated values, which negation and rounding keep exact.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     f2, A, triple = _reduced_triple(f)
-    total_words = 0
-    for m in range(1, depth + 1):
-        total_words += word_count(f.base, m + max(f.order, 2) - 1)  # m+1 on the order-2 form
-        if total_words > ENUMERATION_CAP:
-            raise EnumerationCapError(f"{total_words} cylinders up to depth {m} exceed the cap {ENUMERATION_CAP}")
-
     mu = _gibbs(f2, A, triple)
     P_press = math.log(triple.root)
     pi, v = mu.pi, triple.right
-    n = f2.base.n_symbols
     support = A > 0
 
     attain = _attainable(f2.base, depth)
@@ -394,37 +381,26 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     theo_max = float((head / np.where(support, A, np.inf).min(axis=1))[attain].max())
     constant = max(theo_max, 1.0 / theo_min)
 
-    # Level-m frontier: every admissible word u of length m, as parallel
-    # arrays of its last symbol, log mu([u]) and S_{m-1} f(u), in
-    # lexicographic order.  Each audited word w = u j extends the frontier by
-    # one edge; sums run left to right like the per-word formulas, and the
-    # logs come from math.log, so every log-ratio is bit-identical to them.
-    log_P = np.full((n, n), -np.inf)
-    log_P[support] = [math.log(p) for p in mu.P[support].tolist()]
-    f_table = _table_array(f2)
-    symbols = np.arange(n)
-    last = symbols
-    log_mu = np.array([math.log(p) for p in pi])
-    birkhoff = np.zeros(n)
-    observed_min, observed_max = np.inf, -np.inf
-    for m in range(1, depth + 1):
-        parent = np.repeat(np.arange(last.size), n)
-        nxt = np.tile(symbols, last.size)
-        keep = support[last[parent], nxt]
-        parent, nxt = parent[keep], nxt[keep]
-        edge = (last[parent], nxt)
-        birkhoff = birkhoff[parent] + f_table[edge]
-        log_ratio = log_mu[parent] + m * P_press - birkhoff
-        # exp is monotone, so exp of the extreme log-ratio is the extreme ratio
-        observed_min = min(observed_min, math.exp(log_ratio.min()))
-        observed_max = max(observed_max, math.exp(log_ratio.max()))
-        log_mu = log_mu[parent] + log_P[edge]
-        last = nxt
+    # edges sorted by target, so each target's incoming edges are one
+    # reduceat segment (a primitive support leaves no target without one)
+    src, dst = _edges(f2)
+    by_dst = np.argsort(dst, kind="stable")
+    src, dst = src[by_dst], dst[by_dst]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    gain = P_press - f2.table[by_dst]  # -f_ij + P
+    step = np.log(mu.P[src, dst]) + gain  # log P_ij - f_ij + P
+    sign = np.array([[1.0], [-1.0]])  # rows: hi, -lo
+    gain, step, ends = sign * gain, sign * step, sign * np.log(pi)
+    extreme = np.full(2, -np.inf)
+    for _ in range(depth):
+        tail = ends[:, src]
+        extreme = np.maximum(extreme, (tail + gain).max(axis=1))
+        ends = np.maximum.reduceat(tail + step, starts, axis=1)
+    # exp is monotone, so exp of the extreme log-ratio is the extreme ratio
+    observed_max, observed_min = math.exp(extreme[0]), math.exp(-extreme[1])
 
     slack = 1e-10 * max(1.0, constant)
     within = bool(
         1.0 / constant - slack <= observed_min and observed_max <= constant + slack
     )
-    return GibbsAudit(
-        P_press, constant, float(observed_min), float(observed_max), theo_min, theo_max, depth, within
-    )
+    return GibbsAudit(P_press, constant, observed_min, observed_max, theo_min, theo_max, depth, within)

@@ -16,7 +16,7 @@ from markovspectra.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
-    MAX_ORACLE_DEPTH,
+    MAX_DEPTH,
     MAX_ORACLE_WORK,
     build_parser,
     main,
@@ -222,7 +222,8 @@ class TestExitCodes:
             ("sample", P1_THIRD, "--seed", "-1"),
             ("pressure", P1_THIRD, "--oracle-depth", "1" + "0" * 400),
             # refused by the parser, before the (missing) model is read
-            ("pressure", "/no/such/model.json", "--oracle-depth", str(MAX_ORACLE_DEPTH + 1)),
+            ("pressure", "/no/such/model.json", "--oracle-depth", str(MAX_DEPTH + 1)),
+            ("gibbs-audit", "/no/such/model.json", "--depth", str(MAX_DEPTH + 1)),
         ],
         ids=[
             "qstep",
@@ -234,6 +235,7 @@ class TestExitCodes:
             "seed",
             "int-past-float-range",
             "oracle-depth-past-cap",
+            "depth-past-cap",
         ],
     )
     def test_out_of_range_flag(self, capsys, argv):
@@ -244,8 +246,8 @@ class TestExitCodes:
         assert out.out == "" and f"argument {argv[2]}" in out.err
 
     def test_largest_oracle_depth_accepted(self):
-        args = build_parser().parse_args(["pressure", P1_THIRD, "--oracle-depth", str(MAX_ORACLE_DEPTH)])
-        assert MAX_ORACLE_DEPTH == 10_000 and args.oracle_depth == MAX_ORACLE_DEPTH
+        args = build_parser().parse_args(["pressure", P1_THIRD, "--oracle-depth", str(MAX_DEPTH)])
+        assert MAX_DEPTH == 10_000 and args.oracle_depth == MAX_DEPTH
 
     @pytest.mark.parametrize("error", MarkovSpectraError.__subclasses__(), ids=lambda cls: cls.__name__)
     def test_library_error_exits_with_its_code(self, capsys, monkeypatch, error):
@@ -370,11 +372,12 @@ class TestExitCodes:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert needle in err
 
-    def test_audit_past_cap_exits_resource(self, capsys):
-        # the cap is checked level by level, before any depth-32000 count
-        code, out, err = run(capsys, "gibbs-audit", P1_THIRD, "--depth", "32000")
-        assert code == EXIT_RESOURCE
-        assert out == "" and err == "error: 16777212 cylinders up to depth 22 exceed the cap 10000000\n"
+    def test_largest_audit_depth_within_bounds(self, capsys):
+        # the recursion audits all 2^10002 - 4 cylinders without a cap
+        code, out, err = run(capsys, "gibbs-audit", P1_THIRD, "--depth", str(MAX_DEPTH))
+        assert code == EXIT_OK and err == ""
+        audit = json.loads(out)
+        assert audit["depth"] == MAX_DEPTH and audit["within_bounds"] is True
 
     def test_order_past_cap_exits_resource(self, capsys):
         model = '{"transition": [[1, 1], [1, 1]], "potential": {"order": 20000, "values": {"1": 0.5}}}'

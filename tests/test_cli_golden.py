@@ -54,6 +54,8 @@ COMMANDS = [
     ("spectrum", inline_model(RING3, 1, {"1": 40, "2": -40, "3": 0})),
     ("spectrum", inline_model(RING3, 2, {"12": 40, "13": -40, "21": -40, "23": 40, "31": 40, "32": -40})),
     ("gibbs-audit", "models/full2_zero.json", "--depth", "40"),
+    # 2^25 words of order 25 exceed the enumeration cap
+    ("pressure", inline_model(FULL2, 25, {"1": 0.0})),
     ("spectrum", "models/full2_p1_third.json", "--qstep", "1e-6"),
 ]
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from markovspectra import (
     BetaFunction,
     cycle_mean_extremes,
+    full_shift,
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
@@ -258,6 +259,15 @@ class TestCycleMeanExtremes:
         assert ext.min_mean == pytest.approx(-0.5)
         assert ext.max_mean == pytest.approx(0.0)
         assert sorted(ext.min_cycle) == [1, 2]
+
+    @pytest.mark.parametrize("c", [-1.0, -0.3, 0.0, 0.5, 0.7, 2.0])
+    def test_constant_weights_keep_the_extremes_in_order(self, full2, golden, ring, c):
+        # the runs on W and -W keep different rounded Karp ratios: on the full
+        # 3-shift and ring3 at c = -0.3 and 0.7 the means crossed by one ulp
+        for base in (full2, full_shift(3), golden, ring):
+            ext = cycle_mean_extremes(base, np.full(base.entries.shape, c))
+            assert ext.min_mean <= ext.max_mean
+            assert ext.min_mean == pytest.approx(c, rel=1e-15) and ext.max_mean == pytest.approx(c, rel=1e-15)
 
     def test_negation_symmetry(self):
         for seed in range(20):
