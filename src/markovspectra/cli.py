@@ -28,7 +28,6 @@ from .shiftspace import word_count
 from .spectrum import BetaFunction, alpha_range, sample_spectrum, spectra_equal
 from .sim import empirical_local_entropy
 from .thermo import (
-    edge_matrix,
     entropy_rate,
     gibbs_constant_audit,
     gibbs_markov,
@@ -67,7 +66,7 @@ def cmd_pressure(args) -> int:
                 f" {work} cell updates, over the cap {MAX_ORACLE_WORK}"
             )
     bf = BetaFunction(model.potential)
-    triple = perron(edge_matrix(bf.f2))  # bf.matrix(1.0) again: ROADMAP items 2 and 3 drop it
+    triple = perron(bf.matrix(1.0))  # bf.triple(1.0) again: ROADMAP items 2 and 3 drop it
     out = {
         "pressure": bf.pressure,
         "lambda": triple.root,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import BetaFunction
-from .thermo import MarkovMeasure, Potential, gibbs_markov
+from .thermo import MarkovMeasure, Potential
 
 CHUNK = 512
 HISTOGRAM_BINS = 50
@@ -147,10 +147,10 @@ def empirical_spectrum_histogram(
     if trials < 2:
         raise ValueError("at least 2 trials are required for a standard error")
     bf = BetaFunction(f)
-    mu_f = gibbs_markov(bf.f2)
+    mu_f = bf.gibbs(1.0)
     rows = []
     for qi, q in enumerate(q_list):
-        mu_q = gibbs_markov(bf.f2.scale(float(q)))
+        mu_q = bf.gibbs(float(q))
         exponents = _exponent_batches(mu_q, mu_f, n, trials, seed, key=(qi,))
         rows.append(
             TiltedExponentRow(

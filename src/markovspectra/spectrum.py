@@ -14,8 +14,10 @@ import numpy as np
 from .errors import SolverError
 from .perron import PerronTriple, cycle_mean_extremes, perron
 from .thermo import (
+    MarkovMeasure,
     Potential,
     _exp_on_support,
+    _gibbs,
     _table_array,
     entropy_rate,
     gibbs_markov,
@@ -28,24 +30,29 @@ CROSS_CHECK_TOL = 1e-8
 
 
 class BetaFunction:
-    """Evaluator for beta(q) = P(qf) - qP(f) with cached Perron data."""
+    """Evaluator for beta(q) = P(qf) - qP(f); each solved q caches A(qf) and its Perron triple."""
 
     def __init__(self, f: Potential):
         self.f2, _ = reduce_to_order2(f)
         self._table = _table_array(self.f2)
-        self._cache: dict[float, PerronTriple] = {}
+        self._cache: dict[float, tuple[np.ndarray, PerronTriple]] = {}
         self.pressure = math.log(self.triple(1.0).root)
 
     def matrix(self, q: float) -> np.ndarray:
-        """A(qf) = exp(q f) on the support, 0 elsewhere, from edge_matrix's builder."""
-        return _exp_on_support(self.f2, q)
+        """A(qf) = exp(q f) on the support, 0 elsewhere; read-only and solved once q is cached."""
+        return self._cache[q][0] if q in self._cache else _exp_on_support(self.f2, q)
 
     def triple(self, q: float) -> PerronTriple:
-        t = self._cache.get(q)
-        if t is None:
-            t = perron(self.matrix(q))
-            self._cache[q] = t
-        return t
+        if q not in self._cache:
+            A = _exp_on_support(self.f2, q)
+            A.setflags(write=False)
+            self._cache[q] = A, perron(A)
+        return self._cache[q][1]
+
+    def gibbs(self, q: float) -> MarkovMeasure:
+        """The Gibbs-Markov measure of qf, from the matrix and triple solved at q."""
+        self.triple(q)
+        return _gibbs(self.f2, *self._cache[q])
 
     def beta(self, q: float) -> float:
         return math.log(self.triple(q).root) - q * self.pressure

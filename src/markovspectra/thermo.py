@@ -340,32 +340,24 @@ class GibbsAudit:
     within_bounds: bool
 
 
-def _attainable(base: TransitionMatrix, depth: int) -> np.ndarray:
-    """Start->end pairs joined by a path of length m-1 for some m in 1..depth.
-    0/1 path counts stay <= n, exact in float64, whose product has a BLAS
-    kernel where int64's has none."""
-    reach = attain = np.eye(base.n_symbols, dtype=bool)
-    for _ in range(depth - 1):
-        reach = reach.astype(float) @ base.entries.astype(float) > 0
-        attain = attain | reach
-    return attain
-
-
 def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     """Audit the defining Gibbs inequality over all cylinders up to `depth`.
 
     For each w in W_A^{m+1} (m <= depth) the audited ratio is
     mu([w|m]) / exp(-mP + S_m f on [w]); its closed form is
-    pi_{w_0} v_{w_0}^{-1} v_{w_{m-1}} lambda / A(f)_{w_{m-1} w_m}, so the
-    theoretical extremes run over attainable (start, end) pairs and the least and
-    largest A(f) entry of each end's row (division rounds monotonically).
+    pi_{w_0} v_{w_0}^{-1} v_{w_{m-1}} lambda / A(f)_{w_{m-1} w_m}.  Both of its
+    extremes come from max-plus recursions over the support's edges; the min
+    side runs as the max of the negated values, which is exact.
 
-    The observed extremes come from a max-plus recursion over the support's
-    edges, exhaustive over the cylinders without building a word: hi[i]
-    (lo[i]) is the largest (least) log mu([u]) - S_{m-1} f(u) + (m-1)P over
-    the m-words u ending at i, and every audited w = u j adds the edge
-    (i, j): log ratio = hi[i] - f_ij + P.  The min side runs as the max of
-    the negated values, which negation and rounding keep exact.
+    Theoretical: reach[e] is the largest pi_s / v_s over the starts s joined
+    to e by at most m-1 edges.  A^p > 0 for p the base's aperiodicity power,
+    so reach is fixed after p steps.  Rounding is monotone, so reach[e] v_e
+    lambda over row e's least (largest) A(f) entry has the bits of the
+    extreme over the attainable (start, end) pairs.
+
+    Observed: hi[i] is the largest log mu([u]) - S_{m-1} f(u) + (m-1)P over
+    the m-words u ending at i, and each audited w = u j adds the edge (i, j):
+    log ratio = hi[i] - f_ij + P.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -373,23 +365,24 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     mu = _gibbs(f2, A, triple)
     P_press = math.log(triple.root)
     pi, v = mu.pi, triple.right
-    support = A > 0
-
-    attain = _attainable(f2.base, depth)
-    head = (pi / v)[:, None] * v[None, :] * triple.root  # (start, end)
-    theo_min = float((head / A.max(axis=1))[attain].min())
-    theo_max = float((head / np.where(support, A, np.inf).min(axis=1))[attain].max())
-    constant = max(theo_max, 1.0 / theo_min)
-
-    # edges sorted by target, so each target's incoming edges are one
-    # reduceat segment (a primitive support leaves no target without one)
+    # sorted by target, each target's in-edges are one reduceat segment
+    # (a primitive support leaves no target without one)
     src, dst = _edges(f2)
     by_dst = np.argsort(dst, kind="stable")
     src, dst = src[by_dst], dst[by_dst]
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    sign = np.array([[1.0], [-1.0]])  # rows: max, -min
+
+    reach = sign * (pi / v)
+    for _ in range(min(depth - 1, f2.base.aperiodicity_power)):
+        reach = np.maximum(reach, np.maximum.reduceat(reach[:, src], starts, axis=1))
+    head = sign * reach * v * triple.root
+    theo_min = float((head[1] / A.max(axis=1)).min())
+    theo_max = float((head[0] / np.where(A > 0, A, np.inf).min(axis=1)).max())
+    constant = max(theo_max, 1.0 / theo_min)
+
     gain = P_press - f2.table[by_dst]  # -f_ij + P
     step = np.log(mu.P[src, dst]) + gain  # log P_ij - f_ij + P
-    sign = np.array([[1.0], [-1.0]])  # rows: hi, -lo
     gain, step, ends = sign * gain, sign * step, sign * np.log(pi)
     extreme = np.full(2, -np.inf)
     for _ in range(depth):

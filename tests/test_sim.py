@@ -159,6 +159,16 @@ class TestEmpiricalSpectrumHistogram:
         for row in rows:
             assert row.mean == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_one_solve_per_distinct_q(self, ring, monkeypatch):
+        import markovspectra.spectrum as spectrum
+        import markovspectra.thermo as thermo
+
+        solves = []
+        for module in (spectrum, thermo):
+            monkeypatch.setattr(module, "perron", lambda A, solve=module.perron: solves.append(A) or solve(A))
+        empirical_spectrum_histogram(random_potential(ring, seed=2), 10, 10, [0.0, 1.0, 2.0], seed=0)
+        assert len(solves) == 3
+
     def test_deterministic_per_q_streams(self, f_p1_third):
         a = empirical_spectrum_histogram(f_p1_third, 100, 150, [0.0, 1.0], seed=9)
         b = empirical_spectrum_histogram(f_p1_third, 100, 150, [0.0, 1.0], seed=9)

@@ -137,6 +137,29 @@ class TestAlphaSlope:
         bf.alpha_slope(2.5)
 
 
+class TestPerronCache:
+    """Each q is built once and solved once, and beta, alpha, alpha_slope and
+    the Gibbs measure all read the matrix that was solved."""
+
+    def test_one_build_and_one_solve_per_q(self, ring, monkeypatch):
+        built, solves = [], []
+        build, solve = spectrum._exp_on_support, spectrum.perron
+        monkeypatch.setattr(spectrum, "_exp_on_support", lambda f2, q: built.append(q) or build(f2, q))
+        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        bf = BetaFunction(random_potential(ring, seed=4))
+        qs = [1.0, -2.0, 0.5, 3.0]
+        for q in qs + qs[::-1]:
+            bf.beta(q), bf.alpha(q), bf.alpha_slope(q)
+        assert built == qs
+        assert len(solves) == len(qs) and all(bf.matrix(q) is A for q, A in zip(qs, solves))
+
+    @pytest.mark.parametrize("q", [1.0, -2.0, 0.5])
+    def test_gibbs_reads_the_solve(self, ring, q):
+        bf = BetaFunction(random_potential(ring, seed=4))
+        mu, expected = bf.gibbs(q), gibbs_markov(bf.f2.scale(q))
+        assert (mu.P == expected.P).all() and (mu.pi == expected.pi).all()
+
+
 class TestAlphaRange:
     def test_p1_third(self, f_p1_third):
         rng = alpha_range(f_p1_third)

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,8 @@ from markovspectra import (
     ring3,
 )
 from markovspectra.errors import WordLengthError
-from markovspectra.thermo import ORACLE_BUFFER_FLOATS, _attainable, _logsumexp, _reduced_triple
+from markovspectra.cli import MAX_DEPTH
+from markovspectra.thermo import ORACLE_BUFFER_FLOATS, _logsumexp, _reduced_triple
 from conftest import random_aperiodic_base, random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -472,6 +475,17 @@ class TestGibbsAudit:
             gibbs_constant_audit(f_p1_third, depth=depth)
 
 
+def attainable_pairs(base, depth):
+    """Start->end pairs joined by a path of m-1 edges for some m in 1..depth,
+    from integer matrix products."""
+    reach = np.eye(base.n_symbols, dtype=bool)
+    attain = reach.copy()
+    for _ in range(depth - 1):
+        reach = reach.astype(np.int64) @ base.entries > 0
+        attain |= reach
+    return attain
+
+
 def reference_gibbs_audit(f, depth):
     """The per-word audit: one log_cylinder_measure and one birkhoff_sum
     call per cylinder, over words grown as tuples."""
@@ -481,11 +495,7 @@ def reference_gibbs_audit(f, depth):
     pi, v = mu.pi, triple.right
     n = f2.base.n_symbols
 
-    reach = np.eye(n, dtype=bool)
-    attain = reach.copy()
-    for _ in range(depth - 1):
-        reach = reach.astype(np.int64) @ f2.base.entries > 0
-        attain |= reach
+    attain = attainable_pairs(f2.base, depth)
     theo_values = [
         pi[i] / v[i] * v[j] * triple.root / A[j, k]
         for i in range(n)
@@ -540,6 +550,19 @@ def oracle_reference(support, order, depth):
     return reference_gibbs_audit(oracle_potential(support, order, depth), depth)
 
 
+def pair_extremes(f, depth):
+    """The theoretical extremes as (n, n) arrays: the closed form at every
+    attainable (start, end) pair over the least and largest A entry of the
+    end's row."""
+    f2, A, triple = _reduced_triple(f)
+    pi, v = gibbs_markov(f2).pi, triple.right
+    head = (pi / v)[:, None] * v[None, :] * triple.root
+    attain = attainable_pairs(f2.base, depth)
+    low = (head / A.max(axis=1))[attain].min()
+    high = (head / np.where(A > 0, A, np.inf).min(axis=1))[attain].max()
+    return float(low), float(high)
+
+
 def exact_observed_extremes(f, depth):
     """The observed extremes at 50 digits: min and max of
     u_s v_e lambda / ((u.v) A_ek) over attainable (s, e) and edges (e, k),
@@ -567,7 +590,7 @@ def exact_observed_extremes(f, depth):
     lam, v = eigenpair(A, triple.right)
     _, u = eigenpair(A.T, triple.left)
     uv = sum(u[i] * v[i] for i in range(n))
-    attain = _attainable(f2.base, depth)
+    attain = attainable_pairs(f2.base, depth)
     ratios = [
         u[s] * v[e] * lam / (uv * A[e, k])
         for s, e in np.argwhere(attain).tolist()
@@ -582,16 +605,38 @@ class TestGibbsAuditOracle:
     accurate than it."""
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-    def test_attainable_pairs_match_integer_product(self, n):
+    def test_theoretical_extremes_match_integer_reach(self, n):
         rng = np.random.default_rng(n)
         for depth in (1, 2, 3, 7, 12):
-            base = random_aperiodic_base(rng, n)
-            reach = np.eye(n, dtype=bool)
-            attain = reach.copy()
-            for _ in range(depth - 1):
-                reach = reach.astype(np.int64) @ base.entries > 0
-                attain |= reach
-            assert (_attainable(base, depth) == attain).all()
+            f = random_potential(random_aperiodic_base(rng, n), seed=depth, scale=1.0)
+            audit = gibbs_constant_audit(f, depth)
+            assert (audit.theoretical_min, audit.theoretical_max) == pair_extremes(f, depth), depth
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_recoded_theoretical_extremes_match_integer_reach(self, order):
+        # the reach loop runs min(depth - 1, power) steps, with power the
+        # recoded base's aperiodicity power (the base's power + order - 2):
+        # the depths past power + 1 check that bound
+        rng = np.random.default_rng(order)
+        for n, seed in itertools.product((2, 3), range(6)):
+            f = random_potential(random_aperiodic_base(rng, n), seed=seed, scale=1.0, order=order)
+            power = reduce_to_order2(f)[0].base.aperiodicity_power
+            for depth in range(1, power + 4):
+                audit = gibbs_constant_audit(f, depth)
+                assert (audit.theoretical_min, audit.theoretical_max) == pair_extremes(f, depth), (n, seed, depth)
+
+    def test_deep_audit_within_budget(self):
+        # order-6 full 3-shift: 243 recoded states, aperiodicity power 5
+        f = random_potential(full_shift(3), seed=6, scale=1.0, order=6)
+        power = reduce_to_order2(f)[0].base.aperiodicity_power
+        start = time.perf_counter()
+        deep = gibbs_constant_audit(f, depth=MAX_DEPTH)
+        elapsed = time.perf_counter() - start
+        shallow = gibbs_constant_audit(f, depth=power + 1)
+        theoretical = ("constant", "theoretical_min", "theoretical_max")
+        assert all(getattr(deep, name) == getattr(shallow, name) for name in theoretical)
+        assert deep.within_bounds
+        assert elapsed < 2.0, f"runtime {elapsed:.2f}s exceeds the 2.0s budget"
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("support", ORACLE_SUPPORTS)
