@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -202,7 +203,9 @@ def _bounded(kind, low=-math.inf, strict: bool = False, high=math.inf):
     return number
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="markovspectra",
         description="Gibbs measures, pressure and entropy spectra on Markov shifts",
@@ -213,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pressure", help="topological pressure and Perron data")
     p.add_argument("model")
     p.add_argument("--oracle-depth", type=_bounded(int, 2, high=MAX_DEPTH), default=None)
-    p.set_defaults(handler=cmd_pressure)
 
     p = sub.add_parser("spectrum", help="sample the entropy spectrum curve")
     p.add_argument("model")
@@ -221,22 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=_bounded(float), default=10.0)
     p.add_argument("--qstep", type=_bounded(float, 0.0, strict=True), default=0.5)
     p.add_argument("--out", default=None, help="CSV output path")
-    p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("compare", help="decide spectrum equality of two models")
     p.add_argument("model_f")
     p.add_argument("model_g")
     p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-9)
-    p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("classify", help="rigidity classification report")
     p.add_argument("model")
-    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("gibbs-audit", help="audit the defining Gibbs inequality")
     p.add_argument("model")
     p.add_argument("--depth", type=_bounded(int, 1, high=MAX_DEPTH), default=12)
-    p.set_defaults(handler=cmd_gibbs_audit)
 
     p = sub.add_parser("sample", help="Monte-Carlo local entropy exponents")
     p.add_argument("model")
@@ -244,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_bounded(int, 100), default=10_000)
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--out", default=None, help="histogram CSV output path")
-    p.set_defaults(handler=cmd_sample)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # by name at call time, so a rebound cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except MarkovSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .shiftspace import TransitionMatrix
 from .thermo import Potential
 
 
+# Built once per process: a TransitionMatrix is frozen with read-only entries.
+@functools.lru_cache(maxsize=32)
 def full_shift(n: int = 2) -> TransitionMatrix:
     return TransitionMatrix.from_entries(np.ones((n, n), dtype=int))
 
 
+@functools.cache
 def golden_mean() -> TransitionMatrix:
     return TransitionMatrix.from_entries([[1, 1], [1, 0]])
 
 
+@functools.cache
 def reverse_golden_mean() -> TransitionMatrix:
     return TransitionMatrix.from_entries([[0, 1], [1, 1]])
 
 
+@functools.cache
 def ring3() -> TransitionMatrix:
     return TransitionMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 

@@ -9,7 +9,6 @@ distinct-value membership and the degree condition are reported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,19 +100,21 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
 
     base = TransitionMatrix.from_entries((Af > 0).astype(int))
     f = Potential.from_matrix_log(base, Af)
-    colliding = {frozenset(pair) for pair in g_n_membership(f).collisions}
+    position = {word: k for k, word in enumerate(f.words)}
+    colliding = np.zeros((len(f.words),) * 2, dtype=bool)
+    for e, e2 in g_n_membership(f).collisions:
+        colliding[position[e], position[e2]] = colliding[position[e2], position[e]] = True
 
     i, j = base.edge_index
     a = Af[i, j]
-    # r(e)/r(e') = w_i w_l / (w_j w_k) for e = (i, j), e' = (k, l)
-    expressions = a[:, None] / a[None, :] - np.outer(w[i], w[j]) / np.outer(w[j], w[i])
-    checks = []
-    for (x, e), (y, e2) in itertools.permutations(enumerate(f.words), 2):
-        expr = float(expressions[x, y])
-        is_zero = abs(expr) <= GAP_TOL
-        collision = frozenset((e, e2)) in colliding
-        checks.append(PairCheck((e, e2), expr, is_zero, collision, is_zero == collision))
-    return checks
+    # pairs e = (i, j), e' = (k, l) in itertools.permutations order (the
+    # off-diagonal grid, row-major); r(e)/r(e') = w_i w_l / (w_j w_k)
+    x, y = np.nonzero(~np.eye(len(f.words), dtype=bool))
+    expr = a[x] / a[y] - w[i[x]] * w[j[y]] / (w[j[x]] * w[i[y]])
+    is_zero = np.abs(expr) <= GAP_TOL
+    collision = colliding[x, y]
+    columns = (column.tolist() for column in (x, y, expr, is_zero, collision, is_zero == collision))
+    return [PairCheck((f.words[p], f.words[q]), *fields) for p, q, *fields in zip(*columns)]
 
 
 @dataclass(frozen=True)

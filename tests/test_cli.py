@@ -420,6 +420,44 @@ class TestExitCodes:
         assert out == "" and err == "error: empty q grid: --qmin 5.0 exceeds --qmax -5.0\n"
 
 
+class TestParserReuse:
+    def test_built_once_per_process(self, capsys, tmp_path):
+        requests = [
+            ("pressure", P1_THIRD),
+            ("spectrum", P1_THIRD, "--qmin", "-1", "--qmax", "1", "--out", str(tmp_path / "spectrum.csv")),
+            ("compare", P1_THIRD, P2_THIRD),
+            ("classify", P1_THIRD),
+            ("gibbs-audit", P1_THIRD, "--depth", "4"),
+            ("sample", P1_THIRD, "--n", "50", "--trials", "100"),
+        ]
+        handlers = {name[4:].replace("_", "-") for name in vars(markovspectra.cli) if name.startswith("cmd_")}
+        assert {argv[0] for argv in requests} == handlers
+        for argv in requests:
+            assert run(capsys, *argv)[0] == EXIT_OK
+        info = build_parser.cache_info()
+        assert info.misses == 1 and info.currsize == 1
+
+    def test_failures_leave_later_requests_unchanged(self, capsys):
+        valid = ("gibbs-audit", P1_THIRD, "--depth", "5")
+        defaults = ("gibbs-audit", P1_QUARTER)
+        rejected = ("gibbs-audit", P1_THIRD, "--depth", "0")
+        overflow = {"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": {"1": 800.0, "2": 0.5}}}
+        math_error = ("pressure", json.dumps(overflow))
+
+        def reject():
+            with pytest.raises(SystemExit) as exc:
+                main(list(rejected))
+            assert exc.value.code == EXIT_PARSE
+            return capsys.readouterr().err
+
+        first = [run(capsys, *valid), run(capsys, *defaults)]
+        rejection = reject()
+        assert run(capsys, *math_error)[0] == EXIT_MATH
+        assert [run(capsys, *valid), run(capsys, *defaults)] == first
+        assert first[0][1] != first[1][1] and "--depth" in rejection
+        assert reject() == rejection
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(markovspectra.__file__).resolve().parents[1]
     probe = "import sys, markovspectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,18 +17,23 @@ from markovspectra import (
     classify_general,
     density_probe,
     edge_matrix,
+    full_shift,
     g_n_membership,
     gibbs_markov,
     log_p1_potential,
     log_p2_potential,
     normalize_potential,
     out_degrees,
+    parse_model,
+    ring3,
     spectra_equal,
 )
 from markovspectra.perron import perron, perron_stack
-from markovspectra.rigidity import GAP_TOL, OPENNESS_SUBTRIALS, DensityProbeResult
+from markovspectra.rigidity import GAP_TOL, OPENNESS_SUBTRIALS, DensityProbeResult, PairCheck
 from markovspectra.shiftspace import TransitionMatrix
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def reference_g_n(f):
@@ -125,6 +131,41 @@ class TestGnMembershipReference:
             assert report.collisions
 
 
+def reference_appendix_checks(Af, orientation):
+    """appendix_condition_check as a Python loop over itertools.permutations,
+    one frozenset lookup per pair."""
+    triple = perron(Af)
+    w = triple.right if orientation == "right-v" else 1.0 / triple.left
+    base = TransitionMatrix.from_entries((Af > 0).astype(int))
+    f = Potential.from_matrix_log(base, Af)
+    colliding = {frozenset(pair) for pair in g_n_membership(f).collisions}
+    i, j = base.edge_index
+    a = Af[i, j]
+    expressions = a[:, None] / a[None, :] - np.outer(w[i], w[j]) / np.outer(w[j], w[i])
+    checks = []
+    for (x, e), (y, e2) in itertools.permutations(enumerate(f.words), 2):
+        expr = float(expressions[x, y])
+        is_zero = abs(expr) <= GAP_TOL
+        collision = frozenset((e, e2)) in colliding
+        checks.append(PairCheck((e, e2), expr, is_zero, collision, is_zero == collision))
+    return checks
+
+
+def appendix_cases():
+    """Order-2 potentials of the shipped models, and random and two-valued
+    (collision-rich) order-2 tables on ring3 and the full 3-shift."""
+    cases = {}
+    for path in sorted(MODELS.glob("*.json")):
+        cases[path.stem] = reduce_to_order2(parse_model(str(path)).potential)[0]
+    for name, base in (("ring3", ring3()), ("full3", full_shift(3))):
+        for seed in range(3):
+            cases[f"{name}_random{seed}"] = random_potential(base, seed=900 + seed)
+            rng = np.random.default_rng(seed)
+            two_valued = {w: 0.5 * rng.integers(0, 2) for w in admissible_words(base, 2)}
+            cases[f"{name}_two_valued{seed}"] = Potential.from_table(base, 2, two_valued)
+    return cases
+
+
 class TestAppendixConditionCheck:
     def test_p2_third_left_u(self, f_p2_third):
         checks = appendix_condition_check(edge_matrix(f_p2_third), orientation="left-u")
@@ -176,6 +217,17 @@ class TestAppendixConditionCheck:
     def test_bad_orientation(self, f_p2_third):
         with pytest.raises(ValueError):
             appendix_condition_check(edge_matrix(f_p2_third), orientation="up")
+
+    @pytest.mark.parametrize("orientation", ["right-v", "left-u"])
+    def test_records_match_loop_reference(self, orientation):
+        collisions = 0
+        for name, f in appendix_cases().items():
+            Af = edge_matrix(f)
+            checks = appendix_condition_check(Af, orientation)
+            assert checks == reference_appendix_checks(Af, orientation), name
+            assert all(type(field) in (tuple, float, bool) for c in checks for field in vars(c).values())
+            collisions += sum(c.definitional_collision for c in checks)
+        assert collisions  # the collision mask is exercised, not only its zeros
 
 
 class TestBernoulliTwin:

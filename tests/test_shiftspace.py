@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,8 +8,14 @@ from markovspectra import (
     TransitionMatrix,
     admissible_words,
     check_aperiodic,
+    full_shift,
+    golden_mean,
     higher_block_recode,
+    log_p1_potential,
+    log_p2_potential,
     out_degrees,
+    reverse_golden_mean,
+    ring3,
     symbol_permutation,
     word_count,
 )
@@ -210,6 +217,25 @@ class TestEdgeIndex:
         pressure_by_preimages(f, 3)
         base.edges()
         assert calls == []
+
+
+class TestNamedBases:
+    @pytest.mark.parametrize(
+        "build", [full_shift, lambda: full_shift(3), golden_mean, reverse_golden_mean, ring3],
+        ids=["full2", "full3", "golden", "reverse-golden", "ring3"],
+    )
+    def test_built_once_and_read_only(self, build):
+        # shared by every caller in the process, so it must not be writable
+        base = build()
+        assert build() is base
+        assert not base.entries.flags.writeable
+        with pytest.raises(ValueError):
+            base.entries[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            base.entries = np.ones_like(base.entries)
+
+    def test_bernoulli_families_share_the_full_shift(self):
+        assert log_p1_potential(0.3).base is log_p2_potential(0.4).base is full_shift(2)
 
 
 class TestSymbolPermutation:
