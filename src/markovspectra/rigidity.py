@@ -17,6 +17,7 @@ import numpy as np
 from .families import log_p1_potential, log_p2_potential
 from .perron import perron, perron_stack
 from .shiftspace import TransitionMatrix, Word, out_degrees
+from .sim import _trial_rngs
 from .thermo import (
     ORACLE_BUFFER_FLOATS,
     Potential,
@@ -225,12 +226,15 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
         raise ValueError(f"radius must be non-negative, with 2 * radius finite, got {radius!r}")
     f2, _ = reduce_to_order2(f)
     size = f2.table.size
-    # Per-trial streams so trials can be partitioned without changing results.
-    rngs = [np.random.default_rng((seed, trial)) for trial in range(trials)]
-    tables = f2.table + np.reshape([rng.uniform(-radius, radius, size) for rng in rngs], (trials, size))
-    members = np.flatnonzero(_member_rows(f2, tables))
     shrunk = radius / 100.0
-    balls = [tables[t] + rngs[t].uniform(-shrunk, shrunk, (OPENNESS_SUBTRIALS, size)) for t in members]
-    openness = _member_rows(f2, np.reshape(balls, (-1, size)))
+    # Each trial's stream draws its table's perturbation, then its ball's.
+    draws = np.empty((trials, 1 + OPENNESS_SUBTRIALS, size))
+    for trial_draws, rng in zip(draws, _trial_rngs(seed, (), range(trials))):
+        trial_draws[0] = rng.uniform(-radius, radius, size)
+        trial_draws[1:] = rng.uniform(-shrunk, shrunk, (OPENNESS_SUBTRIALS, size))
+    tables = f2.table + draws[:, 0]
+    members = np.flatnonzero(_member_rows(f2, tables))
+    balls = tables[members, np.newaxis] + draws[members, 1:]
+    openness = _member_rows(f2, balls.reshape(-1, size))
     fraction = members.size / trials if trials else 0.0
     return DensityProbeResult(fraction, members.size, trials, openness.size, int(openness.size - openness.sum()))

@@ -2,7 +2,8 @@
 
 Every trial consumes its own counter-derived stream ``default_rng((seed,
 *key, trial))``, so batching, chunking or parallel partitioning of trials
-cannot change any output.
+cannot change any output.  A batch's streams are seeded together
+(`_trial_rngs`), and its paths are drawn in blocks of BLOCK time steps.
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from .spectrum import BetaFunction
 from .thermo import MarkovMeasure, Potential
 
 CHUNK = 512
+BLOCK = 64
 HISTOGRAM_BINS = 50
+
+# numpy.random.SeedSequence's hash constants and pool size, and PCG64's
+# 128-bit multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -27,7 +38,89 @@ class PathSample:
 
 
 def _trial_uniforms(seed: int, key: tuple[int, ...], trial: int, n: int) -> np.ndarray:
+    """The definition of a trial's stream; _trial_rngs draws the same numbers."""
     return np.random.default_rng((seed, *key, trial)).random(n)
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 entropy words of one integer, least first."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; each call advances the constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ result >> 16
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(column).generate_state(4, np.uint64) for every column of
+    an (L, m) uint32 entropy array, as a (4, m) uint64 array."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.array([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], dtype=np.uint64)
+    return state[0::2] | state[1::2] << 32
+
+
+def _trial_rngs(seed: int, key: tuple[int, ...], trials: range):
+    """Yield, for each trial in order, one Generator set to the state that
+    ``np.random.default_rng((seed, *key, trial))`` starts from.
+
+    The SeedSequence hashing runs on uint32 arrays across the trials and
+    PCG64's two seeding steps on Python ints; the one Generator is reset for
+    each trial, so a trial's draws must be taken before the next is yielded.
+    """
+    if trials.start < 0:
+        raise ValueError("expected non-negative integer")
+    prefix = [word for value in (seed, *key) for word in _words(value)]
+    rng = np.random.Generator(np.random.PCG64())
+    # Trials sharing their words above the lowest differ in one entropy row.
+    start = trials.start
+    while start < trials.stop:
+        stop = min(trials.stop, (start >> 32) + 1 << 32)
+        high = _words(start >> 32) if start >> 32 else []
+        words = prefix + [0] + high
+        entropy = np.empty((len(words), stop - start), dtype=np.uint32)
+        entropy[:] = np.array(words, dtype=np.uint32)[:, np.newaxis]
+        low = start & _MASK32
+        entropy[len(prefix)] = np.arange(low, low + stop - start, dtype=np.uint64)
+        for s0, s1, i0, i1 in zip(*_pcg64_seeds(entropy).tolist()):
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+        start = stop
 
 
 def _log_masses(
@@ -40,38 +133,46 @@ def _log_masses(
     return_words: bool = False,
 ):
     """Sample paths of length n from `sampler`, accumulate log-mass under
-    `evaluator`.  Vectorized over a batch of trials."""
-    P = sampler.P
-    # A uniform at or above the last cumulative sum (1 up to rounding) must
-    # not index past the alphabet, so only the first n-1 sums are thresholds.
-    cut_pi = np.cumsum(sampler.pi)[:-1]
-    cut_P = np.cumsum(P, axis=1)[:, :-1]
+    `evaluator`.  Vectorized over a batch of trials, in blocks of BLOCK steps.
+
+    State k (one past the alphabet) is a virtual start whose row is pi, so
+    the first draw is an ordinary step.  A uniform at or above the last
+    cumulative sum (1 up to rounding) must not index past the alphabet, so
+    only the first k-1 sums of each row are thresholds; they are stored
+    transposed, (k-1, k+1), so one take gathers every trial's thresholds.
+    """
+    k = len(sampler.pi)
+    cuts = np.cumsum(np.vstack([sampler.P, sampler.pi]), axis=1)[:, :-1].T.copy()
     with np.errstate(divide="ignore"):
-        log_pi_eval = np.log(evaluator.pi)
-        log_P_eval = np.log(evaluator.P)
+        log_terms = np.vstack([np.log(evaluator.P), np.log(evaluator.pi)]).ravel()
 
-    def draw(u: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-        if cuts.shape[-1] == 1:
-            return (u >= cuts[..., 0]).astype(np.intp)
-        return (u[:, None] >= cuts).sum(axis=1)
-
-    # Step k reads row k of one contiguous (n, batch) block.
     batch = len(trials)
-    U = np.empty((n, batch))
-    for b, t in enumerate(trials):
-        U[:, b] = _trial_uniforms(seed, key, t, n)
-    state = draw(U[0], cut_pi)
-    log_mass = log_pi_eval[state]
+    U = np.empty((batch, n))
+    for row, rng in zip(U, _trial_rngs(seed, key, trials)):
+        rng.random(out=row)
     words = np.empty((n, batch), dtype=np.int64) if return_words else None
-    if return_words:
-        words[0] = state + 1
-    for k in range(1, n):
-        nxt = draw(U[k], cut_P[state])
-        log_mass = log_mass + log_P_eval[state, nxt]
-        state = nxt
+    # Row 0 of each block holds the state before it and the running total,
+    # so one reduce down the time axis is the left-to-right sum of the steps.
+    states = np.empty((BLOCK + 1, batch), dtype=np.intp)
+    states[0] = k
+    terms = np.zeros((BLOCK + 1, batch))
+    rows = list(states)
+    for t0 in range(0, n, BLOCK):
+        m = min(BLOCK, n - t0)
+        for i, u in enumerate(U[:, t0 : t0 + m].T):
+            if k == 2:
+                rows[i + 1][...] = u >= cuts[0].take(rows[i])
+            else:
+                np.add.reduce(u >= cuts.take(rows[i], axis=1), axis=0, dtype=np.intp, out=rows[i + 1])
+        flat = states[:m] * k
+        flat += states[1 : m + 1]
+        np.take(log_terms, flat, out=terms[1 : m + 1])
+        # A single column reduces pairwise; accumulate keeps it left to right.
+        terms[0] = terms[: m + 1].sum(axis=0) if batch > 1 else np.add.accumulate(terms[: m + 1])[-1]
+        states[0] = states[m]
         if return_words:
-            words[k] = state + 1
-    return log_mass, words.T if return_words else None
+            words[t0 : t0 + m] = states[1 : m + 1] + 1
+    return terms[0].copy(), words.T if return_words else None
 
 
 def sample_path(mu: MarkovMeasure, n: int, seed: int, trial: int = 0) -> PathSample:

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import markovspectra.sim as sim
 from markovspectra import (
     MarkovMeasure,
     BetaFunction,
     Potential,
+    TransitionMatrix,
     alpha_range,
     empirical_local_entropy,
     empirical_spectrum_histogram,
@@ -16,7 +20,7 @@ from markovspectra import (
     log_p1_potential,
     sample_path,
 )
-from markovspectra.sim import _log_masses, _trial_uniforms
+from markovspectra.sim import _log_masses, _trial_rngs, _trial_uniforms
 from conftest import random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -32,6 +36,12 @@ def mu_half(full2):
     return MarkovMeasure.from_stochastic(full2, [[0.5, 0.5], [0.5, 0.5]])
 
 
+@pytest.fixture(scope="module")
+def four():
+    """A 4-state aperiodic support with forbidden transitions."""
+    return TransitionMatrix.from_entries([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 0, 1]])
+
+
 class TestSamplePath:
     def test_deterministic(self, f_p1_third, mu_third):
         a = sample_path(mu_third, 20, seed=42)
@@ -42,9 +52,10 @@ class TestSamplePath:
 
     def test_trials_independent_of_batching(self, mu_third):
         # trial k sampled alone equals trial k inside any larger batch
-        singles = [sample_path(mu_third, 15, seed=7, trial=t).word for t in range(5)]
-        again = [sample_path(mu_third, 15, seed=7, trial=t).word for t in range(5)]
-        assert singles == again
+        singles = [sample_path(mu_third, 15, seed=7, trial=t) for t in range(5)]
+        log_mass, words = _log_masses(mu_third, mu_third, 15, range(5), seed=7, return_words=True)
+        assert [s.word for s in singles] == [tuple(w) for w in words.tolist()]
+        assert [s.log_measure for s in singles] == log_mass.tolist()
 
     def test_log_measure_matches_recomputation(self, mu_third):
         for trial in range(10):
@@ -197,7 +208,7 @@ def reference_log_masses(sampler, evaluator, n, trials, seed, key=()):
 
 
 class TestLogMassesOracle:
-    @pytest.mark.parametrize("support", ["full2", "golden", "ring"])
+    @pytest.mark.parametrize("support", ["full2", "golden", "ring", "four"])
     def test_identical_to_column_loop(self, request, support):
         f = random_potential(request.getfixturevalue(support), seed=4, scale=1.0)
         mu, tilted = gibbs_markov(f), gibbs_markov(f.scale(-1.5))
@@ -206,3 +217,71 @@ class TestLogMassesOracle:
             want = reference_log_masses(sampler, evaluator, 300, range(5, 80), seed=6, key=(2,))
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+
+class TestBatchingIndependence:
+    """CHUNK (trials per batch) and BLOCK (steps per block) bound memory
+    only: any values give the same bits, and a trial sampled alone equals
+    its row in a batch."""
+
+    @staticmethod
+    def outputs(f, n):
+        mu = gibbs_markov(f)
+        local = empirical_local_entropy(mu, n, 100, seed=5)
+        return (
+            (local.mean, local.std_error, local.bin_edges.tobytes(), local.counts.tobytes()),
+            empirical_spectrum_histogram(f, n, 23, [-1.0, 0.0, 1.5], seed=6),
+            [sample_path(mu, n, seed=7, trial=t) for t in (0, 8, 99)],
+        )
+
+    @pytest.mark.parametrize("n", [1, 3, 11, 300])
+    @pytest.mark.parametrize("support", ["full2", "ring", "four"])
+    def test_small_chunks_and_blocks(self, request, monkeypatch, support, n):
+        f = random_potential(request.getfixturevalue(support), seed=3, scale=1.0)
+        want = self.outputs(f, n)
+        monkeypatch.setattr(sim, "CHUNK", 7)
+        monkeypatch.setattr(sim, "BLOCK", 3)
+        assert self.outputs(f, n) == want
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("support", ["full2", "ring", "four"])
+    def test_single_trial_equals_its_batch_row(self, request, support, n):
+        mu = gibbs_markov(random_potential(request.getfixturevalue(support), seed=3, scale=1.0))
+        log_mass, words = _log_masses(mu, mu, n, range(4, 30), seed=7, return_words=True)
+        for row, t in enumerate(range(4, 30)):
+            alone = sample_path(mu, n, seed=7, trial=t)
+            assert alone.log_measure == log_mass[row]
+            assert alone.word == tuple(words[row].tolist())
+
+
+@st.composite
+def trial_ranges(draw):
+    """Short trial ranges near 0, 2**32 and 2**64, where the trial's entropy
+    grows by a word."""
+    start = max(0, draw(st.sampled_from([0, 2**32, 2**64])) + draw(st.integers(-5, 40)))
+    return range(start, start + draw(st.integers(0, 8)))
+
+
+class TestTrialStreams:
+    @settings(max_examples=80, deadline=10_000, derandomize=True, database=None)
+    @given(
+        st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**200)),
+        st.lists(st.one_of(st.integers(0, 7), st.integers(0, 2**100)), max_size=2).map(tuple),
+        trial_ranges(),
+        st.integers(1, 20),
+    )
+    def test_streams_equal_default_rng(self, seed, key, trials, n):
+        got = [rng.random(n).tobytes() for rng in _trial_rngs(seed, key, trials)]
+        assert got == [_trial_uniforms(seed, key, t, n).tobytes() for t in trials]
+
+    @pytest.mark.parametrize("seed, key, trial", [(-1, (), 0), (0, (-3,), 1), (0, (), -2), (2**64, (2,), -1)])
+    def test_negative_entropy_refused_as_by_default_rng(self, seed, key, trial):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng((seed, *key, trial))
+        with pytest.raises(ValueError, match="non-negative"):
+            next(_trial_rngs(seed, key, range(trial, trial + 2)))
+
+    def test_negative_seed_or_trial_refused_by_sample_path(self, mu_half):
+        for seed, trial in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                sample_path(mu_half, 5, seed=seed, trial=trial)
