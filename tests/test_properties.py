@@ -137,12 +137,14 @@ class TestPerronData:
 
 @st.composite
 def matrix_stacks(draw):
-    """A (k, n, n) stack, k = 1..6 and n = 2..8, of matrices with entries
-    e^U(-2, 2) on random aperiodic supports of one size."""
+    """A (k, n, n) stack, k = 1..6, of matrices on random aperiodic supports
+    of one size: n = 2..8 with entries e^U(-2, 2), or 2x2 (the closed form)
+    with entries e^U(-30, 30)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, k = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    n, spread = (2, 30.0) if draw(st.booleans()) else (draw(st.integers(2, 8)), 2.0)
+    k = draw(st.integers(1, 6))
     return np.array([
-        np.where(random_aperiodic_base(rng, n).entries == 1, np.exp(rng.uniform(-2.0, 2.0, (n, n))), 0.0)
+        np.where(random_aperiodic_base(rng, n).entries == 1, np.exp(rng.uniform(-spread, spread, (n, n))), 0.0)
         for _ in range(k)
     ])
 

@@ -27,6 +27,12 @@ from markovspectra.spectrum import (
 from conftest import random_potential
 
 
+def steep(full2, f12: float) -> Potential:
+    """Order 2 on the full 2-shift with f(11) = 40: exp(40 q) overflows from
+    q = 17.75 and underflows from q = -18.75."""
+    return Potential.from_table(full2, 2, {(1, 1): 40.0, (1, 2): f12, (2, 1): 0.0, (2, 2): 0.0})
+
+
 def closed_beta(q):
     """beta(q) for log P1(1/3): pressure of q*f with P(f) = 0."""
     return math.log((2 / 3) ** q + (1 / 3) ** q)
@@ -152,6 +158,31 @@ class TestPerronCache:
             bf.beta(q), bf.alpha(q), bf.alpha_slope(q)
         assert built == qs
         assert len(solves) == len(qs) and all(bf.matrix(q) is A for q, A in zip(qs, solves))
+
+    def test_grid_build_is_the_per_q_build_and_solves_nothing(self, ring, monkeypatch):
+        bf = BetaFunction(random_potential(ring, seed=4))
+        grid = [0.0, 0.25, -0.25, 3.0, -7.5]
+        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("build made a Perron solve"))
+        bf.build(grid + grid[::-1])
+        built = [bf.matrix(q) for q in grid]
+        for q, A in zip(grid, built):
+            assert A.tolist() == spectrum._exp_on_support(bf.f2, q).tolist()
+            assert not A.flags.writeable and bf.matrix(q) is A
+        monkeypatch.undo()
+        for q, A in zip(grid, built):
+            t, fresh = bf.triple(q), BetaFunction(bf.f2).triple(q)
+            assert bf.matrix(q) is A
+            assert t.root == fresh.root and t.left.tolist() == fresh.left.tolist()
+
+    def test_a_block_out_of_range_is_left_to_the_per_q_build(self, full2, monkeypatch):
+        monkeypatch.setattr(spectrum, "ORACLE_BUFFER_FLOATS", 2 * 4)  # two q a block on 2 symbols
+        bf = BetaFunction(steep(full2, 0.0))
+        bf.build([0.5, 1.5, 17.5, 17.75])
+        assert bf.matrix(1.5) is bf.matrix(1.5)
+        assert bf.matrix(17.5) is not bf.matrix(17.5)
+        bf.beta(17.5)
+        with pytest.raises(PotentialRangeError, match=r"40\.0 times q=17\.75 is out"):
+            bf.beta(17.75)
 
     @pytest.mark.parametrize("q", [1.0, -2.0, 0.5])
     def test_gibbs_reads_the_solve(self, ring, q):
@@ -287,6 +318,12 @@ class TestSampleSpectrum:
         with pytest.raises(ValueError):
             sample_spectrum(f_p1_third, [1.0, 0.0])
 
+    def test_non_finite_grid_rejected_before_any_solve(self, f_p1_third, monkeypatch):
+        # NaN compares false, so this grid passes a sortedness check
+        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("solved before the grid was checked"))
+        with pytest.raises(ValueError, match="finite, got nan"):
+            sample_spectrum(f_p1_third, [1.0, math.nan, 0.0])
+
     def test_cross_check_against_tilted_entropy(self, test_potentials):
         # sample_spectrum raises if E != h(mu_{qf}); just exercise it
         for f in test_potentials:
@@ -332,3 +369,28 @@ class TestSpectraEqual:
     def test_self_comparison(self, test_potentials):
         for f in test_potentials:
             assert spectra_equal(f, f).equal
+
+    def test_nan_tol_refused(self, f_p1_third):
+        # every gap > nan is false: a NaN tol reported any pair equal
+        with pytest.raises(ValueError, match="tol"):
+            spectra_equal(f_p1_third, log_p1_potential(1 / 4), tol=math.nan)
+
+    def test_negative_tol_refused(self, f_p1_third):
+        # a negative tol reported f unequal to itself, with beta_gap 0.0
+        with pytest.raises(ValueError, match="tol"):
+            spectra_equal(f_p1_third, f_p1_third, tol=-1.0)
+
+    def test_infinite_tol_refused(self, f_p1_third):
+        with pytest.raises(ValueError, match="tol"):
+            spectra_equal(f_p1_third, log_p1_potential(1 / 4), tol=math.inf)
+
+    def test_tilt_out_of_range_past_the_witness_raises_nothing(self, full2):
+        # the grid's one block holds q = 17.75, where exp(40 q) overflows; the
+        # scan stops at q = -0.25 first, so the comparison must not raise
+        cmp = spectra_equal(steep(full2, 0.0), steep(full2, 1.0))
+        assert not cmp.equal and cmp.witness_q == -0.25 and cmp.beta_gap > 1e-9
+
+    def test_tilt_out_of_range_raises_at_its_q(self, full2):
+        f = steep(full2, 0.0)
+        with pytest.raises(PotentialRangeError, match=r"40\.0 times q=17\.75 is out"):
+            spectra_equal(f, f)

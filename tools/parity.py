@@ -16,7 +16,7 @@ text differs: its key, its kind and the largest relative change among the
 numbers in its text, or ``non-numeric`` when the texts also differ outside
 their numbers (or the job is missing from one file).  Its last line counts
 the jobs that differ; ``0 of N jobs differ`` means every output is
-byte-identical.
+byte-identical.  It exits 1 when any job differs and 0 when none does.
 
 The package is imported from the checkout's ``src/``; ``jobs.py`` is only
 imported, never changed.
@@ -96,8 +96,9 @@ def main() -> int:
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"), help="report the jobs whose texts differ")
     args = parser.parse_args()
     if args.compare:
-        print("\n".join(compare(*args.compare)))
-        return 0
+        lines = compare(*args.compare)
+        print("\n".join(lines))
+        return 1 if len(lines) > 1 else 0  # one line per differing job, then the count
     os.chdir(ROOT)  # jobs name the shipped models by relative path
     out = {key: {"kind": kind, "text": text} for key, (kind, text) in outputs(args.seed).items()}
     print(json.dumps(out, indent=0, sort_keys=True))
