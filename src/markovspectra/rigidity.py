@@ -101,10 +101,10 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
 
     base = TransitionMatrix.from_entries((Af > 0).astype(int))
     f = Potential.from_matrix_log(base, Af)
-    position = {word: k for k, word in enumerate(f.words)}
+    _, collisions = _distinct_values(normalize_potential(f).table[np.newaxis])
     colliding = np.zeros((len(f.words),) * 2, dtype=bool)
-    for e, e2 in g_n_membership(f).collisions:
-        colliding[position[e], position[e2]] = colliding[position[e2], position[e]] = True
+    for e, e2 in collisions[0]:
+        colliding[e, e2] = colliding[e2, e] = True
 
     i, j = base.edge_index
     a = Af[i, j]

@@ -8,6 +8,7 @@ cannot change any output.  A batch's streams are seeded together
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,23 +243,28 @@ def empirical_spectrum_histogram(
 
     Paths are drawn from the Gibbs measure of q*f but their exponents are
     evaluated under the Gibbs measure of f; the mean estimates alpha(q).
+    A NaN or infinite q is refused before any solve.
     """
     if n < 1:
         raise ValueError("path length must be at least 1")
     if trials < 2:
         raise ValueError("at least 2 trials are required for a standard error")
+    qs = [float(q) for q in q_list]
+    bad = [q for q in qs if not math.isfinite(q)]
+    if bad:
+        raise ValueError(f"q must be finite, got {bad[0]!r}")
     bf = BetaFunction(f)
     mu_f = bf.gibbs(1.0)
     rows = []
-    for qi, q in enumerate(q_list):
-        mu_q = bf.gibbs(float(q))
+    for qi, q in enumerate(qs):
+        mu_q = bf.gibbs(q)
         exponents = _exponent_batches(mu_q, mu_f, n, trials, seed, key=(qi,))
         rows.append(
             TiltedExponentRow(
-                float(q),
+                q,
                 float(exponents.mean()),
                 float(exponents.std(ddof=1) / np.sqrt(trials)),
-                bf.alpha(float(q)),
+                bf.alpha(q),
             )
         )
     return rows

@@ -21,7 +21,6 @@ from .thermo import (
     _gibbs,
     _table_array,
     entropy_rate,
-    gibbs_markov,
     reduce_to_order2,
 )
 
@@ -40,8 +39,6 @@ class BetaFunction:
         self._table = _table_array(self.f2)
         self._matrices: dict[float, np.ndarray] = {}
         self._triples: dict[float, PerronTriple] = {}
-        # q per stacked build: a block's matrices hold at most ORACLE_BUFFER_FLOATS floats
-        self.block = max(1, ORACLE_BUFFER_FLOATS // self.f2.base.n_symbols**2)
         self.pressure = math.log(self.triple(1.0).root)
 
     def matrix(self, q: float) -> np.ndarray:
@@ -50,8 +47,8 @@ class BetaFunction:
         return self._matrices[q] if q in self._matrices else _exp_on_support(self.f2, q)
 
     def build(self, qs) -> None:
-        """Cache A(qf) for each q of ``qs`` not yet built, one stacked build
-        per ``block`` of them, and solve none.
+        """Cache A(qf) for each q of ``qs`` not yet built, in stacked builds
+        of at most ORACLE_BUFFER_FLOATS floats each, and solve none.
 
         Bit for bit the per-q build: the stacked table holds the same IEEE
         products q * v, and math.exp(1.0 * t) is math.exp(t).  A block with
@@ -59,8 +56,9 @@ class BetaFunction:
         at that q, with the tilt in the message.
         """
         todo = [q for q in qs if q not in self._matrices]
-        for start in range(0, len(todo), self.block):
-            rows = todo[start : start + self.block]
+        block = max(1, ORACLE_BUFFER_FLOATS // self.f2.base.n_symbols**2)
+        for start in range(0, len(todo), block):
+            rows = todo[start : start + block]
             try:
                 A = _exp_on_support(self.f2, table=np.multiply.outer(rows, self.f2.table))
             except PotentialRangeError:
@@ -248,9 +246,11 @@ class SpectrumCurve:
 def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
     """Parametric spectrum samples (q, alpha(q), beta(q), E) over a sorted grid.
 
-    Each entropy value is cross-checked against the entropy rate of the
-    tilted Gibbs measure.  A degenerate curve is one point: every sample
-    reports alpha_min and E = beta(0), not the rounding noise around them.
+    The grid is built before it is scanned.  Each entropy value is
+    cross-checked against the entropy rate of the tilted Gibbs measure,
+    from a second solve of the built matrix.  A degenerate curve is one
+    point: every sample reports alpha_min and E = beta(0), not the
+    rounding noise around them.
     A grid with a NaN or infinite q is refused before any solve.
     """
     grid = [float(q) for q in q_grid]
@@ -261,13 +261,15 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
         raise ValueError("q grid must be sorted")
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
     rng = alpha_range(bf)
+    bf.build(grid)
     samples = []
     for q in grid:
         a = bf.alpha(q)
         b = bf.beta(q)
         e = b + q * a
-        # re-solves bf.matrix(q) bit for bit; ROADMAP items 2 and 3 read it from bf
-        h = entropy_rate(gibbs_markov(bf.f2.scale(q)))
+        # re-solves the matrix q's triple read; ROADMAP items 2 and 3 drop it
+        A = bf.matrix(q)
+        h = entropy_rate(_gibbs(bf.f2, A, perron(A)))
         if abs(e - h) > CROSS_CHECK_TOL:
             raise SolverError(
                 f"duality cross-check failed at q={q}: E={e} vs entropy rate {h}"
@@ -297,27 +299,23 @@ def spectra_equal(f: Potential, g: Potential, tol: float = 1e-9) -> SpectraCompa
 
     Equal iff beta agrees on the whole grid and the alpha-range endpoints
     agree; COMPARE_GRID is scanned in order, so the reported witness is
-    the smallest-magnitude disagreeing point.  Each block of the grid is
-    built for both potentials (``BetaFunction.build``) before it is
-    scanned, and solved one q at a time, so a scan that stops early
-    solves nothing past its witness.  The solves are not stacked: the
-    benchmark pins the number of ``perron`` calls a compare makes
-    (ROADMAP item 2b).
+    the smallest-magnitude disagreeing point.  The whole grid is built for
+    both potentials (``BetaFunction.build``) before it is scanned, and
+    solved one q at a time, so a scan that stops early solves nothing past
+    its witness.  The solves are not stacked: the benchmark pins the number
+    of ``perron`` calls a compare makes (ROADMAP item 2b).
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     bf, bg = BetaFunction(f), BetaFunction(g)
     rf, rg = alpha_range(bf), alpha_range(bg)
     endpoint_gap = max(abs(rf.alpha_min - rg.alpha_min), abs(rf.alpha_max - rg.alpha_max))
-    block = min(bf.block, bg.block)
-    for start in range(0, len(COMPARE_GRID), block):
-        qs = COMPARE_GRID[start : start + block]
-        bf.build(qs)
-        bg.build(qs)
-        for q in qs:
-            gap = abs(bf.beta(q) - bg.beta(q))
-            if gap > tol:
-                return SpectraComparison(False, tol, q, gap, endpoint_gap)
+    bf.build(COMPARE_GRID)
+    bg.build(COMPARE_GRID)
+    for q in COMPARE_GRID:
+        gap = abs(bf.beta(q) - bg.beta(q))
+        if gap > tol:
+            return SpectraComparison(False, tol, q, gap, endpoint_gap)
     if endpoint_gap > tol:
         return SpectraComparison(False, tol, None, None, endpoint_gap)
     return SpectraComparison(True, tol, None, None, endpoint_gap)

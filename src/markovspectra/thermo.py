@@ -256,7 +256,12 @@ def cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
 
 
 def birkhoff_sum(f: Potential, w: Word, m: int) -> float:
-    """S_m f on the cylinder [w]; needs |w| >= m + order - 1."""
+    """S_m f on the cylinder [w]; needs m >= 0, an admissible w and
+    |w| >= m + order - 1."""
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m!r}")
+    if not f.base.admits(w):
+        raise ValueError(f"word {tuple(w)!r} is not admissible")
     if len(w) < m + f.order - 1:
         raise WordLengthError(
             f"word of length {len(w)} cannot determine S_{m} of an order-{f.order} potential"
@@ -294,10 +299,13 @@ def normalize_potential(f: Potential) -> Potential:
 
 def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
     """Single-step Jacobian on [w]: lambda^-1 exp(f) (eigen-measure) or
-    lambda^-1 exp(fhat) (Gibbs measure)."""
+    lambda^-1 exp(fhat) (Gibbs measure).  Like gibbs_markov's measure, w is
+    read on the order-2 form's alphabet: the recoded blocks for order >= 3."""
     if len(w) < 2:
         raise WordLengthError("jacobian needs a word of length at least 2")
     f2, _, triple = _reduced_triple(f)
+    if not f2.base.admits(w):
+        raise ValueError(f"word {tuple(w)!r} is not admissible")
     if kind == "eigen":
         g = f2
     elif kind == "gibbs":

@@ -146,6 +146,15 @@ class TestEmpiricalSpectrumHistogram:
         with pytest.raises(ValueError, match="at least 2 trials"):
             empirical_spectrum_histogram(f_p1_third, n=10, trials=trials, q_list=[1.0], seed=0)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_q_refused_before_any_solve(self, f_p1_third, monkeypatch, q):
+        # it raised PotentialRangeError, the numerical-failure class
+        import markovspectra.spectrum as spectrum
+
+        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("solved before q was checked"))
+        with pytest.raises(ValueError, match=f"q must be finite, got {q!r}"):
+            empirical_spectrum_histogram(f_p1_third, n=10, trials=10, q_list=[0.0, q], seed=0)
+
     def test_tilted_means_match_alpha(self, f_p1_third):
         rows = empirical_spectrum_histogram(
             f_p1_third, n=10_000, trials=300, q_list=[0.0, 1.0, 2.5], seed=0

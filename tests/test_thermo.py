@@ -326,6 +326,16 @@ class TestBirkhoffSum:
         with pytest.raises(WordLengthError):
             birkhoff_sum(f_p1_third, (1, 2), 2)
 
+    def test_inadmissible_word_refused(self, golden):
+        # it raised a bare KeyError: (2, 2)
+        with pytest.raises(ValueError, match=r"word \(2, 2, 1\) is not admissible"):
+            birkhoff_sum(Potential.constant(golden, 0.0), (2, 2, 1), 2)
+
+    def test_negative_m_refused(self, f_p1_third):
+        # it returned 0.0
+        with pytest.raises(ValueError, match="m must be non-negative, got -2"):
+            birkhoff_sum(f_p1_third, (1, 2), -2)
+
 
 class TestNormalizePotential:
     def test_p1_third_values(self, f_p1_third):
@@ -379,6 +389,12 @@ class TestJacobians:
     def test_word_length(self, f_p1_third):
         with pytest.raises(WordLengthError):
             jacobian(f_p1_third, (1,))
+
+    @pytest.mark.parametrize("kind", ["gibbs", "eigen"])
+    def test_inadmissible_word_refused(self, golden, kind):
+        # it raised a bare KeyError: (2, 2)
+        with pytest.raises(ValueError, match=r"word \(2, 2\) is not admissible"):
+            jacobian(Potential.constant(golden, 0.0), (2, 2), kind=kind)
 
 
 class TestEigenMeasure:
