@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import families
 from .errors import AperiodicityError, ModelFormatError
 from .shiftspace import TransitionMatrix, Word
 from .thermo import Potential
@@ -70,10 +71,14 @@ def parse_model(source) -> Model:
         isinstance(x, bool) for row in rows if isinstance(row, list) for x in row
     ):
         raise ModelFormatError("key 'transition': entries must be 0 or 1, not true/false")
-    try:
-        base = TransitionMatrix.from_entries(rows)
-    except (AperiodicityError, ValueError, TypeError) as exc:
-        raise ModelFormatError(f"key 'transition': {exc}") from exc
+    n = len(rows) if isinstance(rows, list) else 0
+    if n >= 2 and rows == [[1] * n] * n:
+        base = families.full_shift(n)  # shared, and checked when first built
+    else:
+        try:
+            base = TransitionMatrix.from_entries(rows)
+        except (AperiodicityError, ValueError, TypeError) as exc:
+            raise ModelFormatError(f"key 'transition': {exc}") from exc
 
     if "potential" not in data:
         raise ModelFormatError("missing key 'potential'")

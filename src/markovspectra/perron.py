@@ -14,7 +14,15 @@ in NumPy, with two exceptions kept in NumPy: ``np.hypot`` (``math.hypot``
 rounds differently on some inputs), and the products M v, u M and u . v,
 whose BLAS kernels fuse multiply-adds that plain float arithmetic would
 round twice.  The stack evaluates it on arrays, calling the same kernels
-through ``np.matmul``.  Larger stacks are solved one matrix at a time.
+through ``np.matmul``.
+
+A stack of larger matrices makes one stacked dgeev per eigenvector and
+one stacked Newton solve per half, for the whole stack.  LAPACK solves
+each matrix of a stack as it solves it alone, and every other step is
+elementwise, a matmul or a sum taken in ``perron``'s order, so the rows
+keep ``perron``'s bits (a 4x4 grid of 161 tilts: 2.3 ms against 22 ms
+solved one matrix at a time, 2-vCPU Xeon).  A stack with a failing row
+is solved matrix by matrix, so that the row raises its own error.
 
 Normalization convention used throughout the library: the right eigenvector
 v has unit coordinate sum and the left eigenvector u satisfies u . v = 1.
@@ -73,6 +81,68 @@ def _perron_vector(B: np.ndarray) -> tuple[float, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"Perron root is not simple: {exc}") from exc
     return mu + float(step[n]), v * (1.0 + step[:n])
+
+
+def _perron_vectors(B: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_perron_vector`` of each matrix of the (k, n, n) stack B, or of its
+    transpose, row for row and bit for bit; None if a row fails.
+
+    dgeev and the Newton solve see each row's matrix as ``perron`` passes
+    it.  ``perron`` hands B.T, an F-ordered view, to the transposed half,
+    so its Newton right-hand side is summed as an F-ordered array sums:
+    column by column, not pairwise along the row.
+    """
+    try:
+        values, vectors = np.linalg.eig(B.transpose(0, 2, 1) if transposed else B)
+    except np.linalg.LinAlgError:
+        return None
+    k = np.argmax(values.real, axis=1)
+    mu = np.take_along_axis(values, k[:, np.newaxis], axis=1)[:, 0]
+    v = np.take_along_axis(vectors, k[:, np.newaxis, np.newaxis], axis=2)[:, :, 0].real
+    v = np.where((v.sum(axis=1) >= 0)[:, np.newaxis], v, -v)
+    if not ((mu.imag == 0) & (mu.real > 0) & (v > 0).all(axis=1)).all():
+        return None
+    mu = mu.real
+    n = v.shape[1]
+    if transposed:
+        C = B * v[:, :, np.newaxis] / v[:, np.newaxis, :]
+        C, sums = C.transpose(0, 2, 1), C.sum(axis=1)
+    else:
+        C = B * v[:, np.newaxis, :] / v[:, :, np.newaxis]
+        sums = C.sum(axis=2)
+    J = np.ones((len(B), n + 1, n + 1))
+    J[:, :n, :n] = C - mu[:, np.newaxis, np.newaxis] * np.eye(n)
+    J[:, :n, n], J[:, n, n] = -1.0, 0.0
+    rhs = np.zeros((len(B), n + 1, 1))
+    rhs[:, :n, 0] = mu[:, np.newaxis] - sums
+    try:
+        step = np.linalg.solve(J, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    return mu + step[:, n], v * (1.0 + step[:, :n])
+
+
+def _dense_stack(M: np.ndarray) -> PerronTriple | None:
+    """``perron``'s dense solve of each matrix of the (k, n, n) stack M, bit
+    for bit: one dgeev and one Newton solve per half for the whole stack;
+    None if a row fails.  Floating-point warnings are silenced: a row that
+    raises one fails, and its own ``perron`` call repeats it."""
+    with np.errstate(all="ignore"):
+        magnitude = M.max(axis=(1, 2))
+        if not (np.isfinite(magnitude) & (magnitude > 0)).all():
+            return None
+        B = M / magnitude[:, np.newaxis, np.newaxis]
+        halves = _perron_vectors(B, False), _perron_vectors(B, True)
+        if None in halves:
+            return None
+        (mu, right), (_, left) = halves
+        root = mu * magnitude
+        right = right / right.sum(axis=1)[:, np.newaxis]
+        left = left / np.matmul(left[:, np.newaxis, :], right[:, :, np.newaxis])[:, 0]
+    residual = _accepted_residuals(M, root, left, right)
+    if residual is None:
+        return None
+    return PerronTriple(root, left, right, residual, np.ones(len(M), dtype=int))
 
 
 def _perron_2x2(a: float, b: float, c: float, d: float) -> tuple[float, np.ndarray, np.ndarray, list, list]:
@@ -188,15 +258,20 @@ def perron(A: np.ndarray) -> PerronTriple:
 
 def perron_stack(A: np.ndarray) -> PerronTriple:
     """``perron`` of each matrix of the (k, n, n) stack ``A``: row i of each
-    field is ``perron(A[i])``'s.  Only 2x2 stacks are solved as arrays; the
-    others, and a 2x2 stack with a failing row, go matrix by matrix, so the
-    memory is one solve's and the first failing row raises its own error."""
+    field is ``perron(A[i])``'s.  A 2x2 stack is solved as arrays in closed
+    form, an n >= 3 one by stacked dgeev and Newton solves.  A stack with a
+    failing row goes matrix by matrix, so the first failing row raises its
+    own error."""
     M = np.asarray(A, dtype=float)
     if M.shape[1] == 2:
         root, left, right = _closed_form_stack(M)
         residual = _accepted_residuals(M, root, left, right)
         if residual is not None:
             return PerronTriple(root, left, right, residual, np.zeros(len(M), dtype=int))
+    elif M.shape[1] >= 3:
+        stacked = _dense_stack(M)
+        if stacked is not None:
+            return stacked
     rows = [perron(matrix) for matrix in M]
     return PerronTriple(
         np.array([t.root for t in rows], dtype=float),

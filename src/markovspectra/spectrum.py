@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PotentialRangeError, SolverError
-from .perron import PerronTriple, cycle_mean_extremes, perron
+from .errors import NonConvergenceError, PotentialRangeError, SolverError
+from .perron import PerronTriple, cycle_mean_extremes, perron, perron_stack
 from .thermo import (
     ORACLE_BUFFER_FLOATS,
     MarkovMeasure,
@@ -32,7 +32,8 @@ CROSS_CHECK_TOL = 1e-8
 class BetaFunction:
     """Evaluator for beta(q) = P(qf) - qP(f).  Each solved q caches A(qf)
     and its Perron triple; ``build`` caches the A(qf) of a grid of q in
-    stacked blocks, each solved when its q is first asked for."""
+    stacked blocks, each solved when its q is first asked for, and
+    ``solve`` builds a grid and solves it in stacked blocks."""
 
     def __init__(self, f: Potential):
         self.f2, _ = reduce_to_order2(f)
@@ -65,6 +66,37 @@ class BetaFunction:
                 continue
             A.setflags(write=False)
             self._matrices.update(zip(rows, A))
+
+    def solve(self, qs) -> None:
+        """``build`` the q of ``qs``, then cache the Perron triple of each
+        built one not yet solved, from one ``perron_stack`` call per block
+        of at most ORACLE_BUFFER_FLOATS floats.
+
+        Each triple is ``perron``'s, bit for bit.  A block whose stack
+        raises is not cached, so that its per-q solve raises at that q.
+        The stack runs with floating-point warnings silenced: they come
+        from failing rows only, which the per-q solve repeats.
+        """
+        self.build(qs)
+        n = self.f2.base.n_symbols
+        if n == 2:
+            # 2-symbol grids stay solved one q at a time, only because the
+            # benchmark pins their perron calls (ROADMAP item 2b): delete
+            # this return when 2b re-pins the counts
+            return
+        todo = [q for q in qs if q in self._matrices and q not in self._triples]
+        block = max(1, ORACLE_BUFFER_FLOATS // n**2)
+        for start in range(0, len(todo), block):
+            rows = todo[start : start + block]
+            try:
+                with np.errstate(all="ignore"):
+                    t = perron_stack(np.stack([self._matrices[q] for q in rows]))
+            except (NonConvergenceError, np.linalg.LinAlgError):
+                continue
+            for i, q in enumerate(rows):
+                self._triples[q] = PerronTriple(
+                    float(t.root[i]), t.left[i], t.right[i], float(t.residual[i]), int(t.iterations[i])
+                )
 
     def triple(self, q: float) -> PerronTriple:
         if q not in self._triples:
@@ -246,11 +278,11 @@ class SpectrumCurve:
 def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
     """Parametric spectrum samples (q, alpha(q), beta(q), E) over a sorted grid.
 
-    The grid is built before it is scanned.  Each entropy value is
-    cross-checked against the entropy rate of the tilted Gibbs measure,
-    from a second solve of the built matrix.  A degenerate curve is one
-    point: every sample reports alpha_min and E = beta(0), not the
-    rounding noise around them.
+    The grid is built and solved (``BetaFunction.solve``) before it is
+    scanned.  Each entropy value is cross-checked against the entropy
+    rate of the tilted Gibbs measure, from a second solve of the built
+    matrix.  A degenerate curve is one point: every sample reports
+    alpha_min and E = beta(0), not the rounding noise around them.
     A grid with a NaN or infinite q is refused before any solve.
     """
     grid = [float(q) for q in q_grid]
@@ -261,7 +293,7 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
         raise ValueError("q grid must be sorted")
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
     rng = alpha_range(bf)
-    bf.build(grid)
+    bf.solve(grid)
     samples = []
     for q in grid:
         a = bf.alpha(q)
@@ -299,19 +331,21 @@ def spectra_equal(f: Potential, g: Potential, tol: float = 1e-9) -> SpectraCompa
 
     Equal iff beta agrees on the whole grid and the alpha-range endpoints
     agree; COMPARE_GRID is scanned in order, so the reported witness is
-    the smallest-magnitude disagreeing point.  The whole grid is built for
-    both potentials (``BetaFunction.build``) before it is scanned, and
-    solved one q at a time, so a scan that stops early solves nothing past
-    its witness.  The solves are not stacked: the benchmark pins the number
-    of ``perron`` calls a compare makes (ROADMAP item 2b).
+    the smallest-magnitude disagreeing point.  The whole grid is built and
+    solved for both potentials (``BetaFunction.solve``) before it is
+    scanned.  A block that fails to build or solve is left to the scan, so
+    a witness before its failing q is still reported, and a failing q
+    raises its own error.  On 2-symbol forms the grid is solved one q at a
+    time as the scan reaches it: the benchmark pins the number of
+    ``perron`` calls a compare makes (ROADMAP item 2b).
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     bf, bg = BetaFunction(f), BetaFunction(g)
     rf, rg = alpha_range(bf), alpha_range(bg)
     endpoint_gap = max(abs(rf.alpha_min - rg.alpha_min), abs(rf.alpha_max - rg.alpha_max))
-    bf.build(COMPARE_GRID)
-    bg.build(COMPARE_GRID)
+    bf.solve(COMPARE_GRID)
+    bg.solve(COMPARE_GRID)
     for q in COMPARE_GRID:
         gap = abs(bf.beta(q) - bg.beta(q))
         if gap > tol:

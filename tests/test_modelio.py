@@ -7,11 +7,13 @@ import pytest
 from markovspectra import (
     Potential,
     TransitionMatrix,
+    full_shift,
     parse_model,
     pressure,
     serialize_model,
     word_key,
 )
+from markovspectra import shiftspace
 from markovspectra.errors import ModelFormatError
 from conftest import random_potential
 
@@ -60,6 +62,23 @@ class TestParseModel:
         path.write_text("{not json")
         with pytest.raises(ModelFormatError, match="invalid JSON"):
             parse_model(str(path))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_shift_is_the_shared_base_and_not_rechecked(self, monkeypatch, n):
+        base = full_shift(n)
+        monkeypatch.setattr(shiftspace, "check_aperiodic", lambda e: pytest.fail("base re-checked"))
+        values = {str(i + 1): 0.0 for i in range(n)}
+        model = parse_model({"transition": [[1] * n for _ in range(n)], "potential": {"order": 1, "values": values}})
+        assert model.base is base
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, 0]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]])
+    def test_other_bases_are_checked(self, monkeypatch, rows):
+        checked = []
+        check = shiftspace.check_aperiodic
+        monkeypatch.setattr(shiftspace, "check_aperiodic", lambda e: checked.append(e) or check(e))
+        values = {str(i + 1): 0.0 for i in range(len(rows))}
+        model = parse_model({"transition": rows, "potential": {"order": 1, "values": values}})
+        assert checked == [rows] and model.base.entries.tolist() == rows
 
     @pytest.mark.parametrize(
         "mutate,needle",

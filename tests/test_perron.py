@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.perron import CycleMeanExtremes, _perron_vector, perron, perron_stack
+from markovspectra.perron import CycleMeanExtremes, _dense_stack, _perron_vector, perron, perron_stack
+from markovspectra.spectrum import COMPARE_GRID
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
 
@@ -131,6 +133,27 @@ class TestPerronStack:
         with pytest.raises(type(single.value)) as stacked:
             perron_stack(np.array(rows))
         assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compare_grid_rows_are_perron_bit_for_bit(self, full2, order, seed):
+        # built as the benchmark's compare and spectrum requests build their
+        # grids: every COMPARE_GRID tilt of a +-0.5 full 2-shift potential;
+        # a grid with a failing row raises the first one's error instead
+        bf = BetaFunction(random_potential(full2, seed=seed, scale=0.5, order=order))
+        bf.build(COMPARE_GRID)
+        A = np.stack([bf.matrix(q) for q in COMPARE_GRID])
+        try:
+            rows = [perron(M) for M in A]
+        except NonConvergenceError as exc:
+            with pytest.raises(NonConvergenceError, match=re.escape(str(exc))):
+                perron_stack(A)
+            return
+        t = _dense_stack(A)
+        assert t is not None and (t.iterations == 1).all()
+        for i, s in enumerate(rows):
+            assert (t.root[i], t.residual[i]) == (s.root, s.residual)
+            assert t.left[i].tolist() == s.left.tolist() and t.right[i].tolist() == s.right.tolist()
 
     def test_empty_stack(self):
         t = perron_stack(np.zeros((0, 3, 3)))

@@ -37,7 +37,7 @@ from markovspectra import (
     spectra_equal,
 )
 from markovspectra.cli import main
-from markovspectra.perron import perron, perron_stack
+from markovspectra.perron import _dense_stack, perron, perron_stack
 from conftest import random_aperiodic_base, random_potential
 
 
@@ -138,10 +138,12 @@ class TestPerronData:
 @st.composite
 def matrix_stacks(draw):
     """A (k, n, n) stack, k = 1..6, of matrices on random aperiodic supports
-    of one size: n = 2..8 with entries e^U(-2, 2), or 2x2 (the closed form)
-    with entries e^U(-30, 30)."""
+    of one size: n = 2..16 with entries e^U(-2, 2), or 2x2 (the closed form)
+    with entries e^U(-30, 30).  From n = 8 the transposed half's Newton
+    right-hand side rounds differently summed pairwise than in ``perron``'s
+    column order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, spread = (2, 30.0) if draw(st.booleans()) else (draw(st.integers(2, 8)), 2.0)
+    n, spread = (2, 30.0) if draw(st.booleans()) else (draw(st.integers(2, 16)), 2.0)
     k = draw(st.integers(1, 6))
     return np.array([
         np.where(random_aperiodic_base(rng, n).entries == 1, np.exp(rng.uniform(-spread, spread, (n, n))), 0.0)
@@ -153,6 +155,8 @@ def matrix_stacks(draw):
 @given(matrix_stacks())
 def test_perron_stack_rows_are_perron_bit_for_bit(A):
     stacked = perron_stack(A)
+    if A.shape[1] >= 3:  # solved as a stack, not matrix by matrix
+        assert _dense_stack(A) is not None
     for i, M in enumerate(A):
         t = perron(M)
         assert stacked.root[i] == t.root and stacked.residual[i] == t.residual

@@ -16,7 +16,8 @@ from markovspectra import (
     spectra_equal,
 )
 from markovspectra import spectrum
-from markovspectra.errors import PotentialRangeError
+from markovspectra.errors import NonConvergenceError, PotentialRangeError
+from markovspectra.perron import perron, perron_stack
 from markovspectra.spectrum import (
     FLAG_DEGENERATE,
     FLAG_ENDPOINT,
@@ -31,6 +32,13 @@ def steep(full2, f12: float) -> Potential:
     """Order 2 on the full 2-shift with f(11) = 40: exp(40 q) overflows from
     q = 17.75 and underflows from q = -18.75."""
     return Potential.from_table(full2, 2, {(1, 1): 40.0, (1, 2): f12, (2, 1): 0.0, (2, 2): 0.0})
+
+
+def ring_steep(ring, f3: float) -> Potential:
+    """Order 1 on ring3 with f = (20, -20, f3): in range on all of
+    COMPARE_GRID, but the dense solve fails from q = 3.75 (a Perron vector
+    entry underflows), so the grid's stacked block holds failing rows."""
+    return Potential.from_table(ring, 1, {(1,): 20.0, (2,): -20.0, (3,): f3})
 
 
 def closed_beta(q):
@@ -183,6 +191,37 @@ class TestPerronCache:
         bf.beta(17.5)
         with pytest.raises(PotentialRangeError, match=r"40\.0 times q=17\.75 is out"):
             bf.beta(17.75)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_stacked_solves_are_bounded_and_per_q_bit_for_bit(self, ring, monkeypatch, order, rows):
+        # each stacked solve holds at most ORACLE_BUFFER_FLOATS floats of
+        # matrices, and caches the triple that perron gives each q
+        bf = BetaFunction(random_potential(ring, seed=5, scale=0.5, order=order))
+        n = bf.f2.base.n_symbols
+        grid = [q / 4 for q in range(-30, 31, 3)]
+        shapes = []
+        stack = spectrum.perron_stack
+        monkeypatch.setattr(spectrum, "ORACLE_BUFFER_FLOATS", rows * n * n)
+        monkeypatch.setattr(spectrum, "perron_stack", lambda A: shapes.append(A.shape) or stack(A))
+        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("a stacked grid was solved per q"))
+        bf.solve(grid)
+        assert len(shapes) == math.ceil(len(grid) / rows)
+        assert all(k <= rows and m == n for k, m, _ in shapes)
+        monkeypatch.undo()
+        for q in grid:
+            t, fresh = bf.triple(q), perron(bf.matrix(q))
+            assert type(t.root) is float and type(t.residual) is float and type(t.iterations) is int
+            assert (t.root, t.residual, t.iterations) == (fresh.root, fresh.residual, fresh.iterations)
+            assert t.left.tolist() == fresh.left.tolist() and t.right.tolist() == fresh.right.tolist()
+
+    def test_a_failing_stack_is_left_to_the_per_q_solve(self, ring):
+        bf = BetaFunction(ring_steep(ring, 0.0))
+        bf.solve([0.5, 2.0, 3.75, 4.0])
+        assert {0.5, 2.0, 3.75, 4.0}.isdisjoint(bf._triples)
+        assert bf.beta(2.0) == BetaFunction(bf.f2).beta(2.0)
+        with pytest.raises(NonConvergenceError):
+            bf.beta(3.75)
 
     @pytest.mark.parametrize("q", [1.0, -2.0, 0.5])
     def test_gibbs_reads_the_solve(self, ring, q):
@@ -338,19 +377,35 @@ class TestSampleSpectrum:
             sample_spectrum(f_p1_third, [1.0, math.nan, 0.0])
 
     @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0, 2.5], np.arange(-10.0, 10.25, 0.5)], ids=["4", "cli-41"])
-    def test_one_grid_build_and_two_solves_of_each_built_matrix(self, ring, monkeypatch, grid):
-        # the CLI's default 41-point grid makes 82 solves here; its h_mu
-        # re-solve makes the 83 that the benchmark pins for `spectrum`
+    def test_one_grid_build_and_two_solves_of_each_built_matrix(self, full2, monkeypatch, grid):
+        # a 2-symbol grid is solved one q at a time: the CLI's default
+        # 41-point grid makes 82 solves here, and its h_mu re-solve makes
+        # the 83 that the benchmark pins for `spectrum`
         built, solves = [], []
         build, solve = spectrum._exp_on_support, spectrum.perron
         monkeypatch.setattr(spectrum, "_exp_on_support", lambda *a, **k: built.append(a) or build(*a, **k))
         monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
-        bf = BetaFunction(random_potential(ring, seed=4))
+        monkeypatch.setattr(spectrum, "perron_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
+        bf = BetaFunction(random_potential(full2, seed=4))
         sample_spectrum(bf, grid)
         assert len(built) == 2 and built[0][1] == 1.0
         assert len(solves) == 2 * len(grid)
         for q in grid:
             assert sum(A is bf.matrix(q) for A in solves) == 2
+
+    @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0, 2.5], np.arange(-10.0, 10.25, 0.5)], ids=["4", "cli-41"])
+    def test_one_stacked_solve_and_one_cross_check_of_each_built_matrix(self, ring, monkeypatch, grid):
+        # n >= 3: one perron_stack call for the grid's one block, then the
+        # cross-check's perron of each built matrix
+        bf = BetaFunction(random_potential(ring, seed=4))
+        stacks, solves = [], []
+        stack, solve = spectrum.perron_stack, spectrum.perron
+        monkeypatch.setattr(spectrum, "perron_stack", lambda A: stacks.append(A) or stack(A))
+        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        sample_spectrum(bf, grid)
+        new = [q for q in grid if q != 1.0]  # q = 1 was solved for the pressure
+        assert len(stacks) == 1 and stacks[0].tolist() == [bf.matrix(q).tolist() for q in new]
+        assert len(solves) == len(grid) and all(A is bf.matrix(q) for q, A in zip(grid, solves))
 
     def test_cross_check_against_tilted_entropy(self, test_potentials):
         # sample_spectrum raises if E != h(mu_{qf}); just exercise it
@@ -431,6 +486,45 @@ class TestSpectraEqual:
         # scan stops at q = -0.25 first, so the comparison must not raise
         cmp = spectra_equal(steep(full2, 0.0), steep(full2, 1.0))
         assert not cmp.equal and cmp.witness_q == -0.25 and cmp.beta_gap > 1e-9
+
+    @pytest.mark.parametrize("case", ["fails", "warns"])
+    def test_failing_stack_past_the_witness_raises_nothing(self, ring, case):
+        # the grid's one stacked block holds rows where the dense solve
+        # fails: from q = 3.75 on ring_steep, and at q = -18.5 on the order-2
+        # potential, whose residual product overflows with a RuntimeWarning
+        # (an error under pytest).  The scan stops at q = 0.25 first, so the
+        # comparison must neither raise nor warn.
+        if case == "fails":
+            f, g, error = ring_steep(ring, 0.0), ring_steep(ring, 0.5), NonConvergenceError
+        else:
+            f = random_potential(ring, seed=16, scale=34.0, order=2)
+            g, error = f.scale(1.01), RuntimeWarning
+        bf = BetaFunction(f)
+        bf.build(spectrum.COMPARE_GRID)
+        with pytest.raises(error):
+            perron_stack(np.stack([bf.matrix(q) for q in spectrum.COMPARE_GRID]))
+        cmp = spectra_equal(f, g)
+        assert not cmp.equal and cmp.witness_q == 0.25 and cmp.beta_gap > 1e-9
+
+    def test_failing_solve_raises_at_its_q(self, ring, monkeypatch):
+        # the first q of the grid whose per-q solve fails raises that
+        # solve's error, as when every q was solved as the scan reached it
+        f = ring_steep(ring, 0.0)
+        f2 = BetaFunction(f).f2
+        for q in spectrum.COMPARE_GRID:
+            try:
+                perron(spectrum._exp_on_support(f2, q))
+            except NonConvergenceError as exc:
+                first, message = q, str(exc)
+                break
+        assert first == 3.75
+        solves = []
+        solve = spectrum.perron
+        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        with pytest.raises(NonConvergenceError) as raised:
+            spectra_equal(f, f)
+        assert str(raised.value) == message
+        assert solves[-1].tolist() == spectrum._exp_on_support(f2, first).tolist()
 
     def test_tilt_out_of_range_raises_at_its_q(self, full2):
         f = steep(full2, 0.0)
