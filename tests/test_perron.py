@@ -138,22 +138,29 @@ class TestPerronStack:
     @pytest.mark.parametrize("seed", range(4))
     def test_compare_grid_rows_are_perron_bit_for_bit(self, full2, order, seed):
         # built as the benchmark's compare and spectrum requests build their
-        # grids: every COMPARE_GRID tilt of a +-0.5 full 2-shift potential;
-        # a grid with a failing row raises the first one's error instead
+        # grids: every COMPARE_GRID tilt of a +-0.5 full 2-shift potential.
+        # Three of the twelve grids hold rows that perron refuses (at most
+        # 15, all at |q| >= 16); the stacked solve of every other row is
+        # compared, and the whole grid's stack raises the first refusal
         bf = BetaFunction(random_potential(full2, seed=seed, scale=0.5, order=order))
         bf.build(COMPARE_GRID)
         A = np.stack([bf.matrix(q) for q in COMPARE_GRID])
-        try:
-            rows = [perron(M) for M in A]
-        except NonConvergenceError as exc:
-            with pytest.raises(NonConvergenceError, match=re.escape(str(exc))):
-                perron_stack(A)
-            return
-        t = _dense_stack(A)
+        ok, errors = [], []
+        for i, M in enumerate(A):
+            try:
+                ok.append((i, perron(M)))
+            except NonConvergenceError as exc:
+                errors.append(str(exc))
+        assert len(ok) >= 140
+        t = _dense_stack(A[[i for i, _ in ok]])
         assert t is not None and (t.iterations == 1).all()
-        for i, s in enumerate(rows):
-            assert (t.root[i], t.residual[i]) == (s.root, s.residual)
-            assert t.left[i].tolist() == s.left.tolist() and t.right[i].tolist() == s.right.tolist()
+        for j, (_, s) in enumerate(ok):
+            assert (t.root[j], t.residual[j]) == (s.root, s.residual)
+            assert t.left[j].tolist() == s.left.tolist() and t.right[j].tolist() == s.right.tolist()
+        if errors:
+            assert _dense_stack(A) is None
+            with pytest.raises(NonConvergenceError, match=re.escape(errors[0])):
+                perron_stack(A)
 
     def test_empty_stack(self):
         t = perron_stack(np.zeros((0, 3, 3)))

@@ -201,10 +201,11 @@ class TestPerronCache:
         n = bf.f2.base.n_symbols
         grid = [q / 4 for q in range(-30, 31, 3)]
         shapes = []
-        stack = spectrum.perron_stack
+        stack = spectrum._dense_stack
         monkeypatch.setattr(spectrum, "ORACLE_BUFFER_FLOATS", rows * n * n)
-        monkeypatch.setattr(spectrum, "perron_stack", lambda A: shapes.append(A.shape) or stack(A))
+        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: shapes.append(A.shape) or stack(A))
         monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("a stacked grid was solved per q"))
+        bf.build(grid)
         bf.solve(grid)
         assert len(shapes) == math.ceil(len(grid) / rows)
         assert all(k <= rows and m == n for k, m, _ in shapes)
@@ -217,6 +218,7 @@ class TestPerronCache:
 
     def test_a_failing_stack_is_left_to_the_per_q_solve(self, ring):
         bf = BetaFunction(ring_steep(ring, 0.0))
+        bf.build([0.5, 2.0, 3.75, 4.0])
         bf.solve([0.5, 2.0, 3.75, 4.0])
         assert {0.5, 2.0, 3.75, 4.0}.isdisjoint(bf._triples)
         assert bf.beta(2.0) == BetaFunction(bf.f2).beta(2.0)
@@ -385,7 +387,7 @@ class TestSampleSpectrum:
         build, solve = spectrum._exp_on_support, spectrum.perron
         monkeypatch.setattr(spectrum, "_exp_on_support", lambda *a, **k: built.append(a) or build(*a, **k))
         monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
-        monkeypatch.setattr(spectrum, "perron_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
+        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
         bf = BetaFunction(random_potential(full2, seed=4))
         sample_spectrum(bf, grid)
         assert len(built) == 2 and built[0][1] == 1.0
@@ -395,12 +397,12 @@ class TestSampleSpectrum:
 
     @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0, 2.5], np.arange(-10.0, 10.25, 0.5)], ids=["4", "cli-41"])
     def test_one_stacked_solve_and_one_cross_check_of_each_built_matrix(self, ring, monkeypatch, grid):
-        # n >= 3: one perron_stack call for the grid's one block, then the
+        # n >= 3: one stacked solve for the grid's one block, then the
         # cross-check's perron of each built matrix
         bf = BetaFunction(random_potential(ring, seed=4))
         stacks, solves = [], []
-        stack, solve = spectrum.perron_stack, spectrum.perron
-        monkeypatch.setattr(spectrum, "perron_stack", lambda A: stacks.append(A) or stack(A))
+        stack, solve = spectrum._dense_stack, spectrum.perron
+        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: stacks.append(A) or stack(A))
         monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
         sample_spectrum(bf, grid)
         new = [q for q in grid if q != 1.0]  # q = 1 was solved for the pressure
@@ -487,24 +489,56 @@ class TestSpectraEqual:
         cmp = spectra_equal(steep(full2, 0.0), steep(full2, 1.0))
         assert not cmp.equal and cmp.witness_q == -0.25 and cmp.beta_gap > 1e-9
 
+    def test_a_witness_in_the_lead_solves_nothing_past_it(self, ring, monkeypatch):
+        # ring_steep's grid holds rows whose dense solve fails (from
+        # q = 3.75); the pair first disagrees at q = 0.25, inside the lead,
+        # so the scan stops after two per-q solves a potential, stacks
+        # nothing and raises nothing
+        solves = []
+        solve = spectrum.perron
+        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: pytest.fail("the scan stopped in the lead"))
+        cmp = spectra_equal(ring_steep(ring, 0.0), ring_steep(ring, 0.5))
+        assert not cmp.equal and cmp.witness_q == 0.25 and cmp.beta_gap > 1e-9
+        assert len(solves) == 2 + 2 * 2  # q = 1 for each pressure, then q = 0 and 0.25
+
+    def test_an_equal_compare_stacks_the_grid_past_the_lead(self, ring, monkeypatch):
+        # one stacked solve a potential, of every q past the first SCAN_LEAD
+        # but q = 1, which was solved for the pressure
+        f = random_potential(ring, seed=3)
+        rest = [q for q in spectrum.COMPARE_GRID[spectrum.SCAN_LEAD :] if q != 1.0]
+        bf = BetaFunction(f)
+        bf.build(rest)
+        stacks, solves = [], []
+        stack, solve = spectrum._dense_stack, spectrum.perron
+        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: stacks.append(A) or stack(A))
+        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        assert spectra_equal(f, f).equal
+        assert [A.tolist() for A in stacks] == [[bf.matrix(q).tolist() for q in rest]] * 2
+        assert len(solves) == 2 * (1 + spectrum.SCAN_LEAD)
+
     @pytest.mark.parametrize("case", ["fails", "warns"])
-    def test_failing_stack_past_the_witness_raises_nothing(self, ring, case):
-        # the grid's one stacked block holds rows where the dense solve
-        # fails: from q = 3.75 on ring_steep, and at q = -18.5 on the order-2
-        # potential, whose residual product overflows with a RuntimeWarning
-        # (an error under pytest).  The scan stops at q = 0.25 first, so the
-        # comparison must neither raise nor warn.
+    def test_failing_stack_past_the_witness_raises_nothing(self, ring, monkeypatch, case):
+        # f against f scaled by 1.01 first disagrees by more than tol at
+        # q = -0.5, past the lead, so the grid past the lead is stacked.  Its
+        # stack holds rows where the dense solve fails: from q = 3.75 on
+        # ring_steep, and at q = -18.5 on the order-2 potential, whose
+        # residual product overflows with a RuntimeWarning (an error under
+        # pytest).  The comparison must neither raise nor warn.
         if case == "fails":
-            f, g, error = ring_steep(ring, 0.0), ring_steep(ring, 0.5), NonConvergenceError
+            f, tol, error = ring_steep(ring, 0.0), 0.075, NonConvergenceError
         else:
-            f = random_potential(ring, seed=16, scale=34.0, order=2)
-            g, error = f.scale(1.01), RuntimeWarning
+            f, tol, error = random_potential(ring, seed=16, scale=34.0, order=2), 0.1, RuntimeWarning
         bf = BetaFunction(f)
         bf.build(spectrum.COMPARE_GRID)
         with pytest.raises(error):
             perron_stack(np.stack([bf.matrix(q) for q in spectrum.COMPARE_GRID]))
-        cmp = spectra_equal(f, g)
-        assert not cmp.equal and cmp.witness_q == 0.25 and cmp.beta_gap > 1e-9
+        stacked = []
+        stack = spectrum._dense_stack
+        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: stacked.append(stack(A)) or stacked[-1])
+        cmp = spectra_equal(f, f.scale(1.01), tol)
+        assert not cmp.equal and cmp.witness_q == -0.5 and cmp.beta_gap > tol
+        assert len(stacked) == 2 and None in stacked
 
     def test_failing_solve_raises_at_its_q(self, ring, monkeypatch):
         # the first q of the grid whose per-q solve fails raises that
