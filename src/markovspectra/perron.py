@@ -1,10 +1,9 @@
 """Perron-Frobenius numerics for primitive non-negative matrices.
 
 ``perron`` solves primitive 2x2 matrices in closed form and larger ones
-with one dense LAPACK ``dgeev`` eigen-solve per eigenvector, each refined by
-one Newton step so that every entry is accurate relative to its own size.
-``perron_stack`` solves a ``(k, n, n)`` stack; row i of its result is
-``perron(A[i])``, bit for bit.
+with dense LAPACK ``dgeev``, refined by one Newton step so that every entry
+is accurate relative to its own size.  ``perron_stack`` solves a
+``(k, n, n)`` stack; row i of its result is ``perron(A[i])``, bit for bit.
 
 The 2x2 closed form has two twins.  ``perron`` evaluates it on Python
 floats (13 us a solve, against 65 us for the array form at k = 1; best of
@@ -16,13 +15,18 @@ whose BLAS kernels fuse multiply-adds that plain float arithmetic would
 round twice.  The stack evaluates it on arrays, calling the same kernels
 through ``np.matmul``.
 
-A stack of larger matrices makes one stacked dgeev per eigenvector and
-one stacked Newton solve per half, for the whole stack.  LAPACK solves
-each matrix of a stack as it solves it alone, and every other step is
-elementwise, a matmul or a sum taken in ``perron``'s order, so the rows
-keep ``perron``'s bits (a 4x4 grid of 161 tilts: 2.3 ms against 22 ms
-solved one matrix at a time, 2-vCPU Xeon).  A stack with a failing row
-is solved matrix by matrix, so that the row raises its own error.
+Larger matrices have one kernel, ``_perron_vectors``: ``perron`` calls it
+on a stack of one and ``perron_stack`` on the whole stack.  It stacks the
+k matrices and their k transposes, so the right and left eigenvectors of
+every matrix come from one stacked dgeev and one stacked Newton solve.
+LAPACK solves each matrix of a stack as it solves it alone, and every other
+step is elementwise, a matmul or a sum taken in a fixed order, so a row's
+bits do not depend on the stack around it.  The one order to keep: a left
+half's Newton right-hand side is summed left to right (a cumulative sum),
+the order in which NumPy sums the rows of the F-ordered view B.T and in
+which the pinned bits were recorded; a plain sum along the row is pairwise
+from 8 entries on and moves last bits.  A stack with a failing row is
+solved matrix by matrix, so that the row raises its own error.
 
 Normalization convention used throughout the library: the right eigenvector
 v has unit coordinate sum and the left eigenvector u satisfies u . v = 1.
@@ -55,87 +59,63 @@ class PerronTriple:
     iterations: int
 
 
-def _perron_vector(B: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and right eigenvector of B, accurate in every entry.
+def _perron_vectors(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Perron root and right and left eigenvectors of each matrix of the
+    (k, n, n) stack B, accurate in every entry.  NonConvergenceError names
+    the first failing matrix, its right half before its left one; an eig
+    LinAlgError propagates.
 
-    dgeev's error is normwise, so entries far below the largest may carry
-    large relative errors.  One Newton step fixes them in the basis scaled
-    by the dgeev vector v, where the Perron vector of D^-1 B D (D = diag(v))
-    is close to all ones.
+    The right halves of B and of B's transposes (the left halves) form one
+    stack of 2k: one dgeev, then one Newton solve.  dgeev's error is
+    normwise, so entries far below the largest may carry large relative
+    errors.  One Newton step fixes them in the basis scaled by the dgeev
+    vector v, where the Perron vector of D^-1 B D (D = diag(v)) is close to
+    all ones.
     """
-    values, vectors = np.linalg.eig(B)
-    k = int(np.argmax(values.real))
-    mu, v = values[k], vectors[:, k].real
-    v = v if v.sum() >= 0 else -v
-    if not (mu.imag == 0 and mu.real > 0 and (v > 0).all()):
-        raise NonConvergenceError(f"dominant eigenpair is not positive: root {mu}, least entry {v.min():.3e}")
-    mu = float(mu.real)
-    # Newton step from (w, mu) = (1, mu) for C w = mu w with sum(dw) = 0.
-    n = len(v)
-    C = B * v[np.newaxis, :] / v[:, np.newaxis]
-    J = np.ones((n + 1, n + 1))
-    J[:n, :n] = C - mu * np.eye(n)
-    J[:n, n], J[n, n] = -1.0, 0.0
-    try:
-        step = np.linalg.solve(J, np.append(mu - C.sum(axis=1), 0.0))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"Perron root is not simple: {exc}") from exc
-    return mu + float(step[n]), v * (1.0 + step[:n])
-
-
-def _perron_vectors(B: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_perron_vector`` of each matrix of the (k, n, n) stack B, or of its
-    transpose, row for row and bit for bit; None if a row fails.
-
-    dgeev and the Newton solve see each row's matrix as ``perron`` passes
-    it.  ``perron`` hands B.T, an F-ordered view, to the transposed half,
-    so its Newton right-hand side is summed as an F-ordered array sums:
-    column by column, not pairwise along the row.
-    """
-    try:
-        values, vectors = np.linalg.eig(B.transpose(0, 2, 1) if transposed else B)
-    except np.linalg.LinAlgError:
-        return None
-    k = np.argmax(values.real, axis=1)
-    mu = np.take_along_axis(values, k[:, np.newaxis], axis=1)[:, 0]
-    v = np.take_along_axis(vectors, k[:, np.newaxis, np.newaxis], axis=2)[:, :, 0].real
+    k, n = len(B), B.shape[1]
+    S = np.concatenate([B, B.transpose(0, 2, 1)])
+    values, vectors = np.linalg.eig(S)
+    rows, top = np.arange(2 * k), np.argmax(values.real, axis=1)
+    mu, v = values[rows, top], vectors[rows, :, top].real
     v = np.where((v.sum(axis=1) >= 0)[:, np.newaxis], v, -v)
-    if not ((mu.imag == 0) & (mu.real > 0) & (v > 0).all(axis=1)).all():
-        return None
+    failed = ~((mu.imag == 0) & (mu.real > 0) & (v > 0).all(axis=1))
+    if failed.any():
+        i = int(np.argmax(failed))
+        # eig returns a complex stack if any matrix has a complex eigenvalue;
+        # the root prints as one matrix's own eig would print it
+        root = mu[i] if values[i].imag.any() else mu[i].real
+        raise NonConvergenceError(f"dominant eigenpair is not positive: root {root}, least entry {v[i].min():.3e}")
     mu = mu.real
-    n = v.shape[1]
-    if transposed:
-        C = B * v[:, :, np.newaxis] / v[:, np.newaxis, :]
-        C, sums = C.transpose(0, 2, 1), C.sum(axis=1)
-    else:
-        C = B * v[:, np.newaxis, :] / v[:, :, np.newaxis]
-        sums = C.sum(axis=2)
-    J = np.ones((len(B), n + 1, n + 1))
+    # Newton step from (w, mu) = (1, mu) for C w = mu w with sum(dw) = 0.
+    C = S * v[:, np.newaxis, :] / v[:, :, np.newaxis]
+    J = np.ones((2 * k, n + 1, n + 1))
     J[:, :n, :n] = C - mu[:, np.newaxis, np.newaxis] * np.eye(n)
     J[:, :n, n], J[:, n, n] = -1.0, 0.0
-    rhs = np.zeros((len(B), n + 1, 1))
-    rhs[:, :n, 0] = mu[:, np.newaxis] - sums
+    # A left half's row sums run left to right, as they do on the F-ordered
+    # view B.T: n >= 8 entries would otherwise be summed pairwise.
+    rhs = np.zeros((2 * k, n + 1, 1))
+    rhs[:, :n, 0] = mu[:, np.newaxis] - np.concatenate([C[:k].sum(axis=2), np.cumsum(C[k:], axis=2)[:, :, -1]])
     try:
         step = np.linalg.solve(J, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        return None
-    return mu + step[:, n], v * (1.0 + step[:, :n])
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"Perron root is not simple: {exc}") from exc
+    mu, v = mu + step[:, n], v * (1.0 + step[:, :n])
+    return mu[:k], v[:k], v[k:]
 
 
 def _dense_stack(M: np.ndarray) -> PerronTriple | None:
     """``perron``'s dense solve of each matrix of the (k, n, n) stack M, bit
-    for bit: one dgeev and one Newton solve per half for the whole stack;
-    None if a row fails.  Floating-point warnings are silenced: a row that
-    raises one fails, and its own ``perron`` call repeats it."""
+    for bit, through one ``_perron_vectors`` call; None if a row fails.
+    Floating-point warnings are silenced: a row that raises one fails, and
+    its own ``perron`` call repeats it."""
     with np.errstate(all="ignore"):
         magnitude = M.max(axis=(1, 2))
         if not (np.isfinite(magnitude) & (magnitude > 0)).all():
             return None
-        B = M / magnitude[:, np.newaxis, np.newaxis]
-        halves = _perron_vectors(B, False), _perron_vectors(B, True)
-        if None in halves:
+        try:
+            mu, right, left = _perron_vectors(M / magnitude[:, np.newaxis, np.newaxis])
+        except (NonConvergenceError, np.linalg.LinAlgError):
             return None
-        (mu, right), (_, left) = halves
         root = mu * magnitude
         right = right / right.sum(axis=1)[:, np.newaxis]
         left = left / np.matmul(left[:, np.newaxis, :], right[:, :, np.newaxis])[:, 0]
@@ -230,10 +210,10 @@ def perron(A: np.ndarray) -> PerronTriple:
     Primitive 2x2 matrices use the quadratic closed form in Python-float
     arithmetic (``np.hypot`` and the three BLAS products stay in NumPy, for
     their rounding; see the module docstring); larger ones are scaled to
-    M / max(M) and solved by dgeev (which balances them itself) for the
-    right vector and on the transpose for the left one.  Both paths return
-    only a triple that passes ``_accepted_residual``, else raise
-    NonConvergenceError.
+    M / max(M) and solved by ``_perron_vectors`` as a stack of one: one
+    dgeev (which balances each matrix itself) for M and its transpose, and
+    one Newton solve for both vectors.  Both paths return only a triple
+    that passes ``_accepted_residual``, else raise NonConvergenceError.
     """
     M = np.asarray(A, dtype=float)
     if M.shape == (2, 2):
@@ -246,12 +226,10 @@ def perron(A: np.ndarray) -> PerronTriple:
     magnitude = float(np.max(M))
     if magnitude <= 0 or not np.isfinite(magnitude):
         raise NonConvergenceError("matrix has no positive finite entries")
-    B = M / magnitude
-    mu, right = _perron_vector(B)
-    _, left = _perron_vector(B.T)
-    root = mu * magnitude
-    right = right / right.sum()
-    left = left / float(left @ right)
+    mu, right, left = _perron_vectors((M / magnitude)[np.newaxis])
+    root = float(mu[0]) * magnitude
+    right = right[0] / right[0].sum()
+    left = left[0] / float(left[0] @ right)
     residual = _accepted_residual(M, root, left, right, left.tolist(), right.tolist())
     return PerronTriple(root, left, right, residual, 1)
 
@@ -259,9 +237,9 @@ def perron(A: np.ndarray) -> PerronTriple:
 def perron_stack(A: np.ndarray) -> PerronTriple:
     """``perron`` of each matrix of the (k, n, n) stack ``A``: row i of each
     field is ``perron(A[i])``'s.  A 2x2 stack is solved as arrays in closed
-    form, an n >= 3 one by stacked dgeev and Newton solves.  A stack with a
-    failing row goes matrix by matrix, so the first failing row raises its
-    own error."""
+    form, an n >= 3 one by ``_dense_stack``: one dgeev and one Newton solve
+    for both halves of every matrix.  A stack with a failing row goes
+    matrix by matrix, so the first failing row raises its own error."""
     M = np.asarray(A, dtype=float)
     if M.shape[1] == 2:
         root, left, right = _closed_form_stack(M)

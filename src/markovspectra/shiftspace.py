@@ -110,6 +110,8 @@ class TransitionMatrix:
 
 def word_count(A: TransitionMatrix, n: int) -> int:
     """Exact size of W_A^n via matrix powers (exact integer arithmetic)."""
+    if n < 0:
+        raise ValueError("word length must be non-negative")
     if n == 0:
         return 1
     if n == 1:
@@ -119,9 +121,8 @@ def word_count(A: TransitionMatrix, n: int) -> int:
 
 
 def admissible_words(A: TransitionMatrix, n: int) -> list[Word]:
-    """All admissible words of length n, lexicographically ordered."""
-    if n < 0:
-        raise ValueError("word length must be non-negative")
+    """All admissible words of length n, lexicographically ordered; a
+    negative n raises ``word_count``'s ValueError."""
     if word_count(A, n) > ENUMERATION_CAP:
         raise EnumerationCapError(f"more than {ENUMERATION_CAP} words of length {n} (the enumeration cap)")
     if n == 0:

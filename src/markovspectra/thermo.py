@@ -316,10 +316,14 @@ def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
 
 
 def eigen_measure_cylinder(f: Potential, w: Word) -> float:
-    """Cylinder mass of the eigen-measure: mu_f([w]) / u_{w_0}."""
+    """Cylinder mass of the eigen-measure: mu_f([w]) / u_{w_0}; 0.0 on
+    inadmissible words.  Like ``jacobian``, w is read on the order-2 form's
+    alphabet: the recoded blocks for order >= 3."""
     if not w:
         return 1.0
     f2, A, triple = _reduced_triple(f)
+    if not f2.base.admits(w):
+        return 0.0
     return cylinder_measure(_gibbs(f2, A, triple), w) / triple.left[w[0] - 1]
 
 

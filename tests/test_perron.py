@@ -13,7 +13,7 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.perron import CycleMeanExtremes, _dense_stack, _perron_vector, perron, perron_stack
+from markovspectra.perron import CycleMeanExtremes, _dense_stack, _perron_vectors, perron, perron_stack
 from markovspectra.spectrum import COMPARE_GRID
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
@@ -119,8 +119,16 @@ class TestPerronStack:
             # ring3 with vertex weights e^40, e^-40, 1 tilted to q = -10: the
             # dense dgeev vector has a zero entry
             [[0.0, math.exp(-400.0), math.exp(-400.0)], [math.exp(400.0), 0.0, math.exp(400.0)], [1.0, 1.0, 0.0]],
+            # 1 -> 2 -> 3 -> 1 weighted 1e-200 twice: dgeev's right vector
+            # has a zero entry (so does the left one)
+            [[1.0, 1.0, 1.0], [0.0, 0.0, 1e-200], [1e-200, 0.0, 0.0]],
+            # its transpose: the same failure, found in the right half first
+            [[1.0, 0.0, 1e-200], [1.0, 0.0, 0.0], [1.0, 1e-200, 0.0]],
+            # the right half passes and the left vector has a zero entry
+            [[1.0, 1e-200, 0.0], [1.0, 0.0, 1e-200], [1.0, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0]] * 3,
         ],
-        ids=["closed-form-underflow", "ring3-40"],
+        ids=["closed-form-underflow", "ring3-40", "chain", "chain-transposed", "left-half", "no-positive-entry"],
     )
     @pytest.mark.parametrize("position", [0, 2])
     def test_failing_row_raises_its_perron_error(self, bad, position):
@@ -162,6 +170,16 @@ class TestPerronStack:
             with pytest.raises(NonConvergenceError, match=re.escape(errors[0])):
                 perron_stack(A)
 
+    def test_left_half_failure_prints_its_own_root(self):
+        # one dgeev solves both halves and returns a complex stack, as the
+        # right half's eigenvalues here are complex; the left half's root
+        # still prints as its own real eigenvalue
+        M = np.array([[1.0, 1e-200, 0.0], [1.0, 0.0, 1e-200], [1.0, 0.0, 0.0]])
+        assert np.iscomplexobj(np.linalg.eigvals(M)) and not np.iscomplexobj(np.linalg.eigvals(M.T))
+        with pytest.raises(NonConvergenceError) as failure:
+            perron(M)
+        assert str(failure.value) == "dominant eigenpair is not positive: root 1.0, least entry 0.000e+00"
+
     def test_empty_stack(self):
         t = perron_stack(np.zeros((0, 3, 3)))
         assert t.root.shape == (0,) and t.left.shape == (0, 3)
@@ -169,6 +187,59 @@ class TestPerronStack:
 
 def hex_triple(t) -> tuple:
     return (t.root.hex(), [x.hex() for x in t.left.tolist()], [x.hex() for x in t.right.tolist()], t.residual.hex())
+
+
+class TestDenseBits:
+    """The dense solve's exact bits, recorded before right and left halves
+    shared one stacked solve.  From n = 8 on, summing a left half's Newton
+    right-hand side pairwise instead of left to right moves last bits."""
+
+    @pytest.mark.parametrize(
+        "n, bits",
+        [
+            (  # n = 3
+                3,
+                ("0x1.487d9fd9948fep+1",
+                 ["0x1.1e28a262aa414p+0", "0x1.23e88677ecb06p+0", "0x1.5ba14d8e1b340p-1"],
+                 ["0x1.aa7774f230e6dp-3", "0x1.fdc88ac984a8dp-2", "0x1.2cfbbabd62e3ep-2"],
+                 "0x1.011cf66f62a87p-51"),
+            ),
+            (  # n = 8
+                8,
+                ("0x1.76c502af020cbp+2",
+                 ["0x1.3ec60a97a9665p+0", "0x1.a0c6a66b19693p-1", "0x1.29081380795c0p+0",
+                  "0x1.d3886417d3663p-1", "0x1.a96bd9ac7b620p-1", "0x1.0fbfee8717559p+0",
+                  "0x1.a1b26c036da2ap-1", "0x1.42fa9e6d920bap+0"],
+                 ["0x1.2f9464dfe4df2p-3", "0x1.ec201f3863fbfp-4", "0x1.ce6f6ad3aefb1p-4",
+                  "0x1.f841398f37fadp-4", "0x1.ea26717195a5ep-4", "0x1.72fc6c7f05a18p-4",
+                  "0x1.75f6848bfa4ccp-3", "0x1.a4f68b9c5b6f0p-4"],
+                 "0x1.95d2738b97400p-50"),
+            ),
+            (  # n = 16
+                16,
+                ("0x1.7a18f34d4947dp+3",
+                 ["0x1.61c68ab3649b6p-1", "0x1.4232c927c703cp-1", "0x1.62f5d883a6e6cp+0",
+                  "0x1.0f6223062b37ep+0", "0x1.c7132f83b4e6fp-1", "0x1.1d798ec87f448p+0",
+                  "0x1.09e51c20792b7p-1", "0x1.1c78015e5bf2fp+0", "0x1.43fd5bc71f889p+0",
+                  "0x1.a23c2f6e0ee3cp-1", "0x1.10fb2f94bd123p+0", "0x1.093a632b92fa9p+0",
+                  "0x1.56d55bde15a2ep+0", "0x1.c8db3c52dc895p-1", "0x1.3362dabbcea9ep+0",
+                  "0x1.1f9069ba388f2p+0"],
+                 ["0x1.76f9b4f0a36b8p-5", "0x1.498d8de01163dp-4", "0x1.85701c2dfe150p-6",
+                  "0x1.17d39854fae05p-4", "0x1.39c95524f61dbp-4", "0x1.2a53349178b3fp-5",
+                  "0x1.cae723a71a25dp-5", "0x1.0ec882f4b69c1p-5", "0x1.21bffeb8fd90cp-4",
+                  "0x1.e48ed1a67d4e1p-5", "0x1.784ea6ced4c5fp-4", "0x1.fae80d9e8115ep-5",
+                  "0x1.7523bd6fe36aap-4", "0x1.5afce6f39836ap-4", "0x1.1ce0fa6678b0cp-4",
+                  "0x1.9e5f032e839b7p-5"],
+                 "0x1.714216bde2bafp-49"),
+            ),
+        ],
+        ids=["n=3", "n=8", "n=16"],
+    )
+    def test_bits_pinned(self, n, bits):
+        _, M = random_support_matrix(n, n)
+        t = perron(M)
+        assert t.iterations == 1 and type(t.root) is float and type(t.residual) is float
+        assert hex_triple(t) == bits
 
 
 class TestClosedForm:
@@ -220,12 +291,11 @@ class TestClosedForm:
         # accurate only normwise, to about cond(M - root I) ulps.
         M = 10.0 ** (np.array(log10_entries).reshape(2, 2) + log10_scale)
         t = perron(M)
-        mu, v = _perron_vector(M / M.max())
-        _, u = _perron_vector(M.T / M.max())
-        v = v / v.sum()
-        assert t.root == pytest.approx(mu * M.max(), rel=1e-13)
+        mu, v, u = _perron_vectors((M / M.max())[np.newaxis])
+        v = v[0] / v[0].sum()
+        assert t.root == pytest.approx(mu[0] * M.max(), rel=1e-13)
         assert t.right == pytest.approx(v, rel=1e-13)
-        assert t.left == pytest.approx(u / float(u @ v), rel=1e-13)
+        assert t.left == pytest.approx(u[0] / float(u[0] @ v), rel=1e-13)
         x = perron_vector_by_linear_solve(M / M.max(), t.root / M.max())
         assert np.abs(t.right - x).max() <= 1e-13 * x.max()
 

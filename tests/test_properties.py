@@ -139,9 +139,9 @@ class TestPerronData:
 def matrix_stacks(draw):
     """A (k, n, n) stack, k = 1..6, of matrices on random aperiodic supports
     of one size: n = 2..16 with entries e^U(-2, 2), or 2x2 (the closed form)
-    with entries e^U(-30, 30).  From n = 8 the transposed half's Newton
-    right-hand side rounds differently summed pairwise than in ``perron``'s
-    column order."""
+    with entries e^U(-30, 30).  From n = 8 a left half's Newton right-hand
+    side rounds differently summed pairwise than left to right; the dense
+    hex pins of test_perron.py fix that order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, spread = (2, 30.0) if draw(st.booleans()) else (draw(st.integers(2, 16)), 2.0)
     k = draw(st.integers(1, 6))

@@ -67,6 +67,12 @@ class TestAdmissibleWords:
     def test_empty_word(self, golden):
         assert admissible_words(golden, 0) == [()]
 
+    def test_negative_length_refused(self, golden):
+        # matrix_power has no negative power of an integer object array
+        for count in (word_count, admissible_words):
+            with pytest.raises(ValueError, match="^word length must be non-negative$"):
+                count(golden, -1)
+
     def test_cap(self, full2, monkeypatch):
         monkeypatch.setattr("markovspectra.shiftspace.ENUMERATION_CAP", 100)
         with pytest.raises(EnumerationCapError):

@@ -408,6 +408,11 @@ class TestEigenMeasure:
         )
         assert eigen_measure_cylinder(f_p1_third, ()) == 1.0
 
+    @pytest.mark.parametrize("w", [(3,), (0,), (-1,), (1, 3), (3, 1), (1, 2, 3)])
+    def test_word_outside_the_alphabet_has_zero_mass(self, f_p1_third, w):
+        # u_{w_0} has no entry for a symbol outside the alphabet
+        assert eigen_measure_cylinder(f_p1_third, w) == 0.0
+
     def test_conformality(self, test_potentials):
         # nu([iw]) = lambda^-1 exp(f(iw)) nu([w]) for 2-locally constant f
         for f in test_potentials:
