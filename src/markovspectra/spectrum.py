@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PotentialRangeError, SolverError
-from .perron import PerronTriple, _dense_stack, cycle_mean_extremes, perron
+from .perron import PerronTriple, _solve_stack, cycle_mean_extremes, perron
 from .thermo import (
     ORACLE_BUFFER_FLOATS,
     MarkovMeasure,
@@ -69,11 +69,11 @@ class BetaFunction:
 
     def solve(self, qs) -> None:
         """Cache the Perron triple of each q of ``qs`` built and not yet
-        solved, from one stacked dense solve per block of at most
-        ORACLE_BUFFER_FLOATS floats.
+        solved, from one stacked solve (``_solve_stack``) per block of at
+        most ORACLE_BUFFER_FLOATS floats.
 
-        Each triple is ``perron``'s, bit for bit.  A block with a failing
-        row is not cached, so that its per-q solve raises at that q.
+        Each triple is ``perron``'s, bit for bit.  A row that ``perron``
+        refuses is not cached, so that its per-q solve raises at that q.
         """
         n = self.f2.base.n_symbols
         if n == 2:
@@ -85,11 +85,9 @@ class BetaFunction:
         block = max(1, ORACLE_BUFFER_FLOATS // n**2)
         for start in range(0, len(todo), block):
             rows = todo[start : start + block]
-            t = _dense_stack(np.stack([self._matrices[q] for q in rows]))
-            if t is None:
-                continue
-            for i, q in enumerate(rows):
-                self._triples[q] = PerronTriple(
+            t, failed = _solve_stack(np.stack([self._matrices[q] for q in rows]))
+            for i in np.flatnonzero(~failed):
+                self._triples[rows[i]] = PerronTriple(
                     float(t.root[i]), t.left[i], t.right[i], float(t.residual[i]), int(t.iterations[i])
                 )
 
@@ -335,11 +333,11 @@ def spectra_equal(f: Potential, g: Potential, tol: float = 1e-9) -> SpectraCompa
     first SCAN_LEAD q are solved one at a time, so a scan that stops there
     solves nothing past its witness; the rest of the grid is solved in
     stacked blocks (``BetaFunction.solve``) once the scan is past them.  A
-    block that fails to build or solve is left to the scan, so a witness
-    before its failing q is still reported, and a failing q raises its own
-    error.  On 2-symbol forms every q is solved one at a time as the scan
-    reaches it: the benchmark pins the number of ``perron`` calls a
-    compare makes (ROADMAP item 2b).
+    block that fails to build, or a q whose stacked solve fails, is left to
+    the scan, so a witness before the failing q is still reported, and a
+    failing q raises its own error.  On 2-symbol forms every q is solved
+    one at a time as the scan reaches it: the benchmark pins the number of
+    ``perron`` calls a compare makes (ROADMAP item 2b).
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")

@@ -321,6 +321,19 @@ class TestExitCodes:
         assert code == EXIT_MATH
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
+    def test_overflowing_residual_exits_math_with_one_line(self, capsys):
+        # the dense solve's residual product M v overflows: the solve is
+        # refused with its own message and no floating-point warning
+        words = ("12", "13", "21", "23", "31", "32")
+        values = (4.550345043796824, -4.709398106667379, -27.60297986861633,
+                  -10.330590570352307, 8.2626146098862, -32.52745978357569)
+        model = json.dumps(
+            {"transition": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "potential": {"order": 2, "values": dict(zip(words, values))}}
+        )
+        code, out, err = run(capsys, "compare", model, model)
+        assert code == EXIT_MATH
+        assert out == "" and err == "error: Perron residual 9.445e+21 exceeds tol=1e-13 times the root\n"
+
     def test_json_boolean_exits_parse(self, capsys):
         model = '{"transition":[[1,1],[1,1]],"potential":{"order":true,"values":{"1":true,"2":0.5}}}'
         code, out, err = run(capsys, "pressure", model)

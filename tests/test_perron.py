@@ -13,12 +13,18 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.perron import CycleMeanExtremes, _dense_stack, _perron_vectors, perron, perron_stack
+from markovspectra.perron import CycleMeanExtremes, _perron_vectors, _solve_stack, perron, perron_stack
 from markovspectra.spectrum import COMPARE_GRID
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
 
 PHI = (1 + 5**0.5) / 2
+# two blocks with the same Perron root 4, relabelled: dgeev's vectors are
+# positive, and the Newton system is singular
+NOT_SIMPLE = [
+    [2.0, 0.0, 3.0, 0.0, 0.0, 2.0], [0.0, 2.0, 0.0, 2.0, 2.0, 0.0], [2.0, 0.0, 2.0, 0.0, 0.0, 2.0],
+    [0.0, 1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 3.0, 0.0, 2.0, 2.0, 0.0], [1.0, 0.0, 1.0, 0.0, 0.0, 1.0],
+]
 
 
 class TestPerron:
@@ -127,8 +133,10 @@ class TestPerronStack:
             # the right half passes and the left vector has a zero entry
             [[1.0, 1e-200, 0.0], [1.0, 0.0, 1e-200], [1.0, 0.0, 0.0]],
             [[0.0, 0.0, 0.0]] * 3,
+            NOT_SIMPLE,
         ],
-        ids=["closed-form-underflow", "ring3-40", "chain", "chain-transposed", "left-half", "no-positive-entry"],
+        ids=["closed-form-underflow", "ring3-40", "chain", "chain-transposed", "left-half", "no-positive-entry",
+             "not-simple"],
     )
     @pytest.mark.parametrize("position", [0, 2])
     def test_failing_row_raises_its_perron_error(self, bad, position):
@@ -148,8 +156,8 @@ class TestPerronStack:
         # built as the benchmark's compare and spectrum requests build their
         # grids: every COMPARE_GRID tilt of a +-0.5 full 2-shift potential.
         # Three of the twelve grids hold rows that perron refuses (at most
-        # 15, all at |q| >= 16); the stacked solve of every other row is
-        # compared, and the whole grid's stack raises the first refusal
+        # 15, all at |q| >= 16); the grid's stack fails exactly those rows,
+        # solves every other row as perron does, and raises the first refusal
         bf = BetaFunction(random_potential(full2, seed=seed, scale=0.5, order=order))
         bf.build(COMPARE_GRID)
         A = np.stack([bf.matrix(q) for q in COMPARE_GRID])
@@ -160,15 +168,28 @@ class TestPerronStack:
             except NonConvergenceError as exc:
                 errors.append(str(exc))
         assert len(ok) >= 140
-        t = _dense_stack(A[[i for i, _ in ok]])
-        assert t is not None and (t.iterations == 1).all()
-        for j, (_, s) in enumerate(ok):
-            assert (t.root[j], t.residual[j]) == (s.root, s.residual)
-            assert t.left[j].tolist() == s.left.tolist() and t.right[j].tolist() == s.right.tolist()
+        t, failed = _solve_stack(A)
+        assert (t.iterations == 1).all() and np.flatnonzero(~failed).tolist() == [i for i, _ in ok]
+        for i, s in ok:
+            assert (t.root[i], t.residual[i]) == (s.root, s.residual)
+            assert t.left[i].tolist() == s.left.tolist() and t.right[i].tolist() == s.right.tolist()
         if errors:
-            assert _dense_stack(A) is None
             with pytest.raises(NonConvergenceError, match=re.escape(errors[0])):
                 perron_stack(A)
+
+    def test_a_singular_newton_system_fails_its_row_alone(self):
+        # the stacked Newton solve refuses the whole stack; each row is then
+        # solved alone, and only the singular one fails
+        rows = [np.where(np.eye(6) == 1, 0.5, 1.0 + 0.1 * i) for i in range(3)]
+        rows[1] = np.array(NOT_SIMPLE)
+        t, failed = _solve_stack(np.array(rows))
+        assert failed.tolist() == [False, True, False]
+        for i in (0, 2):
+            s = perron(rows[i])
+            assert (t.root[i], t.residual[i]) == (s.root, s.residual)
+            assert t.left[i].tolist() == s.left.tolist() and t.right[i].tolist() == s.right.tolist()
+        with pytest.raises(NonConvergenceError, match="^Perron root is not simple: Singular matrix$"):
+            perron(rows[1])
 
     def test_left_half_failure_prints_its_own_root(self):
         # one dgeev solves both halves and returns a complex stack, as the
@@ -291,7 +312,8 @@ class TestClosedForm:
         # accurate only normwise, to about cond(M - root I) ulps.
         M = 10.0 ** (np.array(log10_entries).reshape(2, 2) + log10_scale)
         t = perron(M)
-        mu, v, u = _perron_vectors((M / M.max())[np.newaxis])
+        mu, v, u, errors = _perron_vectors((M / M.max())[np.newaxis])
+        assert not errors
         v = v[0] / v[0].sum()
         assert t.root == pytest.approx(mu[0] * M.max(), rel=1e-13)
         assert t.right == pytest.approx(v, rel=1e-13)

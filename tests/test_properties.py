@@ -37,7 +37,8 @@ from markovspectra import (
     spectra_equal,
 )
 from markovspectra.cli import main
-from markovspectra.perron import _dense_stack, perron, perron_stack
+from markovspectra.errors import NonConvergenceError
+from markovspectra.perron import _solve_stack, perron, perron_stack
 from conftest import random_aperiodic_base, random_potential
 
 
@@ -139,29 +140,50 @@ class TestPerronData:
 def matrix_stacks(draw):
     """A (k, n, n) stack, k = 1..6, of matrices on random aperiodic supports
     of one size: n = 2..16 with entries e^U(-2, 2), or 2x2 (the closed form)
-    with entries e^U(-30, 30).  From n = 8 a left half's Newton right-hand
-    side rounds differently summed pairwise than left to right; the dense
-    hex pins of test_perron.py fix that order."""
+    with entries e^U(-30, 30).  About a third of the rows are drawn to be
+    refused: dense rows with entries e^U(-400, 400), whose Perron vectors
+    underflow, and 2x2 rows with a zero off-diagonal entry or off-diagonal
+    entries whose product underflows.  From n = 8 a left half's Newton
+    right-hand side rounds differently summed pairwise than left to right;
+    the dense hex pins of test_perron.py fix that order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, spread = (2, 30.0) if draw(st.booleans()) else (draw(st.integers(2, 16)), 2.0)
     k = draw(st.integers(1, 6))
-    return np.array([
-        np.where(random_aperiodic_base(rng, n).entries == 1, np.exp(rng.uniform(-spread, spread, (n, n))), 0.0)
-        for _ in range(k)
-    ])
+    supports = [random_aperiodic_base(rng, n).entries == 1 for _ in range(k)]
+    A = np.array([np.where(s, np.exp(rng.uniform(-spread, spread, (n, n))), 0.0) for s in supports])
+    for i in np.flatnonzero(rng.random(k) < 1 / 3):
+        if n > 2:
+            A[i] = np.where(supports[i], np.exp(rng.uniform(-400.0, 400.0, (n, n))), 0.0)
+        elif rng.random() < 0.5:
+            j = rng.integers(2)
+            A[i, j, 1 - j] = 0.0
+        else:
+            A[i, 0, 1] = A[i, 1, 0] = math.exp(-400.0)
+    return A
 
 
 @bounded(60)
 @given(matrix_stacks())
 def test_perron_stack_rows_are_perron_bit_for_bit(A):
-    stacked = perron_stack(A)
-    if A.shape[1] >= 3:  # solved as a stack, not matrix by matrix
-        assert _dense_stack(A) is not None
+    # the stack fails a row exactly when perron refuses it, solves every
+    # other row as perron does, and raises the first refused row's error
+    stacked, failed = _solve_stack(A)
+    refused = []
     for i, M in enumerate(A):
-        t = perron(M)
+        try:
+            t = perron(M)
+        except NonConvergenceError as exc:
+            refused.append(str(exc))
+            assert failed[i]
+            continue
+        assert not failed[i]
         assert stacked.root[i] == t.root and stacked.residual[i] == t.residual
         assert stacked.left[i].tolist() == t.left.tolist() and stacked.right[i].tolist() == t.right.tolist()
         assert stacked.iterations[i] == t.iterations
+    if refused:
+        with pytest.raises(NonConvergenceError) as first:
+            perron_stack(A)
+        assert str(first.value) == refused[0]
 
 
 @st.composite

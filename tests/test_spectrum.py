@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,9 +202,9 @@ class TestPerronCache:
         n = bf.f2.base.n_symbols
         grid = [q / 4 for q in range(-30, 31, 3)]
         shapes = []
-        stack = spectrum._dense_stack
+        stack = spectrum._solve_stack
         monkeypatch.setattr(spectrum, "ORACLE_BUFFER_FLOATS", rows * n * n)
-        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: shapes.append(A.shape) or stack(A))
+        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: shapes.append(A.shape) or stack(A))
         monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("a stacked grid was solved per q"))
         bf.build(grid)
         bf.solve(grid)
@@ -217,12 +218,19 @@ class TestPerronCache:
             assert t.left.tolist() == fresh.left.tolist() and t.right.tolist() == fresh.right.tolist()
 
     def test_a_failing_stack_is_left_to_the_per_q_solve(self, ring):
+        # the block's rows that perron refuses (q >= 3.75) are not cached, so
+        # their per-q solve raises; the block's other rows are, with perron's bits
         bf = BetaFunction(ring_steep(ring, 0.0))
         bf.build([0.5, 2.0, 3.75, 4.0])
         bf.solve([0.5, 2.0, 3.75, 4.0])
-        assert {0.5, 2.0, 3.75, 4.0}.isdisjoint(bf._triples)
-        assert bf.beta(2.0) == BetaFunction(bf.f2).beta(2.0)
-        with pytest.raises(NonConvergenceError):
+        assert {0.5, 2.0} <= set(bf._triples) and {3.75, 4.0}.isdisjoint(bf._triples)
+        for q in (0.5, 2.0):
+            t, fresh = bf._triples[q], perron(bf.matrix(q))
+            assert (t.root, t.residual, t.iterations) == (fresh.root, fresh.residual, fresh.iterations)
+            assert t.left.tolist() == fresh.left.tolist() and t.right.tolist() == fresh.right.tolist()
+        with pytest.raises(NonConvergenceError) as single:
+            perron(bf.matrix(3.75))
+        with pytest.raises(NonConvergenceError, match=re.escape(str(single.value))):
             bf.beta(3.75)
 
     @pytest.mark.parametrize("q", [1.0, -2.0, 0.5])
@@ -387,7 +395,7 @@ class TestSampleSpectrum:
         build, solve = spectrum._exp_on_support, spectrum.perron
         monkeypatch.setattr(spectrum, "_exp_on_support", lambda *a, **k: built.append(a) or build(*a, **k))
         monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
-        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
+        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
         bf = BetaFunction(random_potential(full2, seed=4))
         sample_spectrum(bf, grid)
         assert len(built) == 2 and built[0][1] == 1.0
@@ -401,8 +409,8 @@ class TestSampleSpectrum:
         # cross-check's perron of each built matrix
         bf = BetaFunction(random_potential(ring, seed=4))
         stacks, solves = [], []
-        stack, solve = spectrum._dense_stack, spectrum.perron
-        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: stacks.append(A) or stack(A))
+        stack, solve = spectrum._solve_stack, spectrum.perron
+        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacks.append(A) or stack(A))
         monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
         sample_spectrum(bf, grid)
         new = [q for q in grid if q != 1.0]  # q = 1 was solved for the pressure
@@ -497,7 +505,7 @@ class TestSpectraEqual:
         solves = []
         solve = spectrum.perron
         monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
-        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: pytest.fail("the scan stopped in the lead"))
+        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: pytest.fail("the scan stopped in the lead"))
         cmp = spectra_equal(ring_steep(ring, 0.0), ring_steep(ring, 0.5))
         assert not cmp.equal and cmp.witness_q == 0.25 and cmp.beta_gap > 1e-9
         assert len(solves) == 2 + 2 * 2  # q = 1 for each pressure, then q = 0 and 0.25
@@ -510,8 +518,8 @@ class TestSpectraEqual:
         bf = BetaFunction(f)
         bf.build(rest)
         stacks, solves = [], []
-        stack, solve = spectrum._dense_stack, spectrum.perron
-        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: stacks.append(A) or stack(A))
+        stack, solve = spectrum._solve_stack, spectrum.perron
+        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacks.append(A) or stack(A))
         monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
         assert spectra_equal(f, f).equal
         assert [A.tolist() for A in stacks] == [[bf.matrix(q).tolist() for q in rest]] * 2
@@ -523,22 +531,23 @@ class TestSpectraEqual:
         # q = -0.5, past the lead, so the grid past the lead is stacked.  Its
         # stack holds rows where the dense solve fails: from q = 3.75 on
         # ring_steep, and at q = -18.5 on the order-2 potential, whose
-        # residual product overflows with a RuntimeWarning (an error under
-        # pytest).  The comparison must neither raise nor warn.
+        # residual product overflows (a RuntimeWarning, an error under
+        # pytest, were it not silenced).  The stack raises perron's error in
+        # both cases; the comparison must neither raise nor warn.
         if case == "fails":
-            f, tol, error = ring_steep(ring, 0.0), 0.075, NonConvergenceError
+            f, tol = ring_steep(ring, 0.0), 0.075
         else:
-            f, tol, error = random_potential(ring, seed=16, scale=34.0, order=2), 0.1, RuntimeWarning
+            f, tol = random_potential(ring, seed=16, scale=34.0, order=2), 0.1
         bf = BetaFunction(f)
         bf.build(spectrum.COMPARE_GRID)
-        with pytest.raises(error):
+        with pytest.raises(NonConvergenceError):
             perron_stack(np.stack([bf.matrix(q) for q in spectrum.COMPARE_GRID]))
         stacked = []
-        stack = spectrum._dense_stack
-        monkeypatch.setattr(spectrum, "_dense_stack", lambda A: stacked.append(stack(A)) or stacked[-1])
+        stack = spectrum._solve_stack
+        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacked.append(stack(A)) or stacked[-1])
         cmp = spectra_equal(f, f.scale(1.01), tol)
         assert not cmp.equal and cmp.witness_q == -0.5 and cmp.beta_gap > tol
-        assert len(stacked) == 2 and None in stacked
+        assert len(stacked) == 2 and any(failed.any() for _, failed in stacked)
 
     def test_failing_solve_raises_at_its_q(self, ring, monkeypatch):
         # the first q of the grid whose per-q solve fails raises that
