@@ -88,16 +88,22 @@ def cmd_pressure(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model = parse_model(args.model)
-    stop = args.qmax + args.qstep / 2
+    qmin, qmax, qstep = args.qmin, args.qmax, args.qstep
+    if qmin > qmax:
+        raise ValueError(f"empty q grid: --qmin {qmin} exceeds --qmax {qmax}")
+    stop = qmax + qstep / 2
     # np.arange makes ceil((stop - qmin) / qstep) points; inf when the range overflows
-    if (stop - args.qmin) / args.qstep > MAX_Q_POINTS:
+    if (stop - qmin) / qstep > MAX_Q_POINTS:
         raise ValueError(
-            f"q grid too large: --qmin {args.qmin} --qmax {args.qmax} --qstep {args.qstep}"
+            f"q grid too large: --qmin {qmin} --qmax {qmax} --qstep {qstep}"
             f" give more than {MAX_Q_POINTS} points"
         )
-    grid = np.arange(args.qmin, stop, args.qstep)
-    if grid.size == 0:
-        raise ValueError(f"empty q grid: --qmin {args.qmin} exceeds --qmax {args.qmax}")
+    # arange's values, but only its points qmin + i qstep up to qmax within the
+    # rounding of the inputs, and qmin alone where qmax absorbs qstep / 2
+    grid = np.arange(qmin, stop, qstep)
+    i = np.arange(grid.size)
+    slack = 4 * np.finfo(float).eps * (abs(qmin) + abs(qmax) + i * qstep)
+    grid = grid[i * qstep <= qmax - qmin + slack] if grid.size else np.array([qmin])
     bf = BetaFunction(model.potential)
     curve = sample_spectrum(bf, grid)
     if args.out:

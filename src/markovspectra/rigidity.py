@@ -19,8 +19,8 @@ from .perron import perron, perron_stack
 from .shiftspace import TransitionMatrix, Word, out_degrees
 from .sim import _trial_rngs
 from .thermo import (
-    ORACLE_BUFFER_FLOATS,
     Potential,
+    _blocks,
     _exp_on_support,
     _normalized_table,
     gibbs_markov,
@@ -92,14 +92,18 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
     an edge e = (i, j), r(e) = w_i / w_j with w = v (``right-v``) or
     w = 1/u (``left-u``); the latter matches the collision condition of the
     normalized potential exactly.  Each verdict is cross-reported against
-    the definitional collision test.
+    the definitional collision test.  ``Af`` is checked before any solve: a
+    non-finite or negative entry raises ValueError, and a support that is
+    not square and primitive raises AperiodicityError.
     """
     if orientation not in ("right-v", "left-u"):
         raise ValueError("orientation must be 'right-v' or 'left-u'")
+    Af = np.asarray(Af, dtype=float)
+    if not (np.isfinite(Af) & (Af >= 0)).all():
+        raise ValueError("edge matrix entries must be finite and non-negative")
+    base = TransitionMatrix.from_entries((Af > 0).astype(int))
     triple = perron(Af)
     w = triple.right if orientation == "right-v" else 1.0 / triple.left
-
-    base = TransitionMatrix.from_entries((Af > 0).astype(int))
     f = Potential.from_matrix_log(base, Af)
     _, collisions = _distinct_values(normalize_potential(f).table[np.newaxis])
     colliding = np.zeros((len(f.words),) * 2, dtype=bool)
@@ -202,13 +206,9 @@ class DensityProbeResult:
 
 def _member_rows(f2: Potential, tables: np.ndarray) -> np.ndarray:
     """g_n_membership(...).member of each row of a (k, E) stack of f2's
-    tables, solved in blocks whose matrices hold at most ORACLE_BUFFER_FLOATS
-    floats, as in pressure_by_preimages."""
-    n = f2.base.n_symbols
-    block = max(1, ORACLE_BUFFER_FLOATS // (n * n))
+    tables, solved in stacked blocks (``thermo._blocks``)."""
     member = []
-    for start in range(0, len(tables), block):
-        rows = tables[start : start + block]
+    for rows in _blocks(tables, f2.base.n_symbols**2):
         left = perron_stack(_exp_on_support(f2, table=rows)).left
         margin, _ = _distinct_values(_normalized_table(f2, left, rows))
         member.extend((margin > GAP_TOL).tolist())

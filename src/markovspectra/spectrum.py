@@ -14,9 +14,9 @@ import numpy as np
 from .errors import PotentialRangeError, SolverError
 from .perron import PerronTriple, _solve_stack, cycle_mean_extremes, perron
 from .thermo import (
-    ORACLE_BUFFER_FLOATS,
     MarkovMeasure,
     Potential,
+    _blocks,
     _exp_on_support,
     _gibbs,
     _table_array,
@@ -30,10 +30,10 @@ CROSS_CHECK_TOL = 1e-8
 
 
 class BetaFunction:
-    """Evaluator for beta(q) = P(qf) - qP(f).  Each solved q caches A(qf)
-    and its Perron triple; ``build`` caches the A(qf) of a grid of q in
-    stacked blocks, each solved when its q is first asked for, or by
-    ``solve`` in stacked blocks."""
+    """Evaluator for beta(q) = P(qf) - qP(f).  Each q caches A(qf) once it
+    is built and its Perron triple once it is solved; ``solve`` fills a grid
+    of q in stacked blocks, and any other q is built and solved on its own
+    when first asked for."""
 
     def __init__(self, f: Potential):
         self.f2, _ = reduce_to_order2(f)
@@ -43,49 +43,36 @@ class BetaFunction:
         self.pressure = math.log(self.triple(1.0).root)
 
     def matrix(self, q: float) -> np.ndarray:
-        """A(qf) = exp(q f) on the support, 0 elsewhere; read-only, and the
-        matrix that q's solve reads, once q is built or solved."""
-        return self._matrices[q] if q in self._matrices else _exp_on_support(self.f2, q)
+        """A(qf) = exp(q f) on the support, 0 elsewhere: read-only, built
+        and cached on first use, and the matrix that q's solve reads."""
+        if q not in self._matrices:
+            A = _exp_on_support(self.f2, q)
+            A.setflags(write=False)
+            self._matrices[q] = A
+        return self._matrices[q]
 
-    def build(self, qs) -> None:
-        """Cache A(qf) for each q of ``qs`` not yet built, in stacked builds
-        of at most ORACLE_BUFFER_FLOATS floats each, and solve none.
-
-        Bit for bit the per-q build: the stacked table holds the same IEEE
-        products q * v, and math.exp(1.0 * t) is math.exp(t).  A block with
-        a tilt out of range is not cached, so that its per-q build raises
-        at that q, with the tilt in the message.
-        """
+    def solve(self, qs) -> None:
+        """Build A(qf) for each q of ``qs`` not yet built, one stacked build
+        per ``thermo._blocks`` block, and on 3 or more states solve that
+        block with one ``_solve_stack``: bit for bit the per-q build (the
+        same IEEE products q * v, and math.exp(1.0 * t) is math.exp(t)) and
+        ``perron``.  A block with a tilt out of range is not cached, nor is
+        the triple of a row that ``perron`` refuses, so that such a q raises
+        its own error when asked for."""
+        n = self.f2.base.n_symbols
         todo = [q for q in qs if q not in self._matrices]
-        block = max(1, ORACLE_BUFFER_FLOATS // self.f2.base.n_symbols**2)
-        for start in range(0, len(todo), block):
-            rows = todo[start : start + block]
+        for rows in _blocks(todo, n * n):
             try:
                 A = _exp_on_support(self.f2, table=np.multiply.outer(rows, self.f2.table))
             except PotentialRangeError:
                 continue
             A.setflags(write=False)
             self._matrices.update(zip(rows, A))
-
-    def solve(self, qs) -> None:
-        """Cache the Perron triple of each q of ``qs`` built and not yet
-        solved, from one stacked solve (``_solve_stack``) per block of at
-        most ORACLE_BUFFER_FLOATS floats.
-
-        Each triple is ``perron``'s, bit for bit.  A row that ``perron``
-        refuses is not cached, so that its per-q solve raises at that q.
-        """
-        n = self.f2.base.n_symbols
-        if n == 2:
-            # 2-symbol grids stay solved one q at a time, only because the
-            # benchmark pins their perron calls (ROADMAP item 2b): delete
-            # this return when 2b re-pins the counts
-            return
-        todo = [q for q in qs if q in self._matrices and q not in self._triples]
-        block = max(1, ORACLE_BUFFER_FLOATS // n**2)
-        for start in range(0, len(todo), block):
-            rows = todo[start : start + block]
-            t, failed = _solve_stack(np.stack([self._matrices[q] for q in rows]))
+            if n == 2:
+                # solved one q at a time only because the benchmark pins their
+                # perron calls: delete this if when ROADMAP item 2b re-pins them
+                continue
+            t, failed = _solve_stack(A)
             for i in np.flatnonzero(~failed):
                 self._triples[rows[i]] = PerronTriple(
                     float(t.root[i]), t.left[i], t.right[i], float(t.residual[i]), int(t.iterations[i])
@@ -93,12 +80,7 @@ class BetaFunction:
 
     def triple(self, q: float) -> PerronTriple:
         if q not in self._triples:
-            A = self._matrices.get(q)
-            if A is None:
-                A = _exp_on_support(self.f2, q)
-                A.setflags(write=False)
-            self._triples[q] = perron(A)
-            self._matrices[q] = A
+            self._triples[q] = perron(self.matrix(q))
         return self._triples[q]
 
     def gibbs(self, q: float) -> MarkovMeasure:
@@ -271,8 +253,8 @@ class SpectrumCurve:
 def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
     """Parametric spectrum samples (q, alpha(q), beta(q), E) over a sorted grid.
 
-    The grid is built and solved (``BetaFunction.build``, ``solve``)
-    before it is scanned.  Each entropy value is cross-checked against the
+    The grid is filled by one ``BetaFunction.solve`` before it is
+    scanned.  Each entropy value is cross-checked against the
     entropy rate of the tilted Gibbs measure, from a second solve of the
     built matrix.  A degenerate curve is one point: every sample reports
     alpha_min and E = beta(0), not the rounding noise around them.
@@ -286,7 +268,6 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
         raise ValueError("q grid must be sorted")
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
     rng = alpha_range(bf)
-    bf.build(grid)
     bf.solve(grid)
     samples = []
     for q in grid:
@@ -328,24 +309,21 @@ def spectra_equal(f: Potential, g: Potential, tol: float = 1e-9) -> SpectraCompa
 
     Equal iff beta agrees on the whole grid and the alpha-range endpoints
     agree; COMPARE_GRID is scanned in order, so the reported witness is
-    the smallest-magnitude disagreeing point.  The whole grid is built for
-    both potentials (``BetaFunction.build``) before it is scanned.  The
-    first SCAN_LEAD q are solved one at a time, so a scan that stops there
-    solves nothing past its witness; the rest of the grid is solved in
-    stacked blocks (``BetaFunction.solve``) once the scan is past them.  A
-    block that fails to build, or a q whose stacked solve fails, is left to
-    the scan, so a witness before the failing q is still reported, and a
-    failing q raises its own error.  On 2-symbol forms every q is solved
-    one at a time as the scan reaches it: the benchmark pins the number of
-    ``perron`` calls a compare makes (ROADMAP item 2b).
+    the smallest-magnitude disagreeing point.  The first SCAN_LEAD q are
+    built and solved one at a time, so a scan that stops there builds and
+    solves nothing past its witness; the rest of the grid is filled for
+    both potentials by one ``BetaFunction.solve`` each once the scan
+    reaches it.  A block that fails to build, or a q whose stacked solve
+    fails, is left to the scan, so a witness before the failing q is still
+    reported, and a failing q raises its own error.  On 2-symbol forms
+    every q is solved one at a time as the scan reaches it: the benchmark
+    pins the number of ``perron`` calls a compare makes (ROADMAP item 2b).
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     bf, bg = BetaFunction(f), BetaFunction(g)
     rf, rg = alpha_range(bf), alpha_range(bg)
     endpoint_gap = max(abs(rf.alpha_min - rg.alpha_min), abs(rf.alpha_max - rg.alpha_max))
-    bf.build(COMPARE_GRID)
-    bg.build(COMPARE_GRID)
     for i, q in enumerate(COMPARE_GRID):
         if i == SCAN_LEAD:
             bf.solve(COMPARE_GRID[i:])

@@ -141,9 +141,16 @@ def pressure(f: Potential) -> float:
     return math.log(triple.root)
 
 
-# Floats in pressure_by_preimages' dense buffer (2 MiB): up to 64 recoded
-# symbols run in one block, 256 symbols run 4 terminals a block.
+# Floats in one stacked block (2 MiB), read by _blocks only: 2**18 // n**2
+# terminals, tilts or tables of n symbols a block, 64 at n = 64 and 4 at 256.
 ORACLE_BUFFER_FLOATS = 2**18
+
+
+def _blocks(items, floats_each: int):
+    """Consecutive slices of ``items`` that hold at most ORACLE_BUFFER_FLOATS
+    floats at ``floats_each`` an item (one item where that is more)."""
+    size = max(1, ORACLE_BUFFER_FLOATS // floats_each)
+    return [items[start : start + size] for start in range(0, len(items), size)]
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -165,8 +172,7 @@ def pressure_by_preimages(f: Potential, depth: int) -> list[float]:
     pairwise, grouped by position, so summing the edges alone would change
     the last bits.  The dense sum gives every estimate the bits of a
     one-terminal loop of n x n log-sum-exp steps.  Terminals run in blocks
-    whose dense buffer holds at most ORACLE_BUFFER_FLOATS floats (one
-    terminal's n x n floats when that is more).
+    whose dense buffer holds at most ORACLE_BUFFER_FLOATS floats (``_blocks``).
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -175,10 +181,9 @@ def pressure_by_preimages(f: Potential, depth: int) -> list[float]:
     src, dst = f2.base.edge_index  # row-major: each row's edges are contiguous
     row_starts = np.flatnonzero(np.diff(src, prepend=-1))  # a primitive support has no empty row
     w = np.log(edge_matrix(f2)[src, dst])
-    block = max(1, ORACLE_BUFFER_FLOATS // (n * n))
     estimates: list[float] = []
-    for first in range(0, n, block):
-        log_col = np.where(np.eye(n, dtype=bool)[first : first + block], 0.0, -np.inf)
+    for terminals in _blocks(np.eye(n, dtype=bool), n * n):
+        log_col = np.where(terminals, 0.0, -np.inf)
         dense = np.zeros((log_col.shape[0], n, n))  # off-edge entries stay 0
         for _ in range(depth):
             prev = log_col
@@ -303,15 +308,12 @@ def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
     read on the order-2 form's alphabet: the recoded blocks for order >= 3."""
     if len(w) < 2:
         raise WordLengthError("jacobian needs a word of length at least 2")
+    if kind not in ("eigen", "gibbs"):
+        raise ValueError("kind must be 'eigen' or 'gibbs'")
     f2, _, triple = _reduced_triple(f)
     if not f2.base.admits(w):
         raise ValueError(f"word {tuple(w)!r} is not admissible")
-    if kind == "eigen":
-        g = f2
-    elif kind == "gibbs":
-        g = _normalized(f2, triple)
-    else:
-        raise ValueError("kind must be 'eigen' or 'gibbs'")
+    g = f2 if kind == "eigen" else _normalized(f2, triple)
     return math.exp(g.values[tuple(w[:2])]) / triple.root
 
 

@@ -89,6 +89,29 @@ class TestSpectrum:
             q, a, b, e = (float(row[k]) for k in ("q", "alpha", "beta", "E"))
             assert e == pytest.approx(b + q * a, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "qmin, qmax, qstep, expected",
+        [("0", "0.8", "0.5", [0.0, 0.5]), ("0.1", "0.3", "0.1", [0.1, 0.2, 0.30000000000000004])],
+        ids=["past-qmax", "rounding"],
+    )
+    def test_grid_ends_at_qmax(self, capsys, tmp_path, qmin, qmax, qstep, expected):
+        # np.arange stops at qmax + qstep / 2, so it wrote a row at q = 1.0
+        # past --qmax 0.8; a point past qmax only by rounding stays
+        out_csv = tmp_path / "grid.csv"
+        code, _, _ = run(
+            capsys, "spectrum", P1_THIRD, "--qmin", qmin, "--qmax", qmax, "--qstep", qstep, "--out", str(out_csv)
+        )
+        assert code == EXIT_OK
+        with open(out_csv) as handle:
+            assert [float(row["q"]) for row in csv.DictReader(handle)] == expected
+
+    def test_grid_holds_qmin_where_qmax_absorbs_half_a_step(self, capsys):
+        # 1e17 + 0.5 rounds to 1e17, so np.arange made no point and the CLI
+        # said "--qmin 1e+17 exceeds --qmax 1e+17"; the grid is q = 1e17 alone
+        code, out, err = run(capsys, "spectrum", P1_THIRD, "--qmin", "1e17", "--qmax", "1e17", "--qstep", "1")
+        assert code == EXIT_MATH and out == ""
+        assert "exceeds" not in err and "times q=1e+17 is out of floating-point range" in err
+
     def test_csv_repr_round_trip(self, capsys, tmp_path):
         out_csv = tmp_path / "c.csv"
         run(capsys, "spectrum", P1_THIRD, "--qstep", "2", "--out", str(out_csv))

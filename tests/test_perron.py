@@ -154,12 +154,13 @@ class TestPerronStack:
     @pytest.mark.parametrize("seed", range(4))
     def test_compare_grid_rows_are_perron_bit_for_bit(self, full2, order, seed):
         # built as the benchmark's compare and spectrum requests build their
-        # grids: every COMPARE_GRID tilt of a +-0.5 full 2-shift potential.
+        # grids (BetaFunction.solve): every COMPARE_GRID tilt of a +-0.5 full
+        # 2-shift potential.
         # Three of the twelve grids hold rows that perron refuses (at most
         # 15, all at |q| >= 16); the grid's stack fails exactly those rows,
         # solves every other row as perron does, and raises the first refusal
         bf = BetaFunction(random_potential(full2, seed=seed, scale=0.5, order=order))
-        bf.build(COMPARE_GRID)
+        bf.solve(COMPARE_GRID)
         A = np.stack([bf.matrix(q) for q in COMPARE_GRID])
         ok, errors = [], []
         for i, M in enumerate(A):

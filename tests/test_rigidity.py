@@ -28,6 +28,7 @@ from markovspectra import (
     ring3,
     spectra_equal,
 )
+from markovspectra.errors import AperiodicityError
 from markovspectra.perron import perron, perron_stack
 from markovspectra.rigidity import GAP_TOL, OPENNESS_SUBTRIALS, DensityProbeResult, PairCheck
 from markovspectra.shiftspace import TransitionMatrix
@@ -217,6 +218,32 @@ class TestAppendixConditionCheck:
     def test_bad_orientation(self, f_p2_third):
         with pytest.raises(ValueError):
             appendix_condition_check(edge_matrix(f_p2_third), orientation="up")
+
+    @pytest.mark.parametrize(
+        "Af, error, message",
+        [
+            ([[1, 0], [0, 1]], AperiodicityError, "not primitive"),
+            ([[1, 1], [0, 1]], AperiodicityError, "not primitive"),
+            ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], AperiodicityError, "not primitive"),
+            ([[1, 1, 1], [1, 1, 1]], AperiodicityError, "not square"),
+            ([[1, 1, -0.5], [1, 1, 1], [1, 1, 1]], ValueError, "finite and non-negative"),
+            ([[1, math.nan], [1, 1]], ValueError, "finite and non-negative"),
+            ([[1, math.inf], [1, 1]], ValueError, "finite and non-negative"),
+        ],
+        ids=["identity", "triangular", "block-diagonal", "2x3", "negative", "nan", "inf"],
+    )
+    def test_outside_matrix_checked_before_any_solve(self, monkeypatch, Af, error, message):
+        # these were solved first: they raised NonConvergenceError or NumPy's
+        # concatenate error, and the negative entry returned checks of a
+        # Perron vector its potential did not come from
+        def no_solve(A):
+            raise AssertionError("solved before the matrix was checked")
+
+        monkeypatch.setattr("markovspectra.rigidity.perron", no_solve)
+        monkeypatch.setattr("markovspectra.thermo.perron", no_solve)
+        for orientation in ("right-v", "left-u"):
+            with pytest.raises(error, match=message):
+                appendix_condition_check(np.array(Af, dtype=float), orientation)
 
     @pytest.mark.parametrize("orientation", ["right-v", "left-u"])
     def test_records_match_loop_reference(self, orientation):
@@ -424,7 +451,7 @@ class TestDensityProbeReference:
             shapes.append(A.shape)
             return perron_stack(A)
 
-        monkeypatch.setattr("markovspectra.rigidity.ORACLE_BUFFER_FLOATS", rows * n * n)
+        monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", rows * n * n)
         monkeypatch.setattr("markovspectra.rigidity.perron_stack", spy)
         assert density_probe(f, 0.05, 7, 3) == reference_density_probe(f, 0.05, 7, 3)
         assert shapes and all(k <= rows and m == n for k, m, _ in shapes)

@@ -168,11 +168,13 @@ class TestPerronCache:
         assert built == qs
         assert len(solves) == len(qs) and all(bf.matrix(q) is A for q, A in zip(qs, solves))
 
-    def test_grid_build_is_the_per_q_build_and_solves_nothing(self, ring, monkeypatch):
-        bf = BetaFunction(random_potential(ring, seed=4))
+    def test_grid_build_is_the_per_q_build_and_solves_nothing(self, full2, monkeypatch):
+        # on 2 symbols solve builds the grid's tilts, stacked, and solves none
+        bf = BetaFunction(random_potential(full2, seed=4))
         grid = [0.0, 0.25, -0.25, 3.0, -7.5]
-        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("build made a Perron solve"))
-        bf.build(grid + grid[::-1])
+        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("a 2-symbol grid was solved"))
+        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
+        bf.solve(grid + grid[::-1])
         built = [bf.matrix(q) for q in grid]
         for q, A in zip(grid, built):
             assert A.tolist() == spectrum._exp_on_support(bf.f2, q).tolist()
@@ -184,11 +186,10 @@ class TestPerronCache:
             assert t.root == fresh.root and t.left.tolist() == fresh.left.tolist()
 
     def test_a_block_out_of_range_is_left_to_the_per_q_build(self, full2, monkeypatch):
-        monkeypatch.setattr(spectrum, "ORACLE_BUFFER_FLOATS", 2 * 4)  # two q a block on 2 symbols
+        monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", 2 * 4)  # two q a block on 2 symbols
         bf = BetaFunction(steep(full2, 0.0))
-        bf.build([0.5, 1.5, 17.5, 17.75])
-        assert bf.matrix(1.5) is bf.matrix(1.5)
-        assert bf.matrix(17.5) is not bf.matrix(17.5)
+        bf.solve([0.5, 1.5, 17.5, 17.75])
+        assert {0.5, 1.5} <= set(bf._matrices) and {17.5, 17.75}.isdisjoint(bf._matrices)
         bf.beta(17.5)
         with pytest.raises(PotentialRangeError, match=r"40\.0 times q=17\.75 is out"):
             bf.beta(17.75)
@@ -196,22 +197,24 @@ class TestPerronCache:
     @pytest.mark.parametrize("order", [1, 3])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_stacked_solves_are_bounded_and_per_q_bit_for_bit(self, ring, monkeypatch, order, rows):
-        # each stacked solve holds at most ORACLE_BUFFER_FLOATS floats of
-        # matrices, and caches the triple that perron gives each q
+        # each stacked build and solve holds at most ORACLE_BUFFER_FLOATS
+        # floats of matrices, and caches the per-q build of each q and the
+        # triple that perron gives it
         bf = BetaFunction(random_potential(ring, seed=5, scale=0.5, order=order))
         n = bf.f2.base.n_symbols
         grid = [q / 4 for q in range(-30, 31, 3)]
         shapes = []
         stack = spectrum._solve_stack
-        monkeypatch.setattr(spectrum, "ORACLE_BUFFER_FLOATS", rows * n * n)
+        monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", rows * n * n)
         monkeypatch.setattr(spectrum, "_solve_stack", lambda A: shapes.append(A.shape) or stack(A))
         monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("a stacked grid was solved per q"))
-        bf.build(grid)
         bf.solve(grid)
         assert len(shapes) == math.ceil(len(grid) / rows)
         assert all(k <= rows and m == n for k, m, _ in shapes)
         monkeypatch.undo()
         for q in grid:
+            assert not bf.matrix(q).flags.writeable
+            assert bf.matrix(q).tolist() == spectrum._exp_on_support(bf.f2, q).tolist()
             t, fresh = bf.triple(q), perron(bf.matrix(q))
             assert type(t.root) is float and type(t.residual) is float and type(t.iterations) is int
             assert (t.root, t.residual, t.iterations) == (fresh.root, fresh.residual, fresh.iterations)
@@ -221,7 +224,6 @@ class TestPerronCache:
         # the block's rows that perron refuses (q >= 3.75) are not cached, so
         # their per-q solve raises; the block's other rows are, with perron's bits
         bf = BetaFunction(ring_steep(ring, 0.0))
-        bf.build([0.5, 2.0, 3.75, 4.0])
         bf.solve([0.5, 2.0, 3.75, 4.0])
         assert {0.5, 2.0} <= set(bf._triples) and {3.75, 4.0}.isdisjoint(bf._triples)
         for q in (0.5, 2.0):
@@ -245,7 +247,7 @@ class TestPerronCache:
         ]
         for f in fs:
             bf = BetaFunction(f)
-            bf.build([-3.0, q, 0.25])
+            bf.solve([-3.0, q, 0.25])
             expected = gibbs_markov(bf.f2.scale(q))
             A = bf.matrix(q)
             for mu in (bf.gibbs(q), spectrum._gibbs(bf.f2, A, spectrum.perron(A))):
@@ -479,17 +481,31 @@ class TestSpectraEqual:
 
     @pytest.mark.parametrize("twin", [True, False])
     def test_one_build_per_potential(self, f_p1_third, f_p2_third, monkeypatch, twin):
-        # an equal compare scans the whole grid, an unequal one stops early;
-        # either way each potential's grid is built by one call, however
-        # many stacked blocks that call makes
-        monkeypatch.setattr(spectrum, "ORACLE_BUFFER_FLOATS", 16 * 4)
-        calls = []
-        build = BetaFunction.build
-        monkeypatch.setattr(BetaFunction, "build", lambda bf, qs: calls.append((bf, qs)) or build(bf, qs))
+        # an equal compare scans the whole grid: each potential's grid past
+        # the lead is filled by one solve call, however many stacked blocks
+        # that call builds.  An unequal one whose witness is in the lead
+        # (here q = 0.25) makes no stacked build
+        monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", 16 * 4)
+        calls, stacked = [], []
+        solve, build = BetaFunction.solve, spectrum._exp_on_support
+
+        def spy(f2, q=1.0, table=None):
+            if table is not None:
+                stacked.append(len(table))
+            return build(f2, q, table)
+
+        monkeypatch.setattr(BetaFunction, "solve", lambda bf, qs: calls.append((bf, qs)) or solve(bf, qs))
+        monkeypatch.setattr(spectrum, "_exp_on_support", spy)
         g = f_p2_third if twin else log_p1_potential(1 / 4)
-        assert spectra_equal(f_p1_third, g).equal == twin
-        assert [qs for _, qs in calls] == [spectrum.COMPARE_GRID] * 2
-        assert calls[0][0] is not calls[1][0]
+        cmp = spectra_equal(f_p1_third, g)
+        assert cmp.equal == twin
+        if twin:
+            rest = [q for q in spectrum.COMPARE_GRID[spectrum.SCAN_LEAD :] if q != 1.0]
+            assert [qs for _, qs in calls] == [spectrum.COMPARE_GRID[spectrum.SCAN_LEAD :]] * 2
+            assert calls[0][0] is not calls[1][0]
+            assert sum(stacked) == 2 * len(rest) and max(stacked) == 16
+        else:
+            assert cmp.witness_q == 0.25 and calls == [] and stacked == []
 
     def test_tilt_out_of_range_past_the_witness_raises_nothing(self, full2):
         # the grid's one block holds q = 17.75, where exp(40 q) overflows; the
@@ -512,11 +528,11 @@ class TestSpectraEqual:
 
     def test_an_equal_compare_stacks_the_grid_past_the_lead(self, ring, monkeypatch):
         # one stacked solve a potential, of every q past the first SCAN_LEAD
-        # but q = 1, which was solved for the pressure
+        # but q = 1, which was solved for the pressure; each holds the per-q
+        # builds of its q
         f = random_potential(ring, seed=3)
         rest = [q for q in spectrum.COMPARE_GRID[spectrum.SCAN_LEAD :] if q != 1.0]
         bf = BetaFunction(f)
-        bf.build(rest)
         stacks, solves = [], []
         stack, solve = spectrum._solve_stack, spectrum.perron
         monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacks.append(A) or stack(A))
@@ -539,7 +555,6 @@ class TestSpectraEqual:
         else:
             f, tol = random_potential(ring, seed=16, scale=34.0, order=2), 0.1
         bf = BetaFunction(f)
-        bf.build(spectrum.COMPARE_GRID)
         with pytest.raises(NonConvergenceError):
             perron_stack(np.stack([bf.matrix(q) for q in spectrum.COMPARE_GRID]))
         stacked = []

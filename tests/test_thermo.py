@@ -390,6 +390,11 @@ class TestJacobians:
         with pytest.raises(WordLengthError):
             jacobian(f_p1_third, (1,))
 
+    def test_bad_kind_refused_before_solving(self, f_p1_third, monkeypatch):
+        monkeypatch.setattr("markovspectra.thermo.perron", lambda A: pytest.fail("solved before the kind was checked"))
+        with pytest.raises(ValueError, match="kind must be 'eigen' or 'gibbs'"):
+            jacobian(f_p1_third, (1, 2), kind="up")
+
     @pytest.mark.parametrize("kind", ["gibbs", "eigen"])
     def test_inadmissible_word_refused(self, golden, kind):
         # it raised a bare KeyError: (2, 2)
