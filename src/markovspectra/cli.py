@@ -104,6 +104,11 @@ def cmd_spectrum(args) -> int:
     i = np.arange(grid.size)
     slack = 4 * np.finfo(float).eps * (abs(qmin) + abs(qmax) + i * qstep)
     grid = grid[i * qstep <= qmax - qmin + slack] if grid.size else np.array([qmin])
+    # arange steps by (qmin + qstep) - qmin, which rounds to 0 below the spacing of doubles at qmin
+    if (np.diff(grid) <= 0).any():
+        raise ValueError(
+            f"q grid repeats points: --qstep {qstep} is below the spacing of doubles at --qmin {qmin}"
+        )
     bf = BetaFunction(model.potential)
     curve = sample_spectrum(bf, grid)
     if args.out:

@@ -254,10 +254,13 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
     """Parametric spectrum samples (q, alpha(q), beta(q), E) over a sorted grid.
 
     The grid is filled by one ``BetaFunction.solve`` before it is
-    scanned.  Each entropy value is cross-checked against the
-    entropy rate of the tilted Gibbs measure, from a second solve of the
-    built matrix.  A degenerate curve is one point: every sample reports
-    alpha_min and E = beta(0), not the rounding noise around them.
+    scanned.  Each entropy value is cross-checked against the entropy rate
+    of the tilted Gibbs measure, which on 3 or more order-2 states reads the
+    grid's stacked solve of q (``perron``'s bits) and on 2 symbols comes
+    from a second ``perron`` solve of the built matrix.  A q whose stacked
+    row was refused raises ``perron``'s error before its cross-check.  A
+    degenerate curve is one point: every sample reports alpha_min and
+    E = beta(0), not the rounding noise around them.
     A grid with a NaN or infinite q is refused before any solve.
     """
     grid = [float(q) for q in q_grid]
@@ -274,9 +277,13 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
         a = bf.alpha(q)
         b = bf.beta(q)
         e = b + q * a
-        # re-solves the matrix q's triple read; ROADMAP items 2 and 3 drop it
-        A = bf.matrix(q)
-        h = entropy_rate(_gibbs(bf.f2, A, perron(A)))
+        if bf.f2.base.n_symbols == 2:
+            # solved one q at a time only because the benchmark pins their
+            # perron calls: delete this if when ROADMAP item 2b re-pins them
+            A = bf.matrix(q)
+            h = entropy_rate(_gibbs(bf.f2, A, perron(A)))
+        else:
+            h = entropy_rate(bf.gibbs(q))
         if abs(e - h) > CROSS_CHECK_TOL:
             raise SolverError(
                 f"duality cross-check failed at q={q}: E={e} vs entropy rate {h}"

@@ -28,6 +28,10 @@ P1_QUARTER = "models/full2_p1_quarter.json"
 P2_THIRD = "models/full2_p2_third.json"
 GOLDEN = "models/golden_zero.json"
 MEMBER = "models/full2_member_example.json"
+RING3_ZERO = "models/ring3_zero.json"
+FULL3_ORDER1 = json.dumps(
+    {"transition": [[1, 1, 1], [1, 1, 1], [1, 1, 1]], "potential": {"order": 1, "values": {"1": 0.3, "2": -0.2, "3": 0.1}}}
+)
 RING_40_VALUES = (40.0, -40.0, 40.0, -40.0, -40.0, -40.0)
 # The full 2-shift at order 6 recodes to 32 order-2 symbols.
 FULL2_ORDER6 = json.dumps(
@@ -111,6 +115,46 @@ class TestSpectrum:
         code, out, err = run(capsys, "spectrum", P1_THIRD, "--qmin", "1e17", "--qmax", "1e17", "--qstep", "1")
         assert code == EXIT_MATH and out == ""
         assert "exceeds" not in err and "times q=1e+17 is out of floating-point range" in err
+
+    def test_grid_that_repeats_points_refused(self, capsys):
+        # 1e-8 is below the spacing of doubles at 1e9, so arange's step
+        # (qmin + qstep) - qmin rounds to 0: this grid was 96 rows, all q = 1e9
+        code, out, err = run(
+            capsys, "spectrum", "models/full2_zero.json", "--qmin", "1e9", "--qmax", "1.000000000000001e9",
+            "--qstep", "1e-8",
+        )
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: q grid repeats points") and err.count("\n") == 1
+        assert "--qstep 1e-08" in err and "--qmin 1000000000.0" in err
+
+    @pytest.mark.parametrize("model", [RING3_ZERO, FULL3_ORDER1], ids=["ring3_zero", "full3-order1"])
+    def test_three_state_grid_is_one_stacked_solve(self, capsys, monkeypatch, model):
+        # the benchmark pins the solves of 2-symbol requests only.  On 3
+        # order-2 states the default 41-point grid is one stacked solve, its
+        # cross-checks read it, and perron runs twice: for the pressure
+        # (q = 1, in spectrum) and for h_mu's re-solve of that matrix (in thermo)
+        from markovspectra import cli, rigidity, spectrum, thermo
+
+        counts = {}
+
+        def spy(module, name):
+            key, spied = f"{module.__name__.rsplit('.', 1)[1]}.{name}", getattr(module, name)
+            counts[key] = 0
+
+            def counted(A):
+                counts[key] += 1
+                return spied(A)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (cli, rigidity, spectrum, thermo):
+            spy(module, "perron")
+        spy(spectrum, "_solve_stack")
+        code, out, _ = run(capsys, "spectrum", model)
+        assert code == EXIT_OK and json.loads(out)["samples"] == 41
+        assert counts == {
+            "cli.perron": 0, "rigidity.perron": 0, "spectrum.perron": 1, "thermo.perron": 1, "spectrum._solve_stack": 1
+        }
 
     def test_csv_repr_round_trip(self, capsys, tmp_path):
         out_csv = tmp_path / "c.csv"

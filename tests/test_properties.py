@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from markovspectra import (
     alpha_range,
     classify_2x2,
     edge_matrix,
+    entropy_rate,
     log_p1_potential,
     log_p2_potential,
     normalize_potential,
@@ -34,11 +36,13 @@ from markovspectra import (
     pressure,
     pressure_by_preimages,
     reduce_to_order2,
+    sample_spectrum,
     spectra_equal,
 )
 from markovspectra.cli import main
-from markovspectra.errors import NonConvergenceError
+from markovspectra.errors import MarkovSpectraError, NonConvergenceError
 from markovspectra.perron import _solve_stack, perron, perron_stack
+from markovspectra.thermo import _gibbs
 from conftest import random_aperiodic_base, random_potential
 
 
@@ -184,6 +188,49 @@ def test_perron_stack_rows_are_perron_bit_for_bit(A):
         with pytest.raises(NonConvergenceError) as first:
             perron_stack(A)
         assert str(first.value) == refused[0]
+
+
+@st.composite
+def stacked_tilt_grids(draw):
+    """A potential of order 1-3 with values in [-0.4, 0.4] on a random
+    aperiodic support of 3-6 symbols (so 3 or more order-2 states, whose
+    grids are stacked), and a sorted grid of 1-8 q drawn uniformly from
+    [-60, 60].  Past |q| = 20 perron refuses some tilts (about one point in
+    sixteen), so some grids raise: 7 of the 40 drawn below."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    base = random_aperiodic_base(rng, draw(st.integers(3, 6)))
+    f = random_potential(base, seed, scale=0.4, order=draw(st.integers(1, 3)))
+    return f, sorted(rng.uniform(-60.0, 60.0, draw(st.integers(1, 8))).tolist())
+
+
+@bounded(40)
+@given(stacked_tilt_grids())
+def test_cross_check_reads_what_a_per_q_re_solve_gives(f_grid):
+    # sample_spectrum's cross-check once re-solved each built matrix with
+    # perron; it now reads the grid's stacked solve.  The re-solve is the
+    # oracle: the same entropy rate bit for bit, and the same error at the
+    # first q where it raises
+    f, grid = f_grid
+    bf = BetaFunction(f)
+    bf.solve(grid)
+    first = None
+    for q in grid:
+        A = bf.matrix(q)
+        try:
+            h = entropy_rate(_gibbs(bf.f2, A, perron(A)))
+        except MarkovSpectraError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                bf.gibbs(q)
+            first = first or exc
+            continue
+        assert entropy_rate(bf.gibbs(q)) == h
+    if first is None:
+        sample_spectrum(f, grid)
+    else:
+        with pytest.raises(type(first)) as raised:
+            sample_spectrum(f, grid)
+        assert str(raised.value) == str(first)
 
 
 @st.composite

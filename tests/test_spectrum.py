@@ -237,8 +237,9 @@ class TestPerronCache:
 
     @pytest.mark.parametrize("q", [1.0, -2.0, 0.5])
     def test_gibbs_reads_the_solve(self, ring, q):
-        # bf.gibbs and sample_spectrum's second solve of the built matrix are
-        # both the Gibbs measure of the scaled potential, bit for bit
+        # bf.gibbs and a second solve of the built matrix (sample_spectrum's
+        # cross-check on 2 symbols) are both the Gibbs measure of the scaled
+        # potential, bit for bit
         rng = np.random.default_rng(23)
         fs = [random_potential(ring, seed=4)] + [
             random_potential(random_aperiodic_base(rng, n), seed=10 * n + order, order=order)
@@ -407,17 +408,32 @@ class TestSampleSpectrum:
 
     @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0, 2.5], np.arange(-10.0, 10.25, 0.5)], ids=["4", "cli-41"])
     def test_one_stacked_solve_and_one_cross_check_of_each_built_matrix(self, ring, monkeypatch, grid):
-        # n >= 3: one stacked solve for the grid's one block, then the
-        # cross-check's perron of each built matrix
+        # n >= 3: one stacked solve for the grid's one block, and each q's
+        # cross-check reads the Gibbs measure of that solve: no perron call
         bf = BetaFunction(random_potential(ring, seed=4))
-        stacks, solves = [], []
-        stack, solve = spectrum._solve_stack, spectrum.perron
+        stacks, checked = [], []
+        stack, gibbs = spectrum._solve_stack, BetaFunction.gibbs
         monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacks.append(A) or stack(A))
-        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("the cross-check re-solved a stacked q"))
+        monkeypatch.setattr(BetaFunction, "gibbs", lambda self, q: checked.append(q) or gibbs(self, q))
         sample_spectrum(bf, grid)
         new = [q for q in grid if q != 1.0]  # q = 1 was solved for the pressure
         assert len(stacks) == 1 and stacks[0].tolist() == [bf.matrix(q).tolist() for q in new]
-        assert len(solves) == len(grid) and all(A is bf.matrix(q) for q, A in zip(grid, solves))
+        assert checked == list(grid)
+
+    def test_a_refused_row_raises_perrons_message_at_its_q(self, ring, monkeypatch):
+        # ring_steep's stacked rows fail from q = 3.75: the scan solves that
+        # q alone, and perron raises its own message before the cross-check
+        bf = BetaFunction(ring_steep(ring, 0.0))
+        with pytest.raises(NonConvergenceError) as single:
+            perron(spectrum._exp_on_support(bf.f2, 3.75))
+        solves = []
+        solve = spectrum.perron
+        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        with pytest.raises(NonConvergenceError) as raised:
+            sample_spectrum(bf, [0.5, 2.0, 3.75, 4.0])
+        assert str(raised.value) == str(single.value)
+        assert len(solves) == 1 and solves[0] is bf.matrix(3.75)
 
     def test_cross_check_against_tilted_entropy(self, test_potentials):
         # sample_spectrum raises if E != h(mu_{qf}); just exercise it
