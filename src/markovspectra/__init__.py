@@ -51,7 +51,6 @@ from .sim import (
 )
 from .spectrum import (
     AlphaRange,
-    BetaFunction,
     SpectrumCurve,
     alpha_range,
     entropy_spectrum,
@@ -59,6 +58,7 @@ from .spectrum import (
     spectra_equal,
 )
 from .thermo import (
+    BetaFunction,
     GibbsAudit,
     MarkovMeasure,
     Potential,

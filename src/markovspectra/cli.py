@@ -26,9 +26,10 @@ from .modelio import parse_model, serialize_model, word_key
 from .perron import perron
 from .rigidity import classify_2x2, classify_general
 from .shiftspace import word_count
-from .spectrum import BetaFunction, alpha_range, sample_spectrum, spectra_equal
+from .spectrum import alpha_range, sample_spectrum, spectra_equal
 from .sim import empirical_local_entropy
 from .thermo import (
+    BetaFunction,
     entropy_rate,
     gibbs_constant_audit,
     gibbs_markov,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import BetaFunction
-from .thermo import MarkovMeasure, Potential
+from .thermo import BetaFunction, MarkovMeasure, Potential
 
 CHUNK = 512
 BLOCK = 64

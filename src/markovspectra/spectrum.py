@@ -1,4 +1,4 @@
-"""Pressure-difference function beta(q) and the entropy spectrum.
+"""The entropy spectrum, from beta(q) (``thermo.BetaFunction``, re-exported).
 
 The spectrum is always obtained from the Legendre-type variational formula
 E(alpha) = inf_q (beta(q) + q alpha); level sets are never materialized.
@@ -11,119 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PotentialRangeError, SolverError
-from .perron import PerronTriple, _solve_stack, cycle_mean_extremes, perron
-from .thermo import (
-    MarkovMeasure,
-    Potential,
-    _blocks,
-    _exp_on_support,
-    _gibbs,
-    _table_array,
-    entropy_rate,
-    reduce_to_order2,
-)
+from .errors import SolverError
+from .perron import cycle_mean_extremes, perron
+from .thermo import BetaFunction, Potential, _gibbs, entropy_rate
 
 Q_CAP = 200.0
 DEGENERACY_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-8
-
-
-class BetaFunction:
-    """Evaluator for beta(q) = P(qf) - qP(f).  Each q caches A(qf) once it
-    is built and its Perron triple once it is solved; ``solve`` fills a grid
-    of q in stacked blocks, and any other q is built and solved on its own
-    when first asked for."""
-
-    def __init__(self, f: Potential):
-        self.f2, _ = reduce_to_order2(f)
-        self._table = _table_array(self.f2)
-        self._matrices: dict[float, np.ndarray] = {}
-        self._triples: dict[float, PerronTriple] = {}
-        self.pressure = math.log(self.triple(1.0).root)
-
-    def matrix(self, q: float) -> np.ndarray:
-        """A(qf) = exp(q f) on the support, 0 elsewhere: read-only, built
-        and cached on first use, and the matrix that q's solve reads."""
-        if q not in self._matrices:
-            A = _exp_on_support(self.f2, q)
-            A.setflags(write=False)
-            self._matrices[q] = A
-        return self._matrices[q]
-
-    def solve(self, qs) -> None:
-        """Build A(qf) for each q of ``qs`` not yet built, one stacked build
-        per ``thermo._blocks`` block, and on 3 or more states solve that
-        block with one ``_solve_stack``: bit for bit the per-q build (the
-        same IEEE products q * v, and math.exp(1.0 * t) is math.exp(t)) and
-        ``perron``.  A block with a tilt out of range is not cached, nor is
-        the triple of a row that ``perron`` refuses, so that such a q raises
-        its own error when asked for."""
-        n = self.f2.base.n_symbols
-        todo = [q for q in qs if q not in self._matrices]
-        for rows in _blocks(todo, n * n):
-            try:
-                A = _exp_on_support(self.f2, table=np.multiply.outer(rows, self.f2.table))
-            except PotentialRangeError:
-                continue
-            A.setflags(write=False)
-            self._matrices.update(zip(rows, A))
-            if n == 2:
-                # solved one q at a time only because the benchmark pins their
-                # perron calls: delete this if when ROADMAP item 2b re-pins them
-                continue
-            t, failed = _solve_stack(A)
-            for i in np.flatnonzero(~failed):
-                self._triples[rows[i]] = PerronTriple(
-                    float(t.root[i]), t.left[i], t.right[i], float(t.residual[i]), int(t.iterations[i])
-                )
-
-    def triple(self, q: float) -> PerronTriple:
-        if q not in self._triples:
-            self._triples[q] = perron(self.matrix(q))
-        return self._triples[q]
-
-    def gibbs(self, q: float) -> MarkovMeasure:
-        """The Gibbs-Markov measure of qf, from the matrix and triple solved at q."""
-        t = self.triple(q)
-        return _gibbs(self.f2, self._matrices[q], t)
-
-    def beta(self, q: float) -> float:
-        return math.log(self.triple(q).root) - q * self.pressure
-
-    def alpha(self, q: float) -> float:
-        """-beta'(q), from the exact entrywise derivative of the family."""
-        t = self.triple(q)
-        dM = self._table * self.matrix(q)
-        dlam = float(t.left @ dM @ t.right)
-        return self.pressure - dlam / t.root
-
-    def alpha_slope(self, q: float) -> float:
-        """alpha'(q) = -beta''(q): minus the asymptotic variance of f under
-        the Gibbs chain of qf, from the cached Perron data at q (no solve).
-
-        With P the Gibbs matrix of qf, pi = u*v its stationary vector and
-        F~ the table centred at its mean, the variance is
-        pi.((F~*G)1) + 2 pi.(G w), where G = F~*P and w solves
-        (I - P) w = G1, pi.w = 0 (the group inverse of I - P; Meyer 1975).
-        Centring before squaring keeps the relative accuracy where the
-        variance is far below the squared mean.
-        """
-        t = self.triple(q)
-        n = self._table.shape[0]
-        P = self.matrix(q) * t.right / (t.root * t.right[:, None])
-        pi = t.left * t.right
-        mean = pi @ (self._table * P).sum(axis=1)
-        F = self._table - mean  # P is 0 off the support
-        G = F * P
-        g = G.sum(axis=1)
-        # bordered system [[P - I, 1], [pi, 0]] [w; s] = [-g; 0]
-        K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = P - np.eye(n)
-        K[:n, n] = 1.0
-        K[n, :n] = pi
-        w = np.linalg.solve(K, np.append(-g, 0.0))[:n]
-        return -float(pi @ (F * G).sum(axis=1) + 2.0 * (pi @ (G @ w)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +32,7 @@ class AlphaRange:
 def alpha_range(f: Potential) -> AlphaRange:
     """Exact endpoints: pressure minus the extreme mean cycle weights."""
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
-    extremes = cycle_mean_extremes(bf.f2.base, bf._table)
+    extremes = cycle_mean_extremes(bf.f2.base, bf.dense_table)
     lo = bf.pressure - extremes.max_mean
     hi = bf.pressure - extremes.min_mean
     return AlphaRange(lo, hi, hi - lo <= DEGENERACY_TOL, extremes.max_cycle, extremes.min_cycle)

@@ -1,9 +1,12 @@
-"""Potentials, pressure, Gibbs-Markov measures, normalized potentials.
+"""Potentials, pressure, Gibbs-Markov measures, normalized potentials and
+the pressure-difference function beta(q).
 
 Everything is reduced to 2-locally constant potentials before numerical
 work: order-1 tables are lifted to order 2, and orders >= 3 go through the
 higher-block recoding (a shift-commuting conjugacy, so pressures and
-spectra are unchanged).
+spectra are unchanged).  ``BetaFunction`` reduces a potential and builds
+and solves its tilts A(qf): pressure, the Gibbs measure, the normalized
+potential, the Jacobians and the audit read q = 1, spectrum and sim the rest.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 from .errors import PotentialRangeError, StochasticityError, WordLengthError
-from .perron import PerronTriple, perron, stationary_distribution
+from .perron import PerronTriple, _solve_stack, perron, stationary_distribution
 from .shiftspace import BlockRecoding, TransitionMatrix, Word, admissible_words, higher_block_recode
 
 
@@ -129,16 +132,9 @@ def edge_matrix(f: Potential) -> np.ndarray:
     return _exp_on_support(f)
 
 
-def _reduced_triple(f: Potential) -> tuple[Potential, np.ndarray, PerronTriple]:
-    f2, _ = reduce_to_order2(f)
-    A = edge_matrix(f2)
-    return f2, A, perron(A)
-
-
 def pressure(f: Potential) -> float:
     """Topological pressure, log of the Perron root of the edge matrix."""
-    _, _, triple = _reduced_triple(f)
-    return math.log(triple.root)
+    return BetaFunction(f).pressure
 
 
 # Floats in one stacked block (2 MiB), read by _blocks only: 2**18 // n**2
@@ -211,8 +207,8 @@ class MarkovMeasure:
         P = np.array(matrix, dtype=float)
         if P.shape != base.entries.shape:
             raise ValueError("transition matrix shape does not match the base matrix")
-        if ((P > 0) != (base.entries == 1)).any():
-            raise ValueError("transition probabilities must be positive exactly on the support of the base")
+        if not np.where(base.entries == 1, (0 < P) & (P < math.inf), P == 0).all():
+            raise ValueError("transition probabilities must be finite, positive on the base's support and 0 off it")
         return cls(base, P, stationary_distribution(P))
 
 
@@ -237,9 +233,110 @@ def _gibbs(f2: Potential, A: np.ndarray, triple: PerronTriple) -> MarkovMeasure:
     return MarkovMeasure(f2.base, P, pi)
 
 
+class BetaFunction:
+    """The Perron table of f's tilts A(qf), and beta(q) = P(qf) - qP(f).  Each
+    q caches A(qf) once it is built and its Perron triple once it is solved;
+    ``solve`` fills a grid of q in stacked blocks, and any other q is built
+    and solved on its own when first asked for."""
+
+    def __init__(self, f: Potential):
+        self.f2, _ = reduce_to_order2(f)
+        self._matrices: dict[float, np.ndarray] = {}
+        self._triples: dict[float, PerronTriple] = {}
+        self.pressure = math.log(self.triple(1.0).root)
+
+    @cached_property
+    def dense_table(self) -> np.ndarray:
+        """The order-2 table as an n x n array, 0 off the support."""
+        return _table_array(self.f2)
+
+    def matrix(self, q: float) -> np.ndarray:
+        """A(qf) = exp(q f) on the support, 0 elsewhere: read-only, built
+        and cached on first use, and the matrix that q's solve reads."""
+        if q not in self._matrices:
+            A = _exp_on_support(self.f2, q)
+            A.setflags(write=False)
+            self._matrices[q] = A
+        return self._matrices[q]
+
+    def solve(self, qs) -> None:
+        """Build A(qf) for each q of ``qs`` not yet built, one stacked build
+        per ``_blocks`` block, and on 3 or more states solve that block with
+        one ``_solve_stack``: bit for bit the per-q build (the same IEEE
+        products q * v, and math.exp(1.0 * t) is math.exp(t)) and
+        ``perron``.  A block with a tilt out of range is not cached, nor is
+        the triple of a row that ``perron`` refuses, so that such a q raises
+        its own error when asked for."""
+        n = self.f2.base.n_symbols
+        todo = [q for q in qs if q not in self._matrices]
+        for rows in _blocks(todo, n * n):
+            try:
+                A = _exp_on_support(self.f2, table=np.multiply.outer(rows, self.f2.table))
+            except PotentialRangeError:
+                continue
+            A.setflags(write=False)
+            self._matrices.update(zip(rows, A))
+            if n == 2:
+                # solved one q at a time only because the benchmark pins their
+                # perron calls: delete this if when ROADMAP item 2b re-pins them
+                continue
+            t, failed = _solve_stack(A)
+            for i in np.flatnonzero(~failed):
+                self._triples[rows[i]] = PerronTriple(
+                    float(t.root[i]), t.left[i], t.right[i], float(t.residual[i]), int(t.iterations[i])
+                )
+
+    def triple(self, q: float) -> PerronTriple:
+        if q not in self._triples:
+            self._triples[q] = perron(self.matrix(q))
+        return self._triples[q]
+
+    def gibbs(self, q: float) -> MarkovMeasure:
+        """The Gibbs-Markov measure of qf, from the matrix and triple solved at q."""
+        t = self.triple(q)
+        return _gibbs(self.f2, self._matrices[q], t)
+
+    def beta(self, q: float) -> float:
+        return math.log(self.triple(q).root) - q * self.pressure
+
+    def alpha(self, q: float) -> float:
+        """-beta'(q), from the exact entrywise derivative of the family."""
+        t = self.triple(q)
+        dM = self.dense_table * self.matrix(q)
+        dlam = float(t.left @ dM @ t.right)
+        return self.pressure - dlam / t.root
+
+    def alpha_slope(self, q: float) -> float:
+        """alpha'(q) = -beta''(q): minus the asymptotic variance of f under
+        the Gibbs chain of qf, from the cached Perron data at q (no solve).
+
+        With P the Gibbs matrix of qf, pi = u*v its stationary vector and
+        F~ the table centred at its mean, the variance is
+        pi.((F~*G)1) + 2 pi.(G w), where G = F~*P and w solves
+        (I - P) w = G1, pi.w = 0 (the group inverse of I - P; Meyer 1975).
+        Centring before squaring keeps the relative accuracy where the
+        variance is far below the squared mean.
+        """
+        t = self.triple(q)
+        n = self.dense_table.shape[0]
+        P = self.matrix(q) * t.right / (t.root * t.right[:, None])
+        pi = t.left * t.right
+        mean = pi @ (self.dense_table * P).sum(axis=1)
+        F = self.dense_table - mean  # P is 0 off the support
+        G = F * P
+        g = G.sum(axis=1)
+        # bordered system [[P - I, 1], [pi, 0]] [w; s] = [-g; 0]
+        K = np.zeros((n + 1, n + 1))
+        K[:n, :n] = P - np.eye(n)
+        K[:n, n] = 1.0
+        K[n, :n] = pi
+        w = np.linalg.solve(K, np.append(-g, 0.0))[:n]
+        return -float(pi @ (F * G).sum(axis=1) + 2.0 * (pi @ (G @ w)))
+
+
 def gibbs_markov(f: Potential) -> MarkovMeasure:
     """The unique Gibbs measure of f as a Markov measure."""
-    return _gibbs(*_reduced_triple(f))
+    return BetaFunction(f).gibbs(1.0)
 
 
 def log_cylinder_measure(mu: MarkovMeasure, w: Word) -> float:
@@ -298,8 +395,8 @@ def normalize_potential(f: Potential) -> Potential:
     eigenfunctions obey the left eigen-equation; the normalized table
     satisfies sum_i exp(fhat_ij) = lambda for every j.
     """
-    f2, _, triple = _reduced_triple(f)
-    return _normalized(f2, triple)
+    bf = BetaFunction(f)
+    return _normalized(bf.f2, bf.triple(1.0))
 
 
 def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
@@ -310,7 +407,8 @@ def jacobian(f: Potential, w: Word, kind: str = "gibbs") -> float:
         raise WordLengthError("jacobian needs a word of length at least 2")
     if kind not in ("eigen", "gibbs"):
         raise ValueError("kind must be 'eigen' or 'gibbs'")
-    f2, _, triple = _reduced_triple(f)
+    bf = BetaFunction(f)
+    f2, triple = bf.f2, bf.triple(1.0)
     if not f2.base.admits(w):
         raise ValueError(f"word {tuple(w)!r} is not admissible")
     g = f2 if kind == "eigen" else _normalized(f2, triple)
@@ -323,10 +421,10 @@ def eigen_measure_cylinder(f: Potential, w: Word) -> float:
     alphabet: the recoded blocks for order >= 3."""
     if not w:
         return 1.0
-    f2, A, triple = _reduced_triple(f)
-    if not f2.base.admits(w):
+    bf = BetaFunction(f)
+    if not bf.f2.base.admits(w):
         return 0.0
-    return cylinder_measure(_gibbs(f2, A, triple), w) / triple.left[w[0] - 1]
+    return cylinder_measure(bf.gibbs(1.0), w) / bf.triple(1.0).left[w[0] - 1]
 
 
 def entropy_rate(mu: MarkovMeasure) -> float:
@@ -339,6 +437,8 @@ def entropy_rate(mu: MarkovMeasure) -> float:
 
 def potential_integral(mu: MarkovMeasure, f: Potential) -> float:
     """Integral of an order-2 potential against a Markov measure on its base."""
+    if not np.array_equal(f.base.entries, mu.base.entries):
+        raise ValueError("the potential and the measure must have the same base")
     return float(mu.pi @ (mu.P * _table_array(f)).sum(axis=1))
 
 
@@ -375,9 +475,10 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    f2, A, triple = _reduced_triple(f)
-    mu = _gibbs(f2, A, triple)
-    P_press = math.log(triple.root)
+    bf = BetaFunction(f)
+    f2, A, triple = bf.f2, bf.matrix(1.0), bf.triple(1.0)
+    mu = bf.gibbs(1.0)
+    P_press = bf.pressure
     pi, v = mu.pi, triple.right
     # sorted by target, each target's in-edges are one reduceat segment
     # (a primitive support leaves no target without one)

@@ -131,8 +131,8 @@ class TestSpectrum:
     def test_three_state_grid_is_one_stacked_solve(self, capsys, monkeypatch, model):
         # the benchmark pins the solves of 2-symbol requests only.  On 3
         # order-2 states the default 41-point grid is one stacked solve, its
-        # cross-checks read it, and perron runs twice: for the pressure
-        # (q = 1, in spectrum) and for h_mu's re-solve of that matrix (in thermo)
+        # cross-checks read it, and perron runs twice, both in thermo: for the
+        # pressure (q = 1) and for h_mu's re-solve of that matrix
         from markovspectra import cli, rigidity, spectrum, thermo
 
         counts = {}
@@ -149,11 +149,11 @@ class TestSpectrum:
 
         for module in (cli, rigidity, spectrum, thermo):
             spy(module, "perron")
-        spy(spectrum, "_solve_stack")
+        spy(thermo, "_solve_stack")
         code, out, _ = run(capsys, "spectrum", model)
         assert code == EXIT_OK and json.loads(out)["samples"] == 41
         assert counts == {
-            "cli.perron": 0, "rigidity.perron": 0, "spectrum.perron": 1, "thermo.perron": 1, "spectrum._solve_stack": 1
+            "cli.perron": 0, "rigidity.perron": 0, "spectrum.perron": 0, "thermo.perron": 2, "thermo._solve_stack": 1
         }
 
     def test_csv_repr_round_trip(self, capsys, tmp_path):
@@ -357,7 +357,7 @@ class TestExitCodes:
         def no_solve(*args):
             raise AssertionError("a Perron solve ran before the grid check")
 
-        monkeypatch.setattr("markovspectra.spectrum.perron", no_solve)
+        monkeypatch.setattr("markovspectra.thermo.perron", no_solve)
         code, out, err = run(capsys, "spectrum", P1_THIRD, *flags)
         assert code == EXIT_PARSE
         assert out == "" and err.startswith("error: q grid too large") and err.count("\n") == 1

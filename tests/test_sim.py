@@ -149,9 +149,9 @@ class TestEmpiricalSpectrumHistogram:
     @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_q_refused_before_any_solve(self, f_p1_third, monkeypatch, q):
         # it raised PotentialRangeError, the numerical-failure class
-        import markovspectra.spectrum as spectrum
+        import markovspectra.thermo as thermo
 
-        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("solved before q was checked"))
+        monkeypatch.setattr(thermo, "perron", lambda A: pytest.fail("solved before q was checked"))
         with pytest.raises(ValueError, match=f"q must be finite, got {q!r}"):
             empirical_spectrum_histogram(f_p1_third, n=10, trials=10, q_list=[0.0, q], seed=0)
 
@@ -180,12 +180,10 @@ class TestEmpiricalSpectrumHistogram:
             assert row.mean == pytest.approx(math.log(2), abs=1e-12)
 
     def test_one_solve_per_distinct_q(self, ring, monkeypatch):
-        import markovspectra.spectrum as spectrum
         import markovspectra.thermo as thermo
 
-        solves = []
-        for module in (spectrum, thermo):
-            monkeypatch.setattr(module, "perron", lambda A, solve=module.perron: solves.append(A) or solve(A))
+        solves, solve = [], thermo.perron
+        monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or solve(A))
         empirical_spectrum_histogram(random_potential(ring, seed=2), 10, 10, [0.0, 1.0, 2.0], seed=0)
         assert len(solves) == 3
 

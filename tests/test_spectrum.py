@@ -16,7 +16,7 @@ from markovspectra import (
     sample_spectrum,
     spectra_equal,
 )
-from markovspectra import spectrum
+from markovspectra import spectrum, thermo
 from markovspectra.errors import NonConvergenceError, PotentialRangeError
 from markovspectra.perron import perron, perron_stack
 from markovspectra.spectrum import (
@@ -148,7 +148,7 @@ class TestAlphaSlope:
     def test_makes_no_perron_solve(self, f_p1_third, monkeypatch):
         bf = BetaFunction(f_p1_third)
         bf.alpha(2.5)
-        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("alpha_slope made a Perron solve"))
+        monkeypatch.setattr(thermo, "perron", lambda A: pytest.fail("alpha_slope made a Perron solve"))
         bf.alpha_slope(2.5)
 
 
@@ -158,9 +158,9 @@ class TestPerronCache:
 
     def test_one_build_and_one_solve_per_q(self, ring, monkeypatch):
         built, solves = [], []
-        build, solve = spectrum._exp_on_support, spectrum.perron
-        monkeypatch.setattr(spectrum, "_exp_on_support", lambda f2, q: built.append(q) or build(f2, q))
-        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        build, solve = thermo._exp_on_support, thermo.perron
+        monkeypatch.setattr(thermo, "_exp_on_support", lambda f2, q: built.append(q) or build(f2, q))
+        monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or solve(A))
         bf = BetaFunction(random_potential(ring, seed=4))
         qs = [1.0, -2.0, 0.5, 3.0]
         for q in qs + qs[::-1]:
@@ -172,12 +172,12 @@ class TestPerronCache:
         # on 2 symbols solve builds the grid's tilts, stacked, and solves none
         bf = BetaFunction(random_potential(full2, seed=4))
         grid = [0.0, 0.25, -0.25, 3.0, -7.5]
-        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("a 2-symbol grid was solved"))
-        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
+        monkeypatch.setattr(thermo, "perron", lambda A: pytest.fail("a 2-symbol grid was solved"))
+        monkeypatch.setattr(thermo, "_solve_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
         bf.solve(grid + grid[::-1])
         built = [bf.matrix(q) for q in grid]
         for q, A in zip(grid, built):
-            assert A.tolist() == spectrum._exp_on_support(bf.f2, q).tolist()
+            assert A.tolist() == thermo._exp_on_support(bf.f2, q).tolist()
             assert not A.flags.writeable and bf.matrix(q) is A
         monkeypatch.undo()
         for q, A in zip(grid, built):
@@ -204,17 +204,17 @@ class TestPerronCache:
         n = bf.f2.base.n_symbols
         grid = [q / 4 for q in range(-30, 31, 3)]
         shapes = []
-        stack = spectrum._solve_stack
-        monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", rows * n * n)
-        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: shapes.append(A.shape) or stack(A))
-        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("a stacked grid was solved per q"))
+        stack = thermo._solve_stack
+        monkeypatch.setattr(thermo, "ORACLE_BUFFER_FLOATS", rows * n * n)
+        monkeypatch.setattr(thermo, "_solve_stack", lambda A: shapes.append(A.shape) or stack(A))
+        monkeypatch.setattr(thermo, "perron", lambda A: pytest.fail("a stacked grid was solved per q"))
         bf.solve(grid)
         assert len(shapes) == math.ceil(len(grid) / rows)
         assert all(k <= rows and m == n for k, m, _ in shapes)
         monkeypatch.undo()
         for q in grid:
             assert not bf.matrix(q).flags.writeable
-            assert bf.matrix(q).tolist() == spectrum._exp_on_support(bf.f2, q).tolist()
+            assert bf.matrix(q).tolist() == thermo._exp_on_support(bf.f2, q).tolist()
             t, fresh = bf.triple(q), perron(bf.matrix(q))
             assert type(t.root) is float and type(t.residual) is float and type(t.iterations) is int
             assert (t.root, t.residual, t.iterations) == (fresh.root, fresh.residual, fresh.iterations)
@@ -327,13 +327,13 @@ class TestEntropySpectrum:
     def test_recovers_q_within_solve_budget(self, test_potentials, q0, monkeypatch):
         # q0 = -1 is a bracket end: the cached alpha there is returned
         # instead of Newton steps that round just past it
-        perron, solves = spectrum.perron, []
+        perron, solves = thermo.perron, []
 
         def counted(A):
             solves.append(A)
             return perron(A)
 
-        monkeypatch.setattr(spectrum, "perron", counted)
+        monkeypatch.setattr(thermo, "perron", counted)
         for f in test_potentials:
             if alpha_range(f).degenerate:
                 continue
@@ -385,7 +385,7 @@ class TestSampleSpectrum:
 
     def test_non_finite_grid_rejected_before_any_solve(self, f_p1_third, monkeypatch):
         # NaN compares false, so this grid passes a sortedness check
-        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("solved before the grid was checked"))
+        monkeypatch.setattr(thermo, "perron", lambda A: pytest.fail("solved before the grid was checked"))
         with pytest.raises(ValueError, match="finite, got nan"):
             sample_spectrum(f_p1_third, [1.0, math.nan, 0.0])
 
@@ -395,10 +395,11 @@ class TestSampleSpectrum:
         # 41-point grid makes 82 solves here, and its h_mu re-solve makes
         # the 83 that the benchmark pins for `spectrum`
         built, solves = [], []
-        build, solve = spectrum._exp_on_support, spectrum.perron
-        monkeypatch.setattr(spectrum, "_exp_on_support", lambda *a, **k: built.append(a) or build(*a, **k))
-        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
-        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
+        build, solve = thermo._exp_on_support, thermo.perron
+        monkeypatch.setattr(thermo, "_exp_on_support", lambda *a, **k: built.append(a) or build(*a, **k))
+        for module in (spectrum, thermo):  # the cross-check's solve, and the grid's
+            monkeypatch.setattr(module, "perron", lambda A: solves.append(A) or solve(A))
+        monkeypatch.setattr(thermo, "_solve_stack", lambda A: pytest.fail("a 2-symbol grid was stacked"))
         bf = BetaFunction(random_potential(full2, seed=4))
         sample_spectrum(bf, grid)
         assert len(built) == 2 and built[0][1] == 1.0
@@ -412,9 +413,10 @@ class TestSampleSpectrum:
         # cross-check reads the Gibbs measure of that solve: no perron call
         bf = BetaFunction(random_potential(ring, seed=4))
         stacks, checked = [], []
-        stack, gibbs = spectrum._solve_stack, BetaFunction.gibbs
-        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacks.append(A) or stack(A))
-        monkeypatch.setattr(spectrum, "perron", lambda A: pytest.fail("the cross-check re-solved a stacked q"))
+        stack, gibbs = thermo._solve_stack, BetaFunction.gibbs
+        monkeypatch.setattr(thermo, "_solve_stack", lambda A: stacks.append(A) or stack(A))
+        for module in (spectrum, thermo):
+            monkeypatch.setattr(module, "perron", lambda A: pytest.fail("the cross-check re-solved a stacked q"))
         monkeypatch.setattr(BetaFunction, "gibbs", lambda self, q: checked.append(q) or gibbs(self, q))
         sample_spectrum(bf, grid)
         new = [q for q in grid if q != 1.0]  # q = 1 was solved for the pressure
@@ -426,10 +428,11 @@ class TestSampleSpectrum:
         # q alone, and perron raises its own message before the cross-check
         bf = BetaFunction(ring_steep(ring, 0.0))
         with pytest.raises(NonConvergenceError) as single:
-            perron(spectrum._exp_on_support(bf.f2, 3.75))
+            perron(thermo._exp_on_support(bf.f2, 3.75))
         solves = []
-        solve = spectrum.perron
-        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        solve = thermo.perron
+        for module in (spectrum, thermo):
+            monkeypatch.setattr(module, "perron", lambda A: solves.append(A) or solve(A))
         with pytest.raises(NonConvergenceError) as raised:
             sample_spectrum(bf, [0.5, 2.0, 3.75, 4.0])
         assert str(raised.value) == str(single.value)
@@ -503,7 +506,7 @@ class TestSpectraEqual:
         # (here q = 0.25) makes no stacked build
         monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", 16 * 4)
         calls, stacked = [], []
-        solve, build = BetaFunction.solve, spectrum._exp_on_support
+        solve, build = BetaFunction.solve, thermo._exp_on_support
 
         def spy(f2, q=1.0, table=None):
             if table is not None:
@@ -511,7 +514,7 @@ class TestSpectraEqual:
             return build(f2, q, table)
 
         monkeypatch.setattr(BetaFunction, "solve", lambda bf, qs: calls.append((bf, qs)) or solve(bf, qs))
-        monkeypatch.setattr(spectrum, "_exp_on_support", spy)
+        monkeypatch.setattr(thermo, "_exp_on_support", spy)
         g = f_p2_third if twin else log_p1_potential(1 / 4)
         cmp = spectra_equal(f_p1_third, g)
         assert cmp.equal == twin
@@ -535,9 +538,9 @@ class TestSpectraEqual:
         # so the scan stops after two per-q solves a potential, stacks
         # nothing and raises nothing
         solves = []
-        solve = spectrum.perron
-        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
-        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: pytest.fail("the scan stopped in the lead"))
+        solve = thermo.perron
+        monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or solve(A))
+        monkeypatch.setattr(thermo, "_solve_stack", lambda A: pytest.fail("the scan stopped in the lead"))
         cmp = spectra_equal(ring_steep(ring, 0.0), ring_steep(ring, 0.5))
         assert not cmp.equal and cmp.witness_q == 0.25 and cmp.beta_gap > 1e-9
         assert len(solves) == 2 + 2 * 2  # q = 1 for each pressure, then q = 0 and 0.25
@@ -550,9 +553,9 @@ class TestSpectraEqual:
         rest = [q for q in spectrum.COMPARE_GRID[spectrum.SCAN_LEAD :] if q != 1.0]
         bf = BetaFunction(f)
         stacks, solves = [], []
-        stack, solve = spectrum._solve_stack, spectrum.perron
-        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacks.append(A) or stack(A))
-        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        stack, solve = thermo._solve_stack, thermo.perron
+        monkeypatch.setattr(thermo, "_solve_stack", lambda A: stacks.append(A) or stack(A))
+        monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or solve(A))
         assert spectra_equal(f, f).equal
         assert [A.tolist() for A in stacks] == [[bf.matrix(q).tolist() for q in rest]] * 2
         assert len(solves) == 2 * (1 + spectrum.SCAN_LEAD)
@@ -574,8 +577,8 @@ class TestSpectraEqual:
         with pytest.raises(NonConvergenceError):
             perron_stack(np.stack([bf.matrix(q) for q in spectrum.COMPARE_GRID]))
         stacked = []
-        stack = spectrum._solve_stack
-        monkeypatch.setattr(spectrum, "_solve_stack", lambda A: stacked.append(stack(A)) or stacked[-1])
+        stack = thermo._solve_stack
+        monkeypatch.setattr(thermo, "_solve_stack", lambda A: stacked.append(stack(A)) or stacked[-1])
         cmp = spectra_equal(f, f.scale(1.01), tol)
         assert not cmp.equal and cmp.witness_q == -0.5 and cmp.beta_gap > tol
         assert len(stacked) == 2 and any(failed.any() for _, failed in stacked)
@@ -587,18 +590,18 @@ class TestSpectraEqual:
         f2 = BetaFunction(f).f2
         for q in spectrum.COMPARE_GRID:
             try:
-                perron(spectrum._exp_on_support(f2, q))
+                perron(thermo._exp_on_support(f2, q))
             except NonConvergenceError as exc:
                 first, message = q, str(exc)
                 break
         assert first == 3.75
         solves = []
-        solve = spectrum.perron
-        monkeypatch.setattr(spectrum, "perron", lambda A: solves.append(A) or solve(A))
+        solve = thermo.perron
+        monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or solve(A))
         with pytest.raises(NonConvergenceError) as raised:
             spectra_equal(f, f)
         assert str(raised.value) == message
-        assert solves[-1].tolist() == spectrum._exp_on_support(f2, first).tolist()
+        assert solves[-1].tolist() == thermo._exp_on_support(f2, first).tolist()
 
     def test_tilt_out_of_range_raises_at_its_q(self, full2):
         f = steep(full2, 0.0)

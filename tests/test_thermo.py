@@ -31,7 +31,7 @@ from markovspectra import (
 )
 from markovspectra.errors import WordLengthError
 from markovspectra.cli import MAX_DEPTH
-from markovspectra.thermo import ORACLE_BUFFER_FLOATS, _logsumexp, _reduced_triple
+from markovspectra.thermo import ORACLE_BUFFER_FLOATS, BetaFunction, _logsumexp
 from conftest import random_aperiodic_base, random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -124,7 +124,7 @@ class TestOneSolve:
 
         built, solves = [], []
         build, original = thermo._exp_on_support, thermo.perron
-        monkeypatch.setattr(thermo, "_exp_on_support", lambda f2: built.append(build(f2)) or built[-1])
+        monkeypatch.setattr(thermo, "_exp_on_support", lambda f2, q: built.append(build(f2, q)) or built[-1])
         monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or original(A))
         call(random_potential(ring, seed=3))
         assert len(solves) == 1
@@ -457,6 +457,11 @@ class TestEntropyAndIntegral:
         mu = MarkovMeasure.from_stochastic(full2, [[0.5, 0.5], [0.5, 0.5]])
         assert entropy_rate(mu) == pytest.approx(math.log(2), abs=1e-14)
 
+    def test_integral_refuses_a_potential_on_another_base(self, full2, golden, f_p1_third):
+        # it returned 8/9: the golden-mean table read against a full-shift measure
+        with pytest.raises(ValueError, match="same base"):
+            potential_integral(gibbs_markov(f_p1_third), Potential.constant(golden, 1.0))
+
 
 class TestMarkovMeasure:
     @pytest.mark.parametrize(
@@ -465,8 +470,10 @@ class TestMarkovMeasure:
             (np.full((3, 3), 1 / 3), "shape"),
             ([[1.0, 0.0], [1.0, 0.0]], "support"),
             ([[0.5, 0.5], [0.5, 0.5]], "support"),
+            ([[0.5, 0.5], [1.2, -0.2]], "support"),
+            ([[0.5, 0.5], [1.0, math.nan]], "finite"),
         ],
-        ids=["shape", "zero-on-support", "positive-off-support"],
+        ids=["shape", "zero-on-support", "positive-off-support", "negative-off-support", "nan-off-support"],
     )
     def test_from_stochastic_checks_the_support(self, golden, matrix, needle):
         with pytest.raises(ValueError, match=needle):
@@ -515,7 +522,8 @@ def attainable_pairs(base, depth):
 def reference_gibbs_audit(f, depth):
     """The per-word audit: one log_cylinder_measure and one birkhoff_sum
     call per cylinder, over words grown as tuples."""
-    f2, A, triple = _reduced_triple(f)
+    bf = BetaFunction(f)
+    f2, A, triple = bf.f2, bf.matrix(1.0), bf.triple(1.0)
     mu = gibbs_markov(f2)
     P_press = math.log(triple.root)
     pi, v = mu.pi, triple.right
@@ -580,7 +588,8 @@ def pair_extremes(f, depth):
     """The theoretical extremes as (n, n) arrays: the closed form at every
     attainable (start, end) pair over the least and largest A entry of the
     end's row."""
-    f2, A, triple = _reduced_triple(f)
+    bf = BetaFunction(f)
+    f2, A, triple = bf.f2, bf.matrix(1.0), bf.triple(1.0)
     pi, v = gibbs_markov(f2).pi, triple.right
     head = (pi / v)[:, None] * v[None, :] * triple.root
     attain = attainable_pairs(f2.base, depth)
@@ -595,7 +604,8 @@ def exact_observed_extremes(f, depth):
     with A = exp(f) and the Perron data refined by Newton steps from the
     double result, at the working precision of mpmath."""
     mp = pytest.importorskip("mpmath")
-    f2, _, triple = _reduced_triple(f)
+    bf = BetaFunction(f)
+    f2, triple = bf.f2, bf.triple(1.0)
     n = f2.base.n_symbols
     A = mp.zeros(n, n)
     src, dst = f2.base.edge_index
