@@ -286,8 +286,11 @@ def perron_vector_by_linear_solve(A: np.ndarray, lam: float) -> np.ndarray:
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary probability vector of a row-stochastic matrix."""
+    """Stationary probability vector of a row-stochastic matrix: finite,
+    non-negative entries whose rows sum to 1."""
     M = np.asarray(P, dtype=float)
+    if not ((M >= 0) & (M < math.inf)).all():
+        raise StochasticityError("transition probabilities must be finite and non-negative")
     row_defect = np.max(np.abs(M.sum(axis=1) - 1.0))
     if row_defect > STOCHASTIC_TOL:
         raise StochasticityError(f"rows sum to 1 only within {row_defect:.3e} (tol {STOCHASTIC_TOL})")

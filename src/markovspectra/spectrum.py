@@ -204,27 +204,76 @@ class SpectraComparison:
     endpoint_gap: float | None = None
 
 
+def _cohomology_gap(f2: Potential, g2: Potential) -> float:
+    """Sup residual delta of f2 - g2 = c + h_j - h_i on the edges (i, j) of
+    two order-2 potentials, for the c and h of one least-squares fit over
+    the E x (n + 1) incidence system; inf when their bases differ.
+
+    delta bounds the exact residual of the exact tables: the computed one
+    plus 2 eps (3 max|x| + max|d|), the rounding of the difference d and of
+    each residual's three sums.  So delta is 0 only for equal tables.
+    """
+    if not np.array_equal(f2.base.entries, g2.base.entries):
+        return math.inf
+    d = f2.table - g2.table
+    if not d.any():
+        return 0.0
+    src, dst = f2.base.edge_index
+    rows = np.arange(d.size)
+    K = np.zeros((d.size, f2.base.n_symbols + 1))
+    K[:, 0] = 1.0
+    K[rows, 1 + dst] += 1.0
+    K[rows, 1 + src] -= 1.0  # a loop (i, i) keeps 0
+    x = np.linalg.lstsq(K, d)[0]
+    rounding = 2.0 * np.finfo(float).eps * (3.0 * np.abs(x).max() + np.abs(d).max())
+    return float(np.abs(K @ x - d).max() + rounding)
+
+
 def spectra_equal(f: Potential, g: Potential, tol: float = 1e-9) -> SpectraComparison:
     """Tolerance-based semi-decision of entropy-spectrum equality; ``tol``
     must be non-negative and finite.
 
     Equal iff beta agrees on the whole grid and the alpha-range endpoints
     agree; COMPARE_GRID is scanned in order, so the reported witness is
-    the smallest-magnitude disagreeing point.  The first SCAN_LEAD q are
-    built and solved one at a time, so a scan that stops there builds and
-    solves nothing past its witness; the rest of the grid is filled for
-    both potentials by one ``BetaFunction.solve`` each once the scan
-    reaches it.  A block that fails to build, or a q whose stacked solve
-    fails, is left to the scan, so a witness before the failing q is still
-    reported, and a failing q raises its own error.  On 2-symbol forms
-    every q is solved one at a time as the scan reaches it: the benchmark
-    pins the number of ``perron`` calls a compare makes (ROADMAP item 2b).
+    the smallest-magnitude disagreeing point.
+
+    Before any grid solve, a cohomology (Livsic) certificate is tried.  If
+    the reduced potentials sit on equal base matrices, one least-squares
+    fit of f - g = c + h_j - h_i over the order-2 edges leaves a sup
+    residual delta (``_cohomology_gap``).  Then f - g = c + h_j - h_i + r
+    with |r| <= delta on every edge, so with D = diag(exp(q h)) the matrix
+    A(qf) lies entrywise between exp(qc -+ |q| delta) D^-1 A(qg) D.  The
+    Perron root grows with the entries and D^-1 A(qg) D has the root of
+    A(qg), so |P(qf) - P(qg) - qc| <= |q| delta.  That bound at q and at
+    q = 1, in beta(q) = P(qf) - q P(f), gives
+    |beta_f(q) - beta_g(q)| <= 2|q| delta.  Round any cycle the coboundary
+    sums to 0, so each cycle mean of f - g is c within delta, and the
+    alpha-range endpoints, pressure minus an extreme cycle mean, move by at
+    most 2 delta.
+    When 2 max|q| delta = 40 delta <= tol, no grid point can disagree, and
+    the result is that of a scan that finds none: equal iff the
+    endpoint gap, computed from ``alpha_range`` as always, is within tol.
+    At tol = 0 this holds only for identical reduced tables; every other
+    pair is scanned.
+
+    The first SCAN_LEAD q are built and solved one at a time, so a scan
+    that stops there builds and solves nothing past its witness; the rest
+    of the grid is filled for both potentials by one ``BetaFunction.solve``
+    each once the scan reaches it.  A block that fails to build, or a q
+    whose stacked solve fails, is left to the scan, so a witness before the
+    failing q is still reported, and a failing q raises its own error.  On
+    2-symbol forms every q is solved one at a time as the scan reaches it:
+    the benchmark pins the number of ``perron`` calls a compare makes
+    (ROADMAP item 2b).
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     bf, bg = BetaFunction(f), BetaFunction(g)
     rf, rg = alpha_range(bf), alpha_range(bg)
     endpoint_gap = max(abs(rf.alpha_min - rg.alpha_min), abs(rf.alpha_max - rg.alpha_max))
+    # the grid ends at its largest |q|
+    if 2.0 * abs(COMPARE_GRID[-1]) * _cohomology_gap(bf.f2, bg.f2) <= tol:
+        return SpectraComparison(endpoint_gap <= tol, tol, None, None, endpoint_gap)
     for i, q in enumerate(COMPARE_GRID):
         if i == SCAN_LEAD:
             bf.solve(COMPARE_GRID[i:])

@@ -182,6 +182,22 @@ class TestCompare:
         assert not data["equal"]
         assert data["witness_q"] is not None and data["beta_gap"] > 1e-9
 
+    @pytest.mark.parametrize("shift", [0.0, 0.37])
+    def test_cohomologous_pair_at_40_times_p1_is_certified(self, capsys, shift):
+        # scanning the grid of 40 x log P1(1/3) exits 3 at a strong tilt
+        # (Perron residual 2.163e-96); f against f + c is certified by the
+        # least-squares fit, with no solve past the two pressures
+        logs = {"11": math.log(2 / 3), "12": math.log(1 / 3), "21": math.log(2 / 3), "22": math.log(1 / 3)}
+
+        def model(c):
+            values = {w: 40.0 * v + c for w, v in logs.items()}
+            return json.dumps({"transition": [[1, 1], [1, 1]], "potential": {"order": 2, "values": values}})
+
+        code, out, err = run(capsys, "compare", model(0.0), model(shift))
+        assert code == EXIT_OK and err == ""
+        data = json.loads(out)
+        assert data["equal"] is True and data["witness_q"] is None
+
 
 class TestClassify:
     def test_p1_third_report(self, capsys):
@@ -390,14 +406,20 @@ class TestExitCodes:
 
     def test_overflowing_residual_exits_math_with_one_line(self, capsys):
         # the dense solve's residual product M v overflows: the solve is
-        # refused with its own message and no floating-point warning
+        # refused with its own message and no floating-point warning.  The
+        # second model swaps symbols 2 and 3 (the same spectrum, but no
+        # coboundary apart), so compare scans the grid and reaches q = -18.5
         words = ("12", "13", "21", "23", "31", "32")
+        swapped = ("13", "12", "31", "32", "21", "23")
         values = (4.550345043796824, -4.709398106667379, -27.60297986861633,
                   -10.330590570352307, 8.2626146098862, -32.52745978357569)
-        model = json.dumps(
-            {"transition": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "potential": {"order": 2, "values": dict(zip(words, values))}}
-        )
-        code, out, err = run(capsys, "compare", model, model)
+
+        def model(names):
+            return json.dumps(
+                {"transition": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "potential": {"order": 2, "values": dict(zip(names, values))}}
+            )
+
+        code, out, err = run(capsys, "compare", model(words), model(swapped))
         assert code == EXIT_MATH
         assert out == "" and err == "error: Perron residual 9.445e+21 exceeds tol=1e-13 times the root\n"
 

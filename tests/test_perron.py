@@ -360,6 +360,13 @@ class TestStationaryDistribution:
         with pytest.raises(StochasticityError):
             stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("P", [[[0.5, 0.5], [1.2, -0.2]], [[0.5, 0.5], [math.nan, 0.5]]])
+    def test_negative_or_nan_entry_rejected(self, P):
+        # rows that sum to 1 with a negative entry, and a NaN row, whose
+        # row-sum defect is NaN and so passes a "defect > tol" check
+        with pytest.raises(StochasticityError, match="finite and non-negative"):
+            stationary_distribution(np.array(P))
+
     def test_matches_perron_product(self, ring):
         _, entries = random_support_matrix(3, 42)
         t = perron(entries)

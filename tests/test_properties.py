@@ -39,6 +39,7 @@ from markovspectra import (
     sample_spectrum,
     spectra_equal,
 )
+from markovspectra import thermo
 from markovspectra.cli import main
 from markovspectra.errors import MarkovSpectraError, NonConvergenceError
 from markovspectra.perron import _solve_stack, perron, perron_stack
@@ -52,15 +53,30 @@ def bounded(max_examples: int):
 
 
 @st.composite
-def order2_potentials(draw, max_symbols: int = 4, min_symbols: int = 2):
-    """A random order-2 potential with values in [-0.4, 0.4] on a random
-    aperiodic support.  Wider values fail the Perron solve itself at
-    |q| = 20 (dgeev loses the small eigenvector entries), before any
-    comparison: the log-domain solve on the roadmap lifts this bound."""
+def order2_potentials(draw, max_symbols: int = 4, min_symbols: int = 2, scale: float = 0.4):
+    """A random order-2 potential with values in [-scale, scale] on a random
+    aperiodic support.  Values wider than the default 0.4 fail the Perron
+    solve itself at |q| = 20 (dgeev loses the small eigenvector entries),
+    before any comparison, unless nothing past q = 1 is solved: the
+    log-domain solve on the roadmap lifts this bound."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     base = random_aperiodic_base(rng, draw(st.integers(min_symbols, max_symbols)))
-    return random_potential(base, seed, scale=0.4)
+    return random_potential(base, seed, scale=scale)
+
+
+def certified_equal(f: Potential, g: Potential) -> bool:
+    """spectra_equal(f, g).equal, asserting that the cohomology certificate
+    answered it: no stacked solve, and only the pressure solves at q = 1."""
+    pressures = [BetaFunction(h).matrix(1.0).tolist() for h in (f, g)]
+    solves = []
+    solve = thermo.perron
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thermo, "perron", lambda A: solves.append(A.tolist()) or solve(A))
+        patch.setattr(thermo, "_solve_stack", lambda A: pytest.fail("the grid was stacked"))
+        equal = spectra_equal(f, g).equal
+    assert solves == pressures
+    return equal
 
 
 def table(f: Potential, words, value) -> Potential:
@@ -79,17 +95,19 @@ class TestIsomorphicSystemsHaveEqualSpectra:
         g = Potential.from_table(base, 2, {(perm[i - 1], perm[j - 1]): v for (i, j), v in f.values.items()})
         assert spectra_equal(f, g).equal
 
+    # at values of +-3 a grid scan fails to solve for about half the draws;
+    # these pairs are cohomologous, so the certificate answers before it
     @bounded(12)
-    @given(order2_potentials(), st.floats(-5.0, 5.0))
+    @given(order2_potentials(scale=3.0), st.floats(-5.0, 5.0))
     def test_constant(self, f, c):
-        assert spectra_equal(f, f.shift(c)).equal
+        assert certified_equal(f, f.shift(c))
 
     @bounded(12)
-    @given(order2_potentials(), st.integers(0, 2**32 - 1))
+    @given(order2_potentials(scale=3.0), st.integers(0, 2**32 - 1))
     def test_coboundary(self, f, seed):
         h = np.random.default_rng(seed).uniform(-1.0, 1.0, f.base.n_symbols + 1)
         g = table(f, sorted(f.values), lambda w: f(w) + h[w[0]] - h[w[1]])
-        assert spectra_equal(f, g).equal
+        assert certified_equal(f, g)
 
     @bounded(12)
     @given(order2_potentials(max_symbols=3))

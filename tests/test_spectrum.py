@@ -42,6 +42,13 @@ def ring_steep(ring, f3: float) -> Potential:
     return Potential.from_table(ring, 1, {(1,): 20.0, (2,): -20.0, (3,): f3})
 
 
+def relabelled(f: Potential, perm: tuple[int, ...]) -> Potential:
+    """f with symbol s renamed perm[s - 1], on a base that perm maps to
+    itself: an isomorphic system, but f minus it is no coboundary, so
+    ``spectra_equal`` declines its certificate and scans the grid."""
+    return Potential.from_table(f.base, f.order, {tuple(perm[s - 1] for s in w): v for w, v in f.values.items()})
+
+
 def closed_beta(q):
     """beta(q) for log P1(1/3): pressure of q*f with P(f) = 0."""
     return math.log((2 / 3) ** q + (1 / 3) ** q)
@@ -546,18 +553,23 @@ class TestSpectraEqual:
         assert len(solves) == 2 + 2 * 2  # q = 1 for each pressure, then q = 0 and 0.25
 
     def test_an_equal_compare_stacks_the_grid_past_the_lead(self, ring, monkeypatch):
-        # one stacked solve a potential, of every q past the first SCAN_LEAD
-        # but q = 1, which was solved for the pressure; each holds the per-q
-        # builds of its q
+        # f against itself is certified after the two pressure solves.  The
+        # relabelled twin is declined, so the scan makes one stacked solve a
+        # potential, of every q past the first SCAN_LEAD but q = 1, which
+        # was solved for the pressure; each holds the per-q builds of its q
         f = random_potential(ring, seed=3)
+        g = relabelled(f, (1, 3, 2))
         rest = [q for q in spectrum.COMPARE_GRID[spectrum.SCAN_LEAD :] if q != 1.0]
-        bf = BetaFunction(f)
+        bf, bg = BetaFunction(f), BetaFunction(g)
         stacks, solves = [], []
         stack, solve = thermo._solve_stack, thermo.perron
         monkeypatch.setattr(thermo, "_solve_stack", lambda A: stacks.append(A) or stack(A))
         monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or solve(A))
         assert spectra_equal(f, f).equal
-        assert [A.tolist() for A in stacks] == [[bf.matrix(q).tolist() for q in rest]] * 2
+        assert stacks == [] and len(solves) == 2
+        solves.clear()
+        assert spectra_equal(f, g).equal
+        assert [A.tolist() for A in stacks] == [[b.matrix(q).tolist() for q in rest] for b in (bf, bg)]
         assert len(solves) == 2 * (1 + spectrum.SCAN_LEAD)
 
     @pytest.mark.parametrize("case", ["fails", "warns"])
@@ -585,7 +597,8 @@ class TestSpectraEqual:
 
     def test_failing_solve_raises_at_its_q(self, ring, monkeypatch):
         # the first q of the grid whose per-q solve fails raises that
-        # solve's error, as when every q was solved as the scan reached it
+        # solve's error, as when every q was solved as the scan reached it;
+        # the relabelled twin's solves fail only from q = 18.75
         f = ring_steep(ring, 0.0)
         f2 = BetaFunction(f).f2
         for q in spectrum.COMPARE_GRID:
@@ -599,11 +612,11 @@ class TestSpectraEqual:
         solve = thermo.perron
         monkeypatch.setattr(thermo, "perron", lambda A: solves.append(A) or solve(A))
         with pytest.raises(NonConvergenceError) as raised:
-            spectra_equal(f, f)
+            spectra_equal(f, relabelled(f, (1, 3, 2)))
         assert str(raised.value) == message
         assert solves[-1].tolist() == thermo._exp_on_support(f2, first).tolist()
 
     def test_tilt_out_of_range_raises_at_its_q(self, full2):
         f = steep(full2, 0.0)
         with pytest.raises(PotentialRangeError, match=r"40\.0 times q=17\.75 is out"):
-            spectra_equal(f, f)
+            spectra_equal(f, relabelled(f, (2, 1)))
