@@ -3,7 +3,8 @@
 ``perron`` solves primitive 2x2 matrices in closed form and larger ones
 with dense LAPACK ``dgeev``, refined by one Newton step so that every entry
 is accurate relative to its own size.  ``perron_stack`` solves a
-``(k, n, n)`` stack; row i of its result is ``perron(A[i])``, bit for bit.
+``(k, n, n)`` stack; row i of its result is ``perron(A[i])``, bit for bit,
+and its mask marks the rows that ``perron`` refuses.
 
 The 2x2 closed form has two twins.  ``perron`` evaluates it on Python
 floats (13 us a solve, against 65 us for the array form at k = 1; best of
@@ -16,7 +17,7 @@ round twice.  The stack evaluates it on arrays, calling the same kernels
 through ``np.matmul``.
 
 Larger matrices have one kernel, ``_perron_vectors``: ``perron`` calls it
-on a stack of one and ``_solve_stack`` on the whole stack.  It stacks the
+on a stack of one and ``perron_stack`` on the whole stack.  It stacks the
 k matrices and their k transposes, so the right and left eigenvectors of
 every matrix come from one stacked dgeev and one stacked Newton solve.
 LAPACK solves each matrix of a stack as it solves it alone, and every other
@@ -26,8 +27,8 @@ half's Newton right-hand side is summed left to right (a cumulative sum),
 the order in which NumPy sums the rows of the F-ordered view B.T and in
 which the pinned bits were recorded; a plain sum along the row is pairwise
 from 8 entries on and moves last bits.  A stack records each row's failure
-and solves its other rows; ``perron_stack`` raises the first failing row's
-error from that row's own ``perron``.  ``perron`` keeps its own dense path:
+and solves its other rows; a caller that needs the error of a failing row
+asks that row's own ``perron``.  ``perron`` keeps its own dense path:
 as row 0 of a stack of one, a solve cost 1.30, 1.20 and 1.14 times as much
 at n = 3, 8 and 16 (medians of 600 interleaved rounds, 2-vCPU x86-64).
 
@@ -224,12 +225,13 @@ def perron(A: np.ndarray) -> PerronTriple:
     return PerronTriple(root, left, right, residual, 1)
 
 
-def _solve_stack(M: np.ndarray) -> tuple[PerronTriple, np.ndarray]:
-    """``perron`` of each matrix of the (k, n, n) stack M, bit for bit, and
-    the mask of the rows that ``perron`` refuses, whose fields hold no
-    solution.  A 2x2 stack takes ``_closed_form_stack``, any other one
-    ``_perron_vectors``.  Floating-point warnings are silenced: a row that
-    raises one fails."""
+def perron_stack(A: np.ndarray) -> tuple[PerronTriple, np.ndarray]:
+    """``perron`` of each matrix of the (k, n, n) stack ``A``, bit for bit:
+    row i of each field is ``perron(A[i])``'s.  Also returns the mask of the
+    rows that ``perron`` refuses, whose fields hold no solution.  A 2x2 stack
+    takes ``_closed_form_stack``, any other one ``_perron_vectors``.
+    Floating-point warnings are silenced: a row that raises one fails."""
+    M = np.asarray(A, dtype=float)
     k, n = M.shape[:2]
     with np.errstate(all="ignore"):
         if n == 2:
@@ -246,19 +248,6 @@ def _solve_stack(M: np.ndarray) -> tuple[PerronTriple, np.ndarray]:
         residual, accepted = _accepted_residuals(M, root, left, right)
     accepted[list(errors)] = False
     return PerronTriple(root, left, right, residual, np.full(k, int(n != 2))), ~accepted
-
-
-def perron_stack(A: np.ndarray) -> PerronTriple:
-    """``perron`` of each matrix of the (k, n, n) stack ``A``, from one
-    ``_solve_stack``: row i of each field is ``perron(A[i])``'s.  A stack
-    with a row that ``perron`` refuses raises the first such row's error."""
-    M = np.asarray(A, dtype=float)
-    t, failed = _solve_stack(M)
-    if failed.any():
-        # perron refuses each row the stack fails: a 2x2 one with a zero
-        # off-diagonal entry, solved densely there, has a zero vector entry
-        perron(M[np.argmax(failed)])
-    return t
 
 
 def perron_vector_by_linear_solve(A: np.ndarray, lam: float) -> np.ndarray:
@@ -306,61 +295,63 @@ class CycleMeanExtremes:
     max_cycle: tuple[int, ...]
 
 
-def _karp_min_mean(W: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Karp's minimum mean cycle of the graph with edge weights W (+inf off
-    the graph), with 0-based vertices.
+def _karp_min_mean(W: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+    """Karp's minimum mean cycle of each graph of the (g, n, n) stack W of
+    edge weights (+inf off the graph), with 0-based vertices.
 
-    D[k, v] is the least weight of a k-edge walk ending at v; D[0] = 0 at
-    every vertex starts a walk anywhere, so every vertex is reachable.  Ties
-    take the lowest predecessor (argmin keeps the first minimum).
+    D[k, g, v] is the least weight of a k-edge walk in graph g ending at v;
+    D[0] = 0 at every vertex starts a walk anywhere, so every vertex is
+    reachable.  Each step is one min-plus product over the whole stack; min
+    is exact, so each graph gets the bits of a run on it alone.  Ties take
+    the lowest predecessor (argmin keeps the first minimum).
     """
-    n = W.shape[0]
-    D = np.zeros((n + 1, n))
-    parent = np.zeros((n + 1, n), dtype=int)
+    n = W.shape[1]
+    D = np.zeros((n + 1,) + W.shape[:2])
+    parent = np.zeros(D.shape, dtype=int)
     for k in range(1, n + 1):
-        walks = D[k - 1][:, np.newaxis] + W
-        parent[k] = walks.argmin(axis=0)
-        D[k] = walks.min(axis=0)
+        walks = D[k - 1][:, :, np.newaxis] + W
+        parent[k] = walks.argmin(axis=1)
+        D[k] = walks.min(axis=1)
 
     # A vertex with no n-edge walk has D[n] = inf: inf - inf is NaN, which
     # fmax skips, and the finite D[0] gives it the ratio +inf.
     with np.errstate(invalid="ignore"):
-        ratios = (D[n] - D[:n]) / (n - np.arange(n))[:, np.newaxis]
+        ratios = (D[n] - D[:n]) / (n - np.arange(n))[:, np.newaxis, np.newaxis]
     worst = np.fmax.reduce(ratios, axis=0)
-    best_v = int(np.argmin(worst))
-    best = float(worst[best_v])
-
-    # The optimal n-edge walk into best_v contains a min-mean cycle.
-    walk = [best_v]
-    for k in range(n, 0, -1):
-        walk.append(int(parent[k, walk[-1]]))
-    walk.reverse()
-    seen: dict[int, int] = {}
-    cycle: tuple[int, ...] = ()
-    for pos, vertex in enumerate(walk):
-        if vertex in seen:
-            cycle = tuple(walk[seen[vertex] : pos])
-            break
-        seen[vertex] = pos
-    mean = sum(W[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])) / len(cycle)
-    if abs(mean - best) > 1e-9 * max(1.0, abs(best)):
-        raise NonConvergenceError("extracted cycle does not realize the Karp optimum")
-    return best, cycle
+    results = []
+    for g, best_v in enumerate(np.argmin(worst, axis=1).tolist()):
+        best = float(worst[g, best_v])
+        # The optimal n-edge walk into best_v contains a min-mean cycle.
+        walk = [best_v]
+        for k in range(n, 0, -1):
+            walk.append(int(parent[k, g, walk[-1]]))
+        walk.reverse()
+        seen: dict[int, int] = {}
+        cycle: tuple[int, ...] = ()
+        for pos, vertex in enumerate(walk):
+            if vertex in seen:
+                cycle = tuple(walk[seen[vertex] : pos])
+                break
+            seen[vertex] = pos
+        mean = sum(W[g, u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])) / len(cycle)
+        if abs(mean - best) > 1e-9 * max(1.0, abs(best)):
+            raise NonConvergenceError("extracted cycle does not realize the Karp optimum")
+        results.append((best, cycle))
+    return results
 
 
 def cycle_mean_extremes(base: TransitionMatrix, weights) -> CycleMeanExtremes:
-    """Exact minimum and maximum mean cycle weight over the support graph.
+    """Exact minimum and maximum mean cycle weight over the support graph,
+    from one Karp run on the stack of W and -W.
 
     ``weights`` is an NxN array whose values on support edges are used;
     off-support values are ignored.
     """
     W = np.asarray(weights, dtype=float)
-    support = base.entries == 1
-    lo, lo_cycle = _karp_min_mean(np.where(support, W, np.inf))
-    hi_neg, hi_cycle = _karp_min_mean(np.where(support, -W, np.inf))
-    # the two runs keep different rounded Karp ratios: equal extremes (a
-    # constant W) can come out one ulp the wrong way round, so the means are
-    # returned in order
+    (lo, lo_cycle), (hi_neg, hi_cycle) = _karp_min_mean(np.where(base.entries == 1, [W, -W], np.inf))
+    # W and -W keep different rounded Karp ratios: equal extremes (a constant
+    # W) can come out one ulp the wrong way round, so the means are returned
+    # in order
     lo, hi = sorted((lo, -hi_neg))
     to_word = lambda cyc: tuple(v + 1 for v in cyc)
     return CycleMeanExtremes(lo, hi, to_word(lo_cycle), to_word(hi_cycle))

@@ -32,6 +32,10 @@ ROW_TOL = 1e-10
 HALF_TOL = 1e-10
 GAP_TOL = 1e-9
 OPENNESS_SUBTRIALS = 10
+# The share c of an openness ball's certified radius that density_probe
+# draws at; c < 2 / (2 + GAP_TOL) covers the growth of the scale over the
+# ball, and the rest is left for rounding (density_probe's docstring).
+BALL_SAFETY = 0.9
 
 
 @dataclass(frozen=True)
@@ -42,23 +46,25 @@ class GnReport:
     values: dict[Word, float]
 
 
-def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
+def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, list[tuple[int, int]]]]:
     """Least scaled gap |v_i - v_j| / max(1, max |v|) of each row of a (k, E)
-    stack, and each row's index pairs with gap <= GAP_TOL, in combinations
-    order.  Rounding is monotone, so along a sorted row the gaps from one
-    value never fall: the least is an adjacent one, and a forward sweep
-    stops at its first gap above the tolerance."""
+    stack, that scale max(1, max |v|), and, by row, the index pairs with gap
+    <= GAP_TOL of each row that has any, in combinations order.  Rounding is
+    monotone, so along a sorted row the gaps from one value never fall: the
+    least is an adjacent one, and a forward sweep stops at its first gap
+    above the tolerance."""
     order = np.argsort(values, axis=1, kind="stable")
     ranked = np.take_along_axis(values, order, axis=1)
     scale = np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))
     gaps = np.diff(ranked, axis=1) / scale[:, np.newaxis]
-    collisions: list[list[tuple[int, int]]] = [[] for _ in values]
+    collisions: dict[int, list[tuple[int, int]]] = {}
     for row, start in zip(*np.nonzero(gaps <= GAP_TOL)):
+        pairs = collisions.setdefault(int(row), [])
         end = start + 1
         while end < ranked.shape[1] and (ranked[row, end] - ranked[row, start]) / scale[row] <= GAP_TOL:
-            collisions[row].append(tuple(sorted((int(order[row, start]), int(order[row, end])))))
+            pairs.append(tuple(sorted((int(order[row, start]), int(order[row, end])))))
             end += 1
-    return gaps.min(axis=1, initial=np.inf), [sorted(pairs) for pairs in collisions]
+    return gaps.min(axis=1, initial=np.inf), scale, {row: sorted(pairs) for row, pairs in collisions.items()}
 
 
 def g_n_membership(f: Potential) -> GnReport:
@@ -71,8 +77,8 @@ def g_n_membership(f: Potential) -> GnReport:
     f2, recoding = reduce_to_order2(f)
     words = f.words if recoding else f2.words
     table = normalize_potential(f2).table
-    margin, collisions = _distinct_values(table[np.newaxis])
-    pairs = tuple((words[i], words[j]) for i, j in collisions[0])
+    margin, _, collisions = _distinct_values(table[np.newaxis])
+    pairs = tuple((words[i], words[j]) for i, j in collisions.get(0, []))
     return GnReport(not pairs, float(margin[0]), pairs, dict(zip(words, table.tolist())))
 
 
@@ -92,7 +98,8 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
     an edge e = (i, j), r(e) = w_i / w_j with w = v (``right-v``) or
     w = 1/u (``left-u``); the latter matches the collision condition of the
     normalized potential exactly.  Each verdict is cross-reported against
-    the definitional collision test.  ``Af`` is checked before any solve: a
+    the definitional collision test, which normalizes log ``Af`` by the
+    left vector of the same solve.  ``Af`` is checked before any solve: a
     non-finite or negative entry raises ValueError, and a support that is
     not square and primitive raises AperiodicityError.
     """
@@ -105,9 +112,9 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
     triple = perron(Af)
     w = triple.right if orientation == "right-v" else 1.0 / triple.left
     f = Potential.from_matrix_log(base, Af)
-    _, collisions = _distinct_values(normalize_potential(f).table[np.newaxis])
+    _, _, collisions = _distinct_values(_normalized_table(f, triple.left, f.table)[np.newaxis])
     colliding = np.zeros((len(f.words),) * 2, dtype=bool)
-    for e, e2 in collisions[0]:
+    for e, e2 in collisions.get(0, []):
         colliding[e, e2] = colliding[e2, e] = True
 
     i, j = base.edge_index
@@ -204,22 +211,88 @@ class DensityProbeResult:
     openness_violations: int
 
 
-def _member_rows(f2: Potential, tables: np.ndarray) -> np.ndarray:
-    """g_n_membership(...).member of each row of a (k, E) stack of f2's
-    tables, solved in stacked blocks (``thermo._blocks``)."""
-    member = []
+def _member_rows(f2: Potential, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g_n_membership(...).margin of each row of a (k, E) stack of f2's
+    tables and the scale its gaps are divided by, solved in stacked blocks
+    (``thermo._blocks``).  A table that ``perron`` refuses raises that
+    refusal."""
+    margins, scales = [np.empty(0)], [np.empty(0)]
     for rows in _blocks(tables, f2.base.n_symbols**2):
-        left = perron_stack(_exp_on_support(f2, table=rows)).left
-        margin, _ = _distinct_values(_normalized_table(f2, left, rows))
-        member.extend((margin > GAP_TOL).tolist())
-    return np.array(member, dtype=bool)
+        A = _exp_on_support(f2, table=rows)
+        t, refused = perron_stack(A)
+        # perron refuses each row the stack fails: a 2x2 one with a zero
+        # off-diagonal entry, solved densely there, has a zero vector entry
+        if refused.any():
+            perron(A[np.argmax(refused)])
+        margin, scale, _ = _distinct_values(_normalized_table(f2, t.left, rows))
+        margins.append(margin)
+        scales.append(scale)
+    return np.concatenate(margins), np.concatenate(scales)
+
+
+def _certified_radius(f2: Potential, tables: np.ndarray, margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """c (margin - GAP_TOL) scale / (2L) of each row of a (k, E) stack of
+    member tables of f2, with their ``_member_rows`` margins and scales and
+    c = BALL_SAFETY: the radius of the ball around each that holds members
+    only (``density_probe`` proves it).
+
+    L = 1 + 2p / (1 - tau) = 1 + p (1 + exp(Delta / 2)), where tau =
+    tanh(Delta / 4) is the Birkhoff contraction coefficient of B = A^p, p =
+    f2.base.aperiodicity_power and Delta = max log(B_ik B_jl / (B_il B_jk))
+    is B's projective diameter; a B with a zero or non-finite entry gives L
+    = inf and radius 0.  One stacked ``matrix_power`` a block
+    (``thermo._blocks``) of A = np.exp of the tables: a bound needs no last
+    bits of A."""
+    n, p = f2.base.n_symbols, f2.base.aperiodicity_power
+    src, dst = f2.base.edge_index
+    diameters = [np.empty(0)]
+    with np.errstate(all="ignore"):
+        for rows in _blocks(tables, n**3):
+            A = np.zeros((len(rows), n, n))
+            A[:, src, dst] = np.exp(rows)
+            R = np.log(np.linalg.matrix_power(A, p))
+            # spread[m, i, j] = max_k (R_ik - R_jk); Delta = max (spread + its transpose)
+            spread = (R[:, :, np.newaxis, :] - R[:, np.newaxis, :, :]).max(axis=3)
+            diameters.append((spread + spread.transpose(0, 2, 1)).reshape(len(rows), -1).max(axis=1))
+        L = 1.0 + p * (1.0 + np.exp(np.concatenate(diameters) / 2.0))
+    return BALL_SAFETY * (margin - GAP_TOL) * scale / (2.0 * np.where(np.isnan(L), np.inf, L))
 
 
 def density_probe(f: Potential, radius: float, trials: int, seed: int) -> DensityProbeResult:
-    """Fraction of uniform table perturbations that have pairwise-distinct
-    normalized values, with a shrunken-ball probe around each member found.
-    All trials are solved before any member's ball, so a failing trial table
-    raises even where an earlier member's ball fails too."""
+    """Fraction of uniform table perturbations of radius ``radius`` that have
+    pairwise-distinct normalized values, with a ball of tables around each
+    member found, each of which must be a member again.  All trials are
+    solved before any member's ball, so a failing trial table raises even
+    where an earlier member's ball fails too.
+
+    Member m's ball has radius r_m = min(radius / 100, c (margin_m -
+    GAP_TOL) scale_m / (2 L_m)) (``_certified_radius``), with c =
+    BALL_SAFETY and margin_m and scale_m from ``_member_rows``.  Every
+    table in it is a member in exact arithmetic, so a violation reports a
+    fault of the solve, not a ball the set need not contain.  Proof, in
+    Hilbert's projective metric d_H with Birkhoff's contraction
+    d_H(xB, yB) <= tau d_H(x, y) for B = A_m^p > 0 (Birkhoff 1957; Seneta,
+    ch. 3):
+
+    - A table moved by |delta|_inf <= r has A' = A_m exp(delta) entrywise,
+      so each entry of B' = A'^p, a sum of p-edge products, is within a
+      factor exp(+-pr) of B's, and d_H(xB', xB) <= 2pr for every x > 0.
+    - The left vectors, u B = rho u and u' B' = rho' u', then satisfy
+      d_H(u', u) <= d_H(u'B', u'B) + d_H(u'B, uB) <= 2pr + tau d_H(u', u),
+      so d_H(u', u) <= 2pr / (1 - tau).
+    - A normalized value g_ij + log u_i - log u_j moves by at most
+      r + d_H(u', u) <= rL: each gap by at most 2rL, and the scale
+      max(1, max |value|) grows by at most rL.
+    - The least gap, margin_m scale_m, therefore stays above GAP_TOL times
+      the grown scale when rL (2 + GAP_TOL) < (margin_m - GAP_TOL) scale_m.
+      At r = r_m this holds for c < 2 / (2 + GAP_TOL), and the least gap
+      clears the tolerance by at least (1 - c - c GAP_TOL / 2) (margin_m -
+      GAP_TOL) scale_m: at c = 0.9, a tenth of the member's excess is left
+      for the rounding of the two solves.
+
+    Each ball draws uniform(-radius / 100, radius / 100) from its trial's
+    stream and scales it by r_m / (radius / 100), so a ball whose radius is
+    not cut keeps its draws bit for bit."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials!r}")
     if not (radius >= 0 and math.isfinite(2.0 * radius)):
@@ -233,8 +306,12 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
         trial_draws[0] = rng.uniform(-radius, radius, size)
         trial_draws[1:] = rng.uniform(-shrunk, shrunk, (OPENNESS_SUBTRIALS, size))
     tables = f2.table + draws[:, 0]
-    members = np.flatnonzero(_member_rows(f2, tables))
-    balls = tables[members, np.newaxis] + draws[members, 1:]
-    openness = _member_rows(f2, balls.reshape(-1, size))
+    margin, scale = _member_rows(f2, tables)
+    members = np.flatnonzero(margin > GAP_TOL)
+    certified = _certified_radius(f2, tables[members], margin[members], scale[members])
+    # radius 0 draws only zeros, which need no cut
+    cut = np.minimum(shrunk, certified) / shrunk if shrunk else np.ones(members.size)
+    balls = tables[members, np.newaxis] + draws[members, 1:] * cut[:, np.newaxis, np.newaxis]
+    openness = _member_rows(f2, balls.reshape(-1, size))[0] > GAP_TOL
     fraction = members.size / trials if trials else 0.0
     return DensityProbeResult(fraction, members.size, trials, openness.size, int(openness.size - openness.sum()))

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 from .errors import PotentialRangeError, StochasticityError, WordLengthError
-from .perron import PerronTriple, _solve_stack, perron, stationary_distribution
+from .perron import PerronTriple, perron, perron_stack, stationary_distribution
 from .shiftspace import BlockRecoding, TransitionMatrix, Word, admissible_words, higher_block_recode
 
 
@@ -262,7 +262,7 @@ class BetaFunction:
     def solve(self, qs) -> None:
         """Build A(qf) for each q of ``qs`` not yet built, one stacked build
         per ``_blocks`` block, and on 3 or more states solve that block with
-        one ``_solve_stack``: bit for bit the per-q build (the same IEEE
+        one ``perron_stack``: bit for bit the per-q build (the same IEEE
         products q * v, and math.exp(1.0 * t) is math.exp(t)) and
         ``perron``.  A block with a tilt out of range is not cached, nor is
         the triple of a row that ``perron`` refuses, so that such a q raises
@@ -280,7 +280,7 @@ class BetaFunction:
                 # solved one q at a time only because the benchmark pins their
                 # perron calls: delete this if when ROADMAP item 2b re-pins them
                 continue
-            t, failed = _solve_stack(A)
+            t, failed = perron_stack(A)
             for i in np.flatnonzero(~failed):
                 self._triples[rows[i]] = PerronTriple(
                     float(t.root[i]), t.left[i], t.right[i], float(t.residual[i]), int(t.iterations[i])

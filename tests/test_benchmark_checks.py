@@ -33,3 +33,16 @@ def test_every_job_passes_its_check(workload, seed, monkeypatch):
         if (reason := jobs.check_outcome(job, jobs.run_job(job))) is not None
     ]
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize(
+    "seed, p, template", [(0, 69, 88), (2, 49, 92), (6, 58, 96), (6, 63, 96), (9001, 67, 94)]
+)
+def test_density_jobs_whose_fixed_balls_left_the_set(seed, p, template, monkeypatch):
+    # each drew a ball of radius radius/100 around a member whose margin is
+    # below that radius, and found one violation in 400 tables; the
+    # certified ball holds members only
+    monkeypatch.chdir(ROOT)
+    job = dict(jobs.make_pass("rigidity", seed, jobs.make_templates("rigidity", seed), p))[template]
+    assert job.kind == "density_probe"
+    assert jobs.check_outcome(job, jobs.run_job(job)) is None

@@ -149,11 +149,11 @@ class TestSpectrum:
 
         for module in (cli, rigidity, spectrum, thermo):
             spy(module, "perron")
-        spy(thermo, "_solve_stack")
+        spy(thermo, "perron_stack")
         code, out, _ = run(capsys, "spectrum", model)
         assert code == EXIT_OK and json.loads(out)["samples"] == 41
         assert counts == {
-            "cli.perron": 0, "rigidity.perron": 0, "spectrum.perron": 0, "thermo.perron": 2, "thermo._solve_stack": 1
+            "cli.perron": 0, "rigidity.perron": 0, "spectrum.perron": 0, "thermo.perron": 2, "thermo.perron_stack": 1
         }
 
     def test_csv_repr_round_trip(self, capsys, tmp_path):

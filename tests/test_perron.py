@@ -13,7 +13,8 @@ from markovspectra import (
     perron_vector_by_linear_solve,
     stationary_distribution,
 )
-from markovspectra.perron import CycleMeanExtremes, _perron_vectors, _solve_stack, perron, perron_stack
+from markovspectra import perron as perron_module
+from markovspectra.perron import CycleMeanExtremes, _perron_vectors, perron, perron_stack
 from markovspectra.spectrum import COMPARE_GRID
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
@@ -115,7 +116,8 @@ class TestPerron:
 
 
 class TestPerronStack:
-    """Stacks that hold a failing row raise that row's own ``perron`` error."""
+    """A stack's mask flags each row that ``perron`` refuses, and that row's
+    own ``perron`` gives the error."""
 
     @pytest.mark.parametrize(
         "bad",
@@ -146,8 +148,10 @@ class TestPerronStack:
         rows[position] = bad
         with pytest.raises(NonConvergenceError) as single:
             perron(bad)
+        _, failed = perron_stack(np.array(rows))
+        assert failed.tolist() == [i == position for i in range(3)]
         with pytest.raises(type(single.value)) as stacked:
-            perron_stack(np.array(rows))
+            perron(np.array(rows)[np.argmax(failed)])
         assert str(stacked.value) == str(single.value)
 
     @pytest.mark.parametrize("order", [3, 4, 5])
@@ -157,8 +161,8 @@ class TestPerronStack:
         # grids (BetaFunction.solve): every COMPARE_GRID tilt of a +-0.5 full
         # 2-shift potential.
         # Three of the twelve grids hold rows that perron refuses (at most
-        # 15, all at |q| >= 16); the grid's stack fails exactly those rows,
-        # solves every other row as perron does, and raises the first refusal
+        # 15, all at |q| >= 16); the grid's stack fails exactly those rows and
+        # solves every other row as perron does
         bf = BetaFunction(random_potential(full2, seed=seed, scale=0.5, order=order))
         bf.solve(COMPARE_GRID)
         A = np.stack([bf.matrix(q) for q in COMPARE_GRID])
@@ -169,21 +173,21 @@ class TestPerronStack:
             except NonConvergenceError as exc:
                 errors.append(str(exc))
         assert len(ok) >= 140
-        t, failed = _solve_stack(A)
+        t, failed = perron_stack(A)
         assert (t.iterations == 1).all() and np.flatnonzero(~failed).tolist() == [i for i, _ in ok]
         for i, s in ok:
             assert (t.root[i], t.residual[i]) == (s.root, s.residual)
             assert t.left[i].tolist() == s.left.tolist() and t.right[i].tolist() == s.right.tolist()
         if errors:
             with pytest.raises(NonConvergenceError, match=re.escape(errors[0])):
-                perron_stack(A)
+                perron(A[np.argmax(failed)])
 
     def test_a_singular_newton_system_fails_its_row_alone(self):
         # the stacked Newton solve refuses the whole stack; each row is then
         # solved alone, and only the singular one fails
         rows = [np.where(np.eye(6) == 1, 0.5, 1.0 + 0.1 * i) for i in range(3)]
         rows[1] = np.array(NOT_SIMPLE)
-        t, failed = _solve_stack(np.array(rows))
+        t, failed = perron_stack(np.array(rows))
         assert failed.tolist() == [False, True, False]
         for i in (0, 2):
             s = perron(rows[i])
@@ -203,8 +207,8 @@ class TestPerronStack:
         assert str(failure.value) == "dominant eigenpair is not positive: root 1.0, least entry 0.000e+00"
 
     def test_empty_stack(self):
-        t = perron_stack(np.zeros((0, 3, 3)))
-        assert t.root.shape == (0,) and t.left.shape == (0, 3)
+        t, failed = perron_stack(np.zeros((0, 3, 3)))
+        assert t.root.shape == (0,) and t.left.shape == (0, 3) and failed.shape == (0,)
 
 
 def hex_triple(t) -> tuple:
@@ -398,6 +402,14 @@ class TestCycleMeanExtremes:
             ext = cycle_mean_extremes(base, np.full(base.entries.shape, c))
             assert ext.min_mean <= ext.max_mean
             assert ext.min_mean == pytest.approx(c, rel=1e-15) and ext.max_mean == pytest.approx(c, rel=1e-15)
+
+    def test_one_karp_run_on_a_two_graph_stack(self, ring, monkeypatch):
+        # W and -W are one stack of two graphs, solved by one Karp run
+        calls = []
+        karp = perron_module._karp_min_mean
+        monkeypatch.setattr(perron_module, "_karp_min_mean", lambda W: calls.append(W.shape) or karp(W))
+        cycle_mean_extremes(ring, np.arange(9.0).reshape(3, 3))
+        assert calls == [(2, 3, 3)]
 
     def test_negation_symmetry(self):
         for seed in range(20):

@@ -28,7 +28,8 @@ from markovspectra import (
     ring3,
     spectra_equal,
 )
-from markovspectra.errors import AperiodicityError
+from markovspectra import rigidity
+from markovspectra.errors import AperiodicityError, NonConvergenceError
 from markovspectra.perron import perron, perron_stack
 from markovspectra.rigidity import GAP_TOL, OPENNESS_SUBTRIALS, DensityProbeResult, PairCheck
 from markovspectra.shiftspace import TransitionMatrix
@@ -246,6 +247,20 @@ class TestAppendixConditionCheck:
                 appendix_condition_check(np.array(Af, dtype=float), orientation)
 
     @pytest.mark.parametrize("orientation", ["right-v", "left-u"])
+    def test_one_perron_solve(self, monkeypatch, f_p2_third, orientation):
+        # the collision test reads the solve that gives w
+        counts = {"rigidity": 0, "thermo": 0}
+        for module in counts:
+
+            def counted(A, module=module):
+                counts[module] += 1
+                return perron(A)
+
+            monkeypatch.setattr(f"markovspectra.{module}.perron", counted)
+        appendix_condition_check(edge_matrix(f_p2_third), orientation)
+        assert counts == {"rigidity": 1, "thermo": 0}
+
+    @pytest.mark.parametrize("orientation", ["right-v", "left-u"])
     def test_records_match_loop_reference(self, orientation):
         collisions = 0
         for name, f in appendix_cases().items():
@@ -456,6 +471,27 @@ class TestDensityProbeReference:
         assert density_probe(f, 0.05, 7, 3) == reference_density_probe(f, 0.05, 7, 3)
         assert shapes and all(k <= rows and m == n for k, m, _ in shapes)
 
+    @pytest.mark.parametrize(
+        "base, matrix",
+        [
+            # exp(-460) off the diagonal: the closed form's b*c underflows to 0
+            (full_shift(2), [[1.0, math.exp(-460.0)], [math.exp(-460.0), 1.0]]),
+            # the dense dgeev vector has a zero entry
+            (
+                ring3(),
+                [[0.0, math.exp(-400.0), math.exp(-400.0)], [math.exp(400.0), 0.0, math.exp(400.0)], [1.0, 1.0, 0.0]],
+            ),
+        ],
+        ids=["closed-form", "dense"],
+    )
+    def test_a_refused_trial_table_raises_perron_error(self, base, matrix):
+        f = Potential.from_matrix_log(base, matrix)
+        with pytest.raises(NonConvergenceError) as single:
+            perron(edge_matrix(f))
+        with pytest.raises(NonConvergenceError) as probed:
+            density_probe(f, 0.0, 3, 0)
+        assert str(probed.value) == str(single.value)
+
     @pytest.mark.parametrize("trials, radius", [(-3, 1e-3), (5, -1e-3), (5, math.nan), (5, math.inf), (5, 1e308)])
     def test_invalid_arguments_refused(self, f_p1_third, trials, radius):
         with pytest.raises(ValueError, match="trials" if trials < 0 else "radius"):
@@ -463,3 +499,39 @@ class TestDensityProbeReference:
 
     def test_no_trials(self, f_p1_third):
         assert density_probe(f_p1_third, 1e-3, 0, 0) == DensityProbeResult(0.0, 0, 0, 0, 0)
+
+
+@st.composite
+def near_boundary_members(draw):
+    """An order-2 potential on the set's boundary, 20 of its tables moved by
+    up to 10^-7 to 10^-2 in each value, and a generator.  The potential is
+    the log table of P1(a) on the full 2-shift plus a constant, or a table
+    with planted ties on a random aperiodic base of 2-4 symbols."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        f = log_p1_potential(draw(st.floats(0.05, 0.95)))
+        f = Potential(f.base, 2, f.words, f.table + draw(st.floats(-3.0, 3.0)))
+    else:
+        f = planted_ties(random_aperiodic_base(rng, draw(st.integers(2, 4))), seed)
+    size = 10.0 ** draw(st.floats(-7.0, -2.0))
+    return f, f.table + rng.uniform(-size, size, (20, f.table.size)), rng
+
+
+class TestCertifiedBall:
+    @settings(max_examples=60, deadline=10_000, derandomize=True, database=None)
+    @given(near_boundary_members())
+    def test_every_table_in_a_certified_ball_is_a_member(self, case):
+        # balls at the full certified radius, at corners of the cube and
+        # uniform inside it
+        f2, tables, rng = case
+        margin, scale = rigidity._member_rows(f2, tables)
+        members = margin > GAP_TOL
+        radius = rigidity._certified_radius(f2, tables[members], margin[members], scale[members])
+        assert (radius > 0).all()
+        shape = (members.sum(), 2 * OPENNESS_SUBTRIALS, f2.table.size)
+        corner = np.arange(shape[1])[:, np.newaxis] % 2 == 1
+        moves = np.where(corner, rng.choice([-1.0, 1.0], shape), rng.uniform(-1.0, 1.0, shape))
+        balls = tables[members, np.newaxis] + moves * radius[:, np.newaxis, np.newaxis]
+        margins, _ = rigidity._member_rows(f2, balls.reshape(-1, f2.table.size))
+        assert (margins > GAP_TOL).all()
