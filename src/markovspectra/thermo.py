@@ -177,18 +177,24 @@ def pressure_by_preimages(f: Potential, depth: int) -> list[float]:
     src, dst = f2.base.edge_index  # row-major: each row's edges are contiguous
     row_starts = np.flatnonzero(np.diff(src, prepend=-1))  # a primitive support has no empty row
     w = np.log(edge_matrix(f2)[src, dst])
+    flat = src * n + dst  # the edges' positions in a flattened n x n row
     estimates: list[float] = []
     for terminals in _blocks(np.eye(n, dtype=bool), n * n):
-        log_col = np.where(terminals, 0.0, -np.inf)
-        dense = np.zeros((log_col.shape[0], n, n))  # off-edge entries stay 0
-        for _ in range(depth):
-            prev = log_col
-            a = w + log_col[:, dst]
-            peak = np.maximum.reduceat(a, row_starts, axis=1)
-            peak[~np.isfinite(peak)] = 0.0
-            dense[:, src, dst] = np.exp(a - peak[:, src])
-            with np.errstate(divide="ignore"):
-                log_col = np.log(np.sum(dense, axis=-1)) + peak
+        k = len(terminals)
+        log_col, prev = np.where(terminals, 0.0, -np.inf), np.empty((k, n))
+        dense = np.zeros((k, n * n))  # off-edge entries stay 0
+        rows = dense.reshape(k, n, n)
+        with np.errstate(divide="ignore"):
+            for _ in range(depth):
+                log_col, prev = prev, log_col
+                a = prev.take(dst, axis=1)
+                a += w
+                peak = np.maximum.reduceat(a, row_starts, axis=1)
+                peak[~np.isfinite(peak)] = 0.0
+                a -= peak.take(src, axis=1)
+                dense[:, flat] = np.exp(a, out=a)
+                np.log(np.add.reduce(rows, axis=-1, out=log_col), out=log_col)
+                log_col += peak
         estimates.extend((_logsumexp(log_col) - _logsumexp(prev)).tolist())
     return estimates
 
@@ -212,25 +218,64 @@ class MarkovMeasure:
         return cls(base, P, stationary_distribution(P))
 
 
+def _gibbs_rows(A: np.ndarray, root, right: np.ndarray) -> tuple:
+    """P_ij = A_ij v_j / (lambda v_i) from A and its Perron root and right
+    vector, before normalization, with P's row sums, the defect
+    max|row sum - 1| and whether an entry of A's support underflows to 0 in
+    P; rows of a stack alike.  Both reductions are ufunc reductions: in
+    ``np.max`` and ``np.count_nonzero(..., axis=...)`` a Python wrapper
+    costs more than the work on one small matrix."""
+    lam = np.asarray(root)[..., np.newaxis, np.newaxis]
+    P = A * right[..., np.newaxis, :] / (lam * right[..., :, np.newaxis])
+    sums = P.sum(axis=-1)
+    defect = np.maximum.reduce(np.abs(sums - 1.0), axis=-1)
+    underflow = np.logical_or.reduce((P == 0) > (A == 0), axis=(-2, -1))
+    return P, sums, defect, underflow
+
+
+def _gibbs_error(defect: float, underflow: bool) -> StochasticityError | None:
+    """The error of Gibbs rows that ``_gibbs_rows`` finds not stochastic, else None."""
+    if defect > 1e-8:
+        return StochasticityError(f"Gibbs matrix rows stochastic only within {defect:.3e}")
+    if underflow:
+        return StochasticityError("Gibbs transition probabilities underflow to 0 on the support")
+    return None
+
+
+def _gibbs_measure(
+    base: TransitionMatrix, P: np.ndarray, sums: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> MarkovMeasure:
+    """The measure of checked rows P and sums of ``_gibbs_rows`` from the
+    Perron vectors u and v: P normalized to its row sums and pi = u v / (u.v),
+    with a stack axis when P has one."""
+    # absorb the last few ulps of eigenvector error so the rows are exactly
+    # stochastic for downstream consumers
+    pi = left * right
+    return MarkovMeasure(base, P / sums[..., np.newaxis], pi / pi.sum(axis=-1, keepdims=True))
+
+
 def _gibbs(f2: Potential, A: np.ndarray, triple: PerronTriple) -> MarkovMeasure:
     """Gibbs-Markov measure of the order-2 f2 from A(f2) and its Perron triple.
 
     P(f)_ij = A(f)_ij v_j / (lambda v_i); the stationary vector is u_i v_i
     under the library's eigenvector normalization.
     """
-    v = triple.right
-    P = A * v[np.newaxis, :] / (triple.root * v[:, np.newaxis])
-    defect = np.max(np.abs(P.sum(axis=1) - 1.0))
-    if defect > 1e-8:
-        raise StochasticityError(f"Gibbs matrix rows stochastic only within {defect:.3e}")
-    if np.count_nonzero(P) < np.count_nonzero(A):
-        raise StochasticityError("Gibbs transition probabilities underflow to 0 on the support")
-    # absorb the last few ulps of eigenvector error so the rows are exactly
-    # stochastic for downstream consumers
-    P = P / P.sum(axis=1, keepdims=True)
-    pi = triple.left * triple.right
-    pi = pi / pi.sum()
-    return MarkovMeasure(f2.base, P, pi)
+    P, sums, defect, underflow = _gibbs_rows(A, triple.root, triple.right)
+    error = _gibbs_error(defect, underflow)
+    if error is not None:
+        raise error
+    return _gibbs_measure(f2.base, P, sums, triple.left, triple.right)
+
+
+def _alpha(table: np.ndarray, pressure: float, A: np.ndarray, root, left: np.ndarray, right: np.ndarray):
+    """alpha = -beta'(q) = pressure - u.(table*A)v / lambda at the tilt
+    A = A(qf) with Perron data (lambda, u, v), from the exact entrywise
+    derivative table*A of the family: a float, or for a stack A the list of
+    each row's."""
+    # [()] makes the 0-d result of a single A a scalar, whose arithmetic is
+    # cheaper than a 0-d array's
+    dlam = (left[..., np.newaxis, :] @ (table * A) @ right[..., np.newaxis])[..., 0, 0][()]
+    return (pressure - dlam / root).tolist()
 
 
 class BetaFunction:
@@ -302,9 +347,7 @@ class BetaFunction:
     def alpha(self, q: float) -> float:
         """-beta'(q), from the exact entrywise derivative of the family."""
         t = self.triple(q)
-        dM = self.dense_table * self.matrix(q)
-        dlam = float(t.left @ dM @ t.right)
-        return self.pressure - dlam / t.root
+        return _alpha(self.dense_table, self.pressure, self._matrices[q], t.root, t.left, t.right)
 
     def alpha_slope(self, q: float) -> float:
         """alpha'(q) = -beta''(q): minus the asymptotic variance of f under
@@ -427,12 +470,14 @@ def eigen_measure_cylinder(f: Potential, w: Word) -> float:
     return cylinder_measure(bf.gibbs(1.0), w) / bf.triple(1.0).left[w[0] - 1]
 
 
-def entropy_rate(mu: MarkovMeasure) -> float:
-    """Kolmogorov-Sinai entropy of a stationary Markov measure."""
+def entropy_rate(mu: MarkovMeasure):
+    """Kolmogorov-Sinai entropy of a stationary Markov measure: a float, or
+    for a measure with a stack axis (``_gibbs_measure``) the list of each
+    row's."""
     P = mu.P
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(P > 0, P * np.log(P), 0.0)
-    return float(-mu.pi @ plogp.sum(axis=1))
+    return (-mu.pi[..., np.newaxis, :] @ plogp.sum(axis=-1)[..., np.newaxis])[..., 0, 0].tolist()
 
 
 def potential_integral(mu: MarkovMeasure, f: Potential) -> float:

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import markovspectra
@@ -22,6 +24,7 @@ from markovspectra.cli import (
     main,
 )
 from markovspectra.errors import MarkovSpectraError
+from conftest import reference_sample_spectrum
 
 P1_THIRD = "models/full2_p1_third.json"
 P1_QUARTER = "models/full2_p1_quarter.json"
@@ -31,6 +34,21 @@ MEMBER = "models/full2_member_example.json"
 RING3_ZERO = "models/ring3_zero.json"
 FULL3_ORDER1 = json.dumps(
     {"transition": [[1, 1, 1], [1, 1, 1], [1, 1, 1]], "potential": {"order": 1, "values": {"1": 0.3, "2": -0.2, "3": 0.1}}}
+)
+RING3_ORDER2 = json.dumps(
+    {
+        "transition": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "potential": {"order": 2, "values": {"12": 0.3, "13": -0.2, "21": 0.1, "23": 0.25, "31": -0.35, "32": 0.05}},
+    }
+)
+FULL2_ORDER4 = json.dumps(
+    {
+        "transition": [[1, 1], [1, 1]],
+        "potential": {
+            "order": 4,
+            "values": {"".join(w): 0.1 * w.count("1") - 0.07 * (w[0] == w[3]) for w in itertools.product("12", repeat=4)},
+        },
+    }
 )
 RING_40_VALUES = (40.0, -40.0, 40.0, -40.0, -40.0, -40.0)
 # The full 2-shift at order 6 recodes to 32 order-2 symbols.
@@ -155,6 +173,22 @@ class TestSpectrum:
         assert counts == {
             "cli.perron": 0, "rigidity.perron": 0, "spectrum.perron": 0, "thermo.perron": 2, "thermo.perron_stack": 1
         }
+
+    @pytest.mark.parametrize("model", [RING3_ZERO, RING3_ORDER2, FULL2_ORDER4], ids=["ring3_zero", "ring3", "full2-order4"])
+    def test_csv_is_the_per_q_loops_bytes(self, capsys, tmp_path, model):
+        # the CSV of the default grid, byte for byte as the per-q loop that
+        # sample_spectrum's array pass replaced writes its rows
+        from markovspectra import BetaFunction, parse_model
+
+        out_csv = tmp_path / "curve.csv"
+        assert run(capsys, "spectrum", model, "--out", str(out_csv))[0] == EXIT_OK
+        curve = reference_sample_spectrum(BetaFunction(parse_model(model).potential), np.arange(-10.0, 10.25, 0.5))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["q", "alpha", "beta", "E", "flags"])
+        for s in curve.samples:
+            writer.writerow([repr(s.q), repr(s.alpha), repr(s.beta), repr(s.entropy), s.flag])
+        assert len(curve.samples) == 41 and out_csv.read_bytes() == expected.getvalue().encode()
 
     def test_csv_repr_round_trip(self, capsys, tmp_path):
         out_csv = tmp_path / "c.csv"

@@ -29,6 +29,7 @@ from markovspectra import (
     classify_2x2,
     edge_matrix,
     entropy_rate,
+    full_shift,
     log_p1_potential,
     log_p2_potential,
     normalize_potential,
@@ -44,7 +45,7 @@ from markovspectra.cli import main
 from markovspectra.errors import MarkovSpectraError, NonConvergenceError
 from markovspectra.perron import perron, perron_stack
 from markovspectra.thermo import _gibbs
-from conftest import random_aperiodic_base, random_potential
+from conftest import random_aperiodic_base, random_potential, reference_sample_spectrum
 
 
 def bounded(max_examples: int):
@@ -250,6 +251,45 @@ def test_cross_check_reads_what_a_per_q_re_solve_gives(f_grid):
         with pytest.raises(type(first)) as raised:
             sample_spectrum(f, grid)
         assert str(raised.value) == str(first)
+
+
+CLI_GRID = np.arange(-10.0, 10.25, 0.5).tolist()
+
+
+@st.composite
+def spectrum_grids(draw):
+    """A potential with values in [-0.4, 0.4]: order 2 on a random aperiodic
+    support of 2-8 symbols, or order 3-5 on the full 2-shift (4-16 recoded
+    states), with the CLI's default grid or a sorted grid of 1-60 q drawn
+    uniformly from [-40, 40]."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        f = random_potential(random_aperiodic_base(rng, draw(st.integers(2, 8))), seed)
+    else:
+        f = random_potential(full_shift(2), seed, order=draw(st.integers(3, 5)))
+    if draw(st.booleans()):
+        return f, CLI_GRID
+    return f, sorted(rng.uniform(-40.0, 40.0, draw(st.integers(1, 60))).tolist())
+
+
+@bounded(60)
+@given(spectrum_grids())
+def test_sample_spectrum_is_the_per_q_loop_bit_for_bit(f_grid):
+    # the array pass over each block against the per-q loop it replaced:
+    # every field of every sample, or the same error at the same q
+    f, grid = f_grid
+    try:
+        expected = reference_sample_spectrum(f, grid)
+    except MarkovSpectraError as exc:
+        with pytest.raises(type(exc)) as raised:
+            sample_spectrum(f, grid)
+        assert str(raised.value) == str(exc)
+        return
+    curve = sample_spectrum(f, grid)
+    assert curve == expected
+    for s, e in zip(curve.samples, expected.samples):
+        assert all(type(getattr(s, k)) is type(getattr(e, k)) for k in ("q", "alpha", "beta", "entropy"))
 
 
 @st.composite

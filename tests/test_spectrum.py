@@ -17,7 +17,13 @@ from markovspectra import (
     spectra_equal,
 )
 from markovspectra import spectrum, thermo
-from markovspectra.errors import NonConvergenceError, PotentialRangeError
+from markovspectra.errors import (
+    MarkovSpectraError,
+    NonConvergenceError,
+    PotentialRangeError,
+    SolverError,
+    StochasticityError,
+)
 from markovspectra.perron import perron, perron_stack
 from markovspectra.spectrum import (
     FLAG_DEGENERATE,
@@ -26,7 +32,7 @@ from markovspectra.spectrum import (
     FLAG_OUTSIDE,
     SpectrumValue,
 )
-from conftest import random_aperiodic_base, random_potential
+from conftest import random_aperiodic_base, random_potential, reference_sample_spectrum
 
 
 def steep(full2, f12: float) -> Potential:
@@ -258,7 +264,7 @@ class TestPerronCache:
             bf.solve([-3.0, q, 0.25])
             expected = gibbs_markov(bf.f2.scale(q))
             A = bf.matrix(q)
-            for mu in (bf.gibbs(q), spectrum._gibbs(bf.f2, A, spectrum.perron(A))):
+            for mu in (bf.gibbs(q), thermo._gibbs(bf.f2, A, spectrum.perron(A))):
                 assert (mu.P == expected.P).all() and (mu.pi == expected.pi).all()
             assert bf.matrix(q) is A
 
@@ -416,19 +422,18 @@ class TestSampleSpectrum:
 
     @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0, 2.5], np.arange(-10.0, 10.25, 0.5)], ids=["4", "cli-41"])
     def test_one_stacked_solve_and_one_cross_check_of_each_built_matrix(self, ring, monkeypatch, grid):
-        # n >= 3: one stacked solve for the grid's one block, and each q's
-        # cross-check reads the Gibbs measure of that solve: no perron call
+        # n >= 3: one stacked solve for the grid's one block, and the array
+        # pass's cross-checks read it: no perron call, and no per-q Gibbs measure
         bf = BetaFunction(random_potential(ring, seed=4))
-        stacks, checked = [], []
-        stack, gibbs = thermo.perron_stack, BetaFunction.gibbs
+        stacks = []
+        stack = thermo.perron_stack
         monkeypatch.setattr(thermo, "perron_stack", lambda A: stacks.append(A) or stack(A))
         for module in (spectrum, thermo):
             monkeypatch.setattr(module, "perron", lambda A: pytest.fail("the cross-check re-solved a stacked q"))
-        monkeypatch.setattr(BetaFunction, "gibbs", lambda self, q: checked.append(q) or gibbs(self, q))
+        monkeypatch.setattr(BetaFunction, "gibbs", lambda self, q: pytest.fail("a q was read alone"))
         sample_spectrum(bf, grid)
         new = [q for q in grid if q != 1.0]  # q = 1 was solved for the pressure
         assert len(stacks) == 1 and stacks[0].tolist() == [bf.matrix(q).tolist() for q in new]
-        assert checked == list(grid)
 
     def test_a_refused_row_raises_perrons_message_at_its_q(self, ring, monkeypatch):
         # ring_steep's stacked rows fail from q = 3.75: the scan solves that
@@ -445,6 +450,38 @@ class TestSampleSpectrum:
         assert str(raised.value) == str(single.value)
         assert len(solves) == 1 and solves[0] is bf.matrix(3.75)
 
+    @pytest.mark.parametrize("tol", [spectrum.CROSS_CHECK_TOL, -1.0], ids=["default", "every-check-fails"])
+    def test_failing_gibbs_rows_before_a_refused_row_raise_first(self, ring, monkeypatch, tol):
+        # f = (40, 40, -40): the Gibbs rows of q = 9.25 sum to 1 only within
+        # 2.6e-3, and perron refuses q = 9.5, both in the grid's one block.
+        # A q's Gibbs error also comes before its own cross-check's
+        monkeypatch.setattr(spectrum, "CROSS_CHECK_TOL", tol)
+        f = Potential.from_table(ring, 1, {(1,): 40.0, (2,): 40.0, (3,): -40.0})
+        bf = BetaFunction(f)
+        with pytest.raises(NonConvergenceError):
+            perron(bf.matrix(9.5))
+        A = bf.matrix(9.25)
+        with pytest.raises(StochasticityError) as single:
+            thermo._gibbs(bf.f2, A, perron(A))
+        with pytest.raises(StochasticityError) as raised:
+            sample_spectrum(f, [9.25, 9.5])
+        assert str(raised.value) == str(single.value) and "within 2.576e-03" in str(single.value)
+
+    def test_a_failing_cross_check_before_a_refused_row_raises_first(self, ring, monkeypatch):
+        # every q now fails its cross-check: q = 2 is first, before ring_steep's
+        # refused row at q = 3.75
+        monkeypatch.setattr(spectrum, "CROSS_CHECK_TOL", -1.0)
+        with pytest.raises(SolverError, match=r"duality cross-check failed at q=2\.0:"):
+            sample_spectrum(ring_steep(ring, 0.0), [2.0, 3.75])
+
+    @pytest.mark.parametrize("grid", [[0.5, 2.0, 3.75, 4.0], [3.75], [-1.0, 0.0, 3.75, 20.0]], ids=["block", "alone", "tail"])
+    def test_errors_are_the_per_q_loops(self, ring, grid):
+        f = ring_steep(ring, 0.0)
+        with pytest.raises(MarkovSpectraError) as expected:
+            reference_sample_spectrum(f, grid)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            sample_spectrum(f, grid)
+
     def test_cross_check_against_tilted_entropy(self, test_potentials):
         # sample_spectrum raises if E != h(mu_{qf}); just exercise it
         for f in test_potentials:
@@ -457,6 +494,7 @@ class TestSampleSpectrum:
             curve = sample_spectrum(bf, np.arange(-10.0, 10.25, 0.5))
             assert curve.degenerate and curve.alpha_max >= curve.alpha_min
             assert {(s.alpha, s.entropy) for s in curve.samples} == {(curve.alpha_min, bf.beta(0.0))}
+            assert curve == reference_sample_spectrum(Potential.constant(base, c), np.arange(-10.0, 10.25, 0.5))
 
     def test_order5_potential_on_default_grid(self, full2):
         # Perron vectors of this recoding span ten decades at |q| ~ 10; with
