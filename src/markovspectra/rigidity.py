@@ -4,7 +4,9 @@ For 2x2 shifts the classification is pointwise and complete: on the full
 shift a potential is rigid exactly when its Gibbs matrix is neither of the
 two Bernoulli-type families (away from alpha = 1/2), and on the non-full
 shifts every potential is rigid.  For larger alphabets only the
-distinct-value membership and the degree condition are reported.
+distinct-value membership and the degree condition are reported.  The
+seeded density probe takes each trial's perturbations in one draw from
+its stream and solves all trials' tables in stacks.
 """
 
 from __future__ import annotations
@@ -300,11 +302,14 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
     f2, _ = reduce_to_order2(f)
     size = f2.table.size
     shrunk = radius / 100.0
-    # Each trial's stream draws its table's perturbation, then its ball's.
+    # Each trial's stream draws its table's perturbation, then its ball's:
+    # uniform(low, high) is low + (high - low) u of the stream's next doubles.
     draws = np.empty((trials, 1 + OPENNESS_SUBTRIALS, size))
     for trial_draws, rng in zip(draws, _trial_rngs(seed, (), range(trials))):
-        trial_draws[0] = rng.uniform(-radius, radius, size)
-        trial_draws[1:] = rng.uniform(-shrunk, shrunk, (OPENNESS_SUBTRIALS, size))
+        rng.random(out=trial_draws)
+    low = np.array([-radius] + [-shrunk] * OPENNESS_SUBTRIALS)[:, np.newaxis]
+    draws *= np.array([radius] + [shrunk] * OPENNESS_SUBTRIALS)[:, np.newaxis] - low
+    draws += low
     tables = f2.table + draws[:, 0]
     margin, scale = _member_rows(f2, tables)
     members = np.flatnonzero(margin > GAP_TOL)

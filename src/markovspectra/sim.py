@@ -3,7 +3,8 @@
 Every trial consumes its own counter-derived stream ``default_rng((seed,
 *key, trial))``, so batching, chunking or parallel partitioning of trials
 cannot change any output.  A batch's streams are seeded together
-(`_trial_rngs`), and its paths are drawn in blocks of BLOCK time steps.
+(`_trial_rngs`: each SeedSequence stage hashes every trial's rows in one
+uint32 pass), and its paths are drawn in blocks of BLOCK time steps.
 """
 
 from __future__ import annotations
@@ -52,17 +53,29 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays; each call advances the constant."""
+def _hash_constants(const: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's hash constant before each of `calls` successive hashmix
+    calls and after the last, as a (calls + 1, 1) uint32 column."""
+    chain = [const]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, np.newaxis]
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
 
-    return hashmix
+# SeedSequence's hash constants in call order: the mixing stage's (the 4
+# pool rows, then the 3 destinations of each source row in turn) and the
+# output stage's (its 8 words).
+_POOL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_DESTINATIONS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row i of `values` (or of one row, broadcast)
+    with constants[i] and constants[i + 1], for every lane at once."""
+    values = values ^ constants[:-1]
+    values *= constants[1:]
+    return values ^ values >> 16
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -72,19 +85,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(column).generate_state(4, np.uint64) for every column of
-    an (L, m) uint32 entropy array, as a (4, m) uint64 array."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = np.array([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], dtype=np.uint64)
+    an (L, m) uint32 entropy array, as a (4, m) uint64 array.  Each stage
+    hashes all its rows in one (rows, m) pass: the pool, each source's three
+    destinations, each entropy word past the pool, and the output words."""
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, _POOL_CONSTANTS[: _POOL_SIZE + 1])
+    for src, dst in enumerate(_DESTINATIONS):
+        calls = _POOL_SIZE + len(dst) * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_CONSTANTS[calls : calls + len(dst) + 1]))
+    if len(entropy) > _POOL_SIZE:
+        words = np.repeat(entropy[_POOL_SIZE:], _POOL_SIZE, axis=0)
+        hashed = _hashmix(words, _hash_constants(int(_POOL_CONSTANTS[-1, 0]), _MULT_A, len(words)))
+        for row in hashed.reshape(len(entropy) - _POOL_SIZE, _POOL_SIZE, -1):
+            pool = _mix(pool, row)
+    state = _hashmix(np.tile(pool, (2, 1)), _OUTPUT_CONSTANTS).astype(np.uint64)
     return state[0::2] | state[1::2] << 32
 
 

@@ -7,6 +7,7 @@ higher-block recoding (a shift-commuting conjugacy, so pressures and
 spectra are unchanged).  ``BetaFunction`` reduces a potential and builds
 and solves its tilts A(qf): pressure, the Gibbs measure, the normalized
 potential, the Jacobians and the audit read q = 1, spectrum and sim the rest.
+Every A(qf), single or stacked, is one math.exp map over the scaled table.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NoReturn
 
 import numpy as np
 from .errors import PotentialRangeError, StochasticityError, WordLengthError
@@ -109,9 +111,30 @@ def _table_array(f: Potential) -> np.ndarray:
 def _exp_on_support(f2: Potential, q: float = 1.0, table: np.ndarray | None = None) -> np.ndarray:
     """A(q g) = exp(q g), positive and finite, on the support edges of the order-2
     f2, 0 elsewhere, for g = f2 or, stacked, each row of a (k, E) ``table`` on
-    its support; math.exp, as np.exp rounds differently."""
+    its support; math.exp, as np.exp rounds differently.  A table with a
+    value out of range raises PotentialRangeError naming the first such
+    value in table order."""
     values = f2.table if table is None else table
-    weights = []
+    scaled = values.ravel().tolist()
+    # Stacks come with q = 1, and a single tilt is small: its products go in
+    # a list, where one that overflows to inf raises no NumPy warning.
+    if q != 1:
+        scaled = [q * v for v in scaled]
+    try:
+        weights = np.fromiter(map(math.exp, scaled), dtype=float, count=len(scaled))
+    except OverflowError:
+        _raise_first_out_of_range(values, q)
+    if not (weights.min(initial=math.inf) > 0.0 and weights.max(initial=0.0) < math.inf):
+        _raise_first_out_of_range(values, q)
+    A = np.zeros(values.shape[:-1] + f2.base.entries.shape)
+    src, dst = _edges(f2)
+    A[..., src, dst] = weights.reshape(values.shape)
+    return A
+
+
+def _raise_first_out_of_range(values: np.ndarray, q: float) -> NoReturn:
+    """Raise PotentialRangeError for the first value v of ``values``, in table
+    order, whose math.exp(q * v) is not positive and finite."""
     for v in values.ravel().tolist():
         try:
             weight = math.exp(q * v)
@@ -120,11 +143,6 @@ def _exp_on_support(f2: Potential, q: float = 1.0, table: np.ndarray | None = No
         if not 0.0 < weight < math.inf:
             tilt = "" if q == 1 else f" times q={q!r}"
             raise PotentialRangeError(f"exp of the potential value {v!r}{tilt} is out of floating-point range")
-        weights.append(weight)
-    A = np.zeros(values.shape[:-1] + f2.base.entries.shape)
-    src, dst = _edges(f2)
-    A[..., src, dst] = np.array(weights).reshape(values.shape)
-    return A
 
 
 def edge_matrix(f: Potential) -> np.ndarray:

@@ -29,7 +29,7 @@ from markovspectra import (
     spectra_equal,
 )
 from markovspectra import rigidity
-from markovspectra.errors import AperiodicityError, NonConvergenceError
+from markovspectra.errors import AperiodicityError, NonConvergenceError, PotentialRangeError
 from markovspectra.perron import perron, perron_stack
 from markovspectra.rigidity import GAP_TOL, OPENNESS_SUBTRIALS, DensityProbeResult, PairCheck
 from markovspectra.shiftspace import TransitionMatrix
@@ -446,11 +446,44 @@ class TestDensityProbeReference:
             "ring3": random_potential(ring, seed=4, scale=0.5),
         }
 
-    @pytest.mark.parametrize("radius", [0.0, 1e-3, 0.05, 0.5])
+    # at 5e-324, radius / 100 underflows to 0: every ball is its member's table
+    @pytest.mark.parametrize("radius", [0.0, 5e-324, 1e-3, 0.05, 0.5])
     @pytest.mark.parametrize("name", ["P1", "P2", "member", "ring3"])
     def test_batched_probe_equals_per_trial_loop(self, cases, name, radius):
         f = cases[name]
         assert density_probe(f, radius, 30, 7) == reference_density_probe(f, radius, 30, 7)
+
+    @pytest.mark.parametrize("name", ["P1", "member"])
+    def test_radius_past_exp_range_raises_as_the_loop(self, cases, name):
+        with pytest.raises(PotentialRangeError) as probed:
+            density_probe(cases[name], 1e300, 30, 7)
+        with pytest.raises(PotentialRangeError) as looped:
+            reference_density_probe(cases[name], 1e300, 30, 7)
+        assert str(probed.value) == str(looped.value)
+
+    @pytest.mark.parametrize("a, shift, seed", [(0.2, -1.3, 0), (0.71, 2.4, 2**30 - 1)])
+    def test_benchmark_template(self, monkeypatch, a, shift, seed):
+        # the rigidity workload's density job: P1(a)'s log table plus a
+        # constant, radius 0.05, 40 trials; the solved tables are the
+        # per-trial uniform draws bit for bit, each ball's scaled by its cut
+        f = log_p1_potential(a)
+        f = Potential(f.base, 2, f.words, f.table + shift)
+        solved, certified = [], []
+        member_rows, certified_radius = rigidity._member_rows, rigidity._certified_radius
+        monkeypatch.setattr(rigidity, "_member_rows", lambda f2, t: solved.append(t) or member_rows(f2, t))
+        monkeypatch.setattr(
+            rigidity, "_certified_radius", lambda *args: certified.append(certified_radius(*args)) or certified[-1]
+        )
+        result = density_probe(f, 0.05, 40, seed)
+        assert result == reference_density_probe(f, 0.05, 40, seed)
+        assert result.fraction == 1.0 and result.openness_checked == 400 and result.openness_violations == 0
+        tables, balls = [], []
+        for trial, r in enumerate(certified[0]):
+            rng = np.random.default_rng((seed, trial))
+            tables.append(f.table + rng.uniform(-0.05, 0.05, 4))
+            cut = min(0.05 / 100, r) / (0.05 / 100)
+            balls.append(tables[-1] + rng.uniform(-0.05 / 100, 0.05 / 100, (OPENNESS_SUBTRIALS, 4)) * cut)
+        assert [t.tobytes() for t in solved] == [np.array(tables).tobytes(), np.concatenate(balls).tobytes()]
 
     @pytest.mark.parametrize("order", [2, 3])
     @pytest.mark.parametrize("rows", [1, 3])

@@ -20,7 +20,7 @@ from markovspectra import (
     log_p1_potential,
     sample_path,
 )
-from markovspectra.sim import _log_masses, _trial_rngs, _trial_uniforms
+from markovspectra.sim import _log_masses, _pcg64_seeds, _trial_rngs, _trial_uniforms
 from conftest import random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -280,6 +280,20 @@ class TestTrialStreams:
     def test_streams_equal_default_rng(self, seed, key, trials, n):
         got = [rng.random(n).tobytes() for rng in _trial_rngs(seed, key, trials)]
         assert got == [_trial_uniforms(seed, key, t, n).tobytes() for t in trials]
+
+    @settings(max_examples=60, deadline=10_000, derandomize=True, database=None)
+    @given(st.integers(1, 9), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_lane_stacked_seeds_equal_seed_sequence(self, words, lanes, seed):
+        # 5-9 words reach past SeedSequence's 4-word pool; the extreme words
+        # 0 and 2**32 - 1 are mixed into random ones
+        rng = np.random.default_rng(seed)
+        entropy = rng.integers(0, 2**32, (words, lanes), dtype=np.uint64)
+        entropy[rng.random((words, lanes)) < 0.2] = 0
+        entropy[rng.random((words, lanes)) < 0.2] = 2**32 - 1
+        got = _pcg64_seeds(entropy.astype(np.uint32))
+        assert got.dtype == np.uint64 and got.shape == (4, lanes)
+        for lane, column in zip(got.T, entropy.T.tolist()):
+            assert lane.tolist() == np.random.SeedSequence(column).generate_state(4, np.uint64).tolist()
 
     @pytest.mark.parametrize("seed, key, trial", [(-1, (), 0), (0, (-3,), 1), (0, (), -2), (2**64, (2,), -1)])
     def test_negative_entropy_refused_as_by_default_rng(self, seed, key, trial):

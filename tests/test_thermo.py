@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovspectra import (
     GibbsAudit,
@@ -29,9 +31,9 @@ from markovspectra import (
     reduce_to_order2,
     ring3,
 )
-from markovspectra.errors import WordLengthError
+from markovspectra.errors import PotentialRangeError, WordLengthError
 from markovspectra.cli import MAX_DEPTH
-from markovspectra.thermo import ORACLE_BUFFER_FLOATS, BetaFunction, _logsumexp
+from markovspectra.thermo import ORACLE_BUFFER_FLOATS, BetaFunction, _exp_on_support, _logsumexp
 from conftest import random_aperiodic_base, random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -129,6 +131,66 @@ class TestOneSolve:
         call(random_potential(ring, seed=3))
         assert len(solves) == 1
         assert len(built) == 1 and solves[0] is built[0]
+
+
+def reference_exp_on_support(f2, q, table):
+    """The per-value build: math.exp(q * v) of each value in table order,
+    raising at the first that is not positive and finite."""
+    weights = []
+    for v in table.ravel().tolist():
+        try:
+            weight = math.exp(q * v)
+        except OverflowError:
+            weight = math.inf
+        if not 0.0 < weight < math.inf:
+            tilt = "" if q == 1 else f" times q={q!r}"
+            raise PotentialRangeError(f"exp of the potential value {v!r}{tilt} is out of floating-point range")
+        weights.append(weight)
+    A = np.zeros(table.shape[:-1] + f2.base.entries.shape)
+    A[..., f2.base.edge_index[0], f2.base.edge_index[1]] = np.array(weights).reshape(table.shape)
+    return A
+
+
+class TestStackedExpBuild:
+    @settings(max_examples=80, deadline=10_000, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.one_of(st.just(1.0), st.floats(-20.0, 20.0)))
+    def test_equals_per_value_loop(self, ring, seed, rows, q):
+        # |q v| reaches 800: past exp's range for |q| above about 17.7
+        f2 = random_potential(ring, seed=seed % 7)
+        table = np.random.default_rng(seed).uniform(-40.0, 40.0, (rows, f2.table.size))
+        # the stack, and its first row as a potential's own table
+        cases = [(f2, table)] + [(Potential(f2.base, 2, f2.words, row), None) for row in table[:1]]
+        for g, stack in cases:
+            try:
+                expected = reference_exp_on_support(g, q, g.table if stack is None else stack)
+            except PotentialRangeError as error:
+                with pytest.raises(PotentialRangeError) as got:
+                    _exp_on_support(g, q, stack)
+                assert str(got.value) == str(error)
+            else:
+                assert _exp_on_support(g, q, stack).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    @pytest.mark.parametrize("first, later", [(-800.0, 800.0), (800.0, -800.0)], ids=["underflow", "overflow"])
+    def test_names_the_first_value_out_of_range(self, ring, q, first, later):
+        f2 = random_potential(ring, seed=2)
+        table = np.tile(f2.table, (3, 1))
+        table[1, 2], table[1, 4], table[2, 0] = first, later, later
+        tilt = "" if q == 1 else f" times q={q!r}"
+        with pytest.raises(PotentialRangeError) as error:
+            _exp_on_support(f2, q, table)
+        assert str(error.value) == f"exp of the potential value {first!r}{tilt} is out of floating-point range"
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_raises(self, ring, q):
+        # q * 0.0 is NaN for an infinite q too
+        f2 = random_potential(ring, seed=2)
+        table = np.tile(f2.table, (2, 1))
+        table[0, 0] = 0.0
+        with pytest.raises(PotentialRangeError, match=rf"value 0\.0 times q={q!r} is out"):
+            _exp_on_support(f2, q, table)
+        with pytest.raises(PotentialRangeError, match=rf"times q={q!r} is out"):
+            _exp_on_support(f2, q)
 
 
 class TestPressure:
