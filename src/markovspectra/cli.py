@@ -5,7 +5,9 @@ files.  Exit codes: 0 success, 2 parse/validation error, 3 solver
 non-convergence or a potential out of floating-point range, 4 Gibbs-audit
 violation, 5 resource cap exceeded or memory exhausted.  A library error
 exits with its type's ``exit_code``.
-Verdict-carrying commands (compare, classify) always exit 0 on valid input.
+The verdict-carrying commands (compare, classify) exit 0 with either
+verdict, but like every command they exit 3 when a solve fails on valid
+input: ``compare`` of 20 log P1(1/3) against 20 log P2(1/3) does.
 """
 
 from __future__ import annotations

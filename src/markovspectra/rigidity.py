@@ -19,7 +19,7 @@ import numpy as np
 from .families import log_p1_potential, log_p2_potential
 from .perron import perron, perron_stack
 from .shiftspace import TransitionMatrix, Word, out_degrees
-from .sim import _trial_rngs
+from .sim import _trial_draws
 from .thermo import (
     Potential,
     _blocks,
@@ -305,8 +305,7 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
     # Each trial's stream draws its table's perturbation, then its ball's:
     # uniform(low, high) is low + (high - low) u of the stream's next doubles.
     draws = np.empty((trials, 1 + OPENNESS_SUBTRIALS, size))
-    for trial_draws, rng in zip(draws, _trial_rngs(seed, (), range(trials))):
-        rng.random(out=trial_draws)
+    _trial_draws(draws, seed, (), range(trials))
     low = np.array([-radius] + [-shrunk] * OPENNESS_SUBTRIALS)[:, np.newaxis]
     draws *= np.array([radius] + [shrunk] * OPENNESS_SUBTRIALS)[:, np.newaxis] - low
     draws += low

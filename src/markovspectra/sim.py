@@ -2,9 +2,10 @@
 
 Every trial consumes its own counter-derived stream ``default_rng((seed,
 *key, trial))``, so batching, chunking or parallel partitioning of trials
-cannot change any output.  A batch's streams are seeded together
-(`_trial_rngs`: each SeedSequence stage hashes every trial's rows in one
-uint32 pass), and its paths are drawn in blocks of BLOCK time steps.
+cannot change any output.  A batch's streams are seeded together and
+drawn into one array (`_trial_draws`: each SeedSequence stage hashes every
+trial's rows in one uint32 pass, and one call fills every trial's row), and
+its paths are walked in blocks of BLOCK time steps.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class PathSample:
 
 
 def _trial_uniforms(seed: int, key: tuple[int, ...], trial: int, n: int) -> np.ndarray:
-    """The definition of a trial's stream; _trial_rngs draws the same numbers."""
+    """The definition of a trial's stream; _trial_draws draws the same numbers."""
     return np.random.default_rng((seed, *key, trial)).random(n)
 
 
@@ -103,18 +104,22 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return state[0::2] | state[1::2] << 32
 
 
-def _trial_rngs(seed: int, key: tuple[int, ...], trials: range):
-    """Yield, for each trial in order, one Generator set to the state that
-    ``np.random.default_rng((seed, *key, trial))`` starts from.
+def _trial_draws(out: np.ndarray, seed: int, key: tuple[int, ...], trials: range) -> None:
+    """Fill row i of ``out``, in order, with the first doubles of trial
+    trials[i]'s stream ``np.random.default_rng((seed, *key, trial))``.
 
     The SeedSequence hashing runs on uint32 arrays across the trials and
-    PCG64's two seeding steps on Python ints; the one Generator is reset for
-    each trial, so a trial's draws must be taken before the next is yielded.
+    PCG64's two seeding steps on Python ints; one Generator is set to each
+    trial's state in turn and fills that trial's row.  An empty range draws
+    nothing, so its seed and key are not checked.
     """
+    if not trials:
+        return
     if trials.start < 0:
         raise ValueError("expected non-negative integer")
     prefix = [word for value in (seed, *key) for word in _words(value)]
     rng = np.random.Generator(np.random.PCG64())
+    rows = iter(out)
     # Trials sharing their words above the lowest differ in one entropy row.
     start = trials.start
     while start < trials.stop:
@@ -134,7 +139,7 @@ def _trial_rngs(seed: int, key: tuple[int, ...], trials: range):
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            yield rng
+            rng.random(out=next(rows))
         start = stop
 
 
@@ -163,8 +168,7 @@ def _log_masses(
 
     batch = len(trials)
     U = np.empty((batch, n))
-    for row, rng in zip(U, _trial_rngs(seed, key, trials)):
-        rng.random(out=row)
+    _trial_draws(U, seed, key, trials)
     words = np.empty((n, batch), dtype=np.int64) if return_words else None
     # Row 0 of each block holds the state before it and the running total,
     # so one reduce down the time axis is the left-to-right sum of the steps.

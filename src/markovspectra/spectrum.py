@@ -2,6 +2,8 @@
 
 The spectrum is always obtained from the Legendre-type variational formula
 E(alpha) = inf_q (beta(q) + q alpha); level sets are never materialized.
+This module applies the formula and its checks; ``BetaFunction`` builds,
+solves and reads the tilts (``BetaFunction.read`` for a grid).
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MarkovSpectraError, SolverError
-from .perron import PerronTriple, cycle_mean_extremes, perron
-from .thermo import BetaFunction, Potential, _alpha, _blocks, _gibbs_error, _gibbs_measure, _gibbs_rows, entropy_rate
+from .errors import SolverError
+# perron is not called here: the benchmark's tracer rebinds it by name in
+# every module, and its self-test asserts it does so here
+from .perron import cycle_mean_extremes, perron
+from .thermo import BetaFunction, Potential
 
 Q_CAP = 200.0
 DEGENERACY_TOL = 1e-10
@@ -144,66 +148,25 @@ class SpectrumCurve:
     degenerate: bool
 
 
-def _stacked(triples: list[PerronTriple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The roots and the left and right vectors of the triples, stacked."""
-    left, right = np.stack([t.left for t in triples]), np.stack([t.right for t in triples])
-    return np.array([t.root for t in triples]), left, right
-
-
-def _sample_block(
-    bf: BetaFunction, rng: AlphaRange, qs: list[float], triples: list[PerronTriple]
-) -> list[SpectrumSample]:
-    """The samples of the grid points qs, whose Perron triples are solved,
-    from one array pass over their stacked tilts; the first q in order that
-    fails its Gibbs rows' check (``_gibbs_error``) or its duality cross-check
-    raises that error."""
-    matrices = [bf.matrix(q) for q in qs]
-    A = np.stack(matrices)
-    root, left, right = _stacked(triples)
-    alphas = _alpha(bf.dense_table, bf.pressure, A, root, left, right)
-    if bf.f2.base.n_symbols == 2:
-        # solved one q at a time only because the benchmark pins their
-        # perron calls: delete this if when ROADMAP item 2b re-pins them
-        root, left, right = _stacked([perron(M) for M in matrices])
-    P, sums, defect, underflow = _gibbs_rows(A, root, right)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only in rows that fail their check
-        rates = entropy_rate(_gibbs_measure(bf.f2.base, P, sums, left, right))
-    samples = []
-    for q, a, h, d, u in zip(qs, alphas, rates, defect.tolist(), underflow.tolist()):
-        b = bf.beta(q)
-        e = b + q * a
-        error = _gibbs_error(d, u)
-        if error is not None:
-            raise error
-        if abs(e - h) > CROSS_CHECK_TOL:
-            raise SolverError(f"duality cross-check failed at q={q}: E={e} vs entropy rate {h}")
-        if rng.degenerate:
-            a, e = rng.alpha_min, bf.beta(0.0)
-        samples.append(SpectrumSample(q, a, b, e, FLAG_DEGENERATE if rng.degenerate else FLAG_INTERIOR))
-    return samples
-
-
 def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
     """Parametric spectrum samples (q, alpha(q), beta(q), E) over a sorted grid.
 
-    The grid is filled by one ``BetaFunction.solve`` and then read in
-    ``_blocks`` blocks: alpha, the Gibbs rows of the tilted measure and
-    their entropy rates come from one array pass over each block's stacked
-    tilts and Perron vectors (``_sample_block``), bit for bit the per-q
-    ``BetaFunction.alpha``, ``_gibbs`` and ``entropy_rate``, and beta is
-    ``BetaFunction.beta`` of each q.  Each entropy value E = beta + q alpha
-    is cross-checked against the entropy rate of the tilted Gibbs measure,
-    which on 3 or more order-2 states reads the grid's stacked solve of q
-    (``perron``'s bits) and on 2 symbols comes from a second ``perron``
-    solve of the built matrix.
+    ``BetaFunction.read`` solves the grid and gives alpha, the entropy rate
+    of the tilted Gibbs measure and its rows' check at each q, bit for bit
+    the per-q ``BetaFunction.alpha``, ``gibbs`` and ``entropy_rate``; beta
+    is ``BetaFunction.beta`` of each q.  Each entropy value E = beta + q
+    alpha is cross-checked against that entropy rate, which on 3 or more
+    order-2 states reads the grid's stacked solve of q (``perron``'s bits)
+    and on 2 symbols comes from a second ``perron`` solve of the built
+    matrix.
 
     Errors are raised in grid order, each q's as the per-q path raises it:
     a q whose tilt is out of range or whose stacked row was refused raises
     its own ``BetaFunction.triple`` error (``perron``'s, after one solve),
-    unless an earlier q of its block fails first; a q's failing Gibbs rows
-    raise ``_gibbs``' error before its cross-check.  A degenerate curve is
-    one point: every sample reports alpha_min and E = beta(0), not the
-    rounding noise around them.
+    unless an earlier q fails first; a q's failing Gibbs rows raise
+    ``BetaFunction.gibbs``' error before its cross-check.  A degenerate
+    curve is one point: every sample reports alpha_min and E = beta(0), not
+    the rounding noise around them.
     A grid with a NaN or infinite q is refused before any solve.
     """
     grid = [float(q) for q in q_grid]
@@ -214,20 +177,20 @@ def sample_spectrum(f: Potential, q_grid) -> SpectrumCurve:
         raise ValueError("q grid must be sorted")
     bf = f if isinstance(f, BetaFunction) else BetaFunction(f)
     rng = alpha_range(bf)
-    bf.solve(grid)
+    alphas, rates, errors, failure = bf.read(grid)
     samples = []
-    for block in _blocks(grid, bf.f2.base.n_symbols**2):
-        triples, error = [], None
-        for q in block:
-            try:
-                triples.append(bf.triple(q))
-            except (MarkovSpectraError, np.linalg.LinAlgError) as exc:
-                error = exc  # raised once the q before it pass their checks
-                break
-        if triples:
-            samples += _sample_block(bf, rng, block[: len(triples)], triples)
+    for q, a, h, error in zip(grid, alphas, rates, errors):
         if error is not None:
             raise error
+        b = bf.beta(q)
+        e = b + q * a
+        if abs(e - h) > CROSS_CHECK_TOL:
+            raise SolverError(f"duality cross-check failed at q={q}: E={e} vs entropy rate {h}")
+        if rng.degenerate:
+            a, e = rng.alpha_min, bf.beta(0.0)
+        samples.append(SpectrumSample(q, a, b, e, FLAG_DEGENERATE if rng.degenerate else FLAG_INTERIOR))
+    if failure is not None:
+        raise failure
     return SpectrumCurve(tuple(samples), rng.alpha_min, rng.alpha_max, rng.degenerate)
 
 

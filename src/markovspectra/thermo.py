@@ -7,7 +7,10 @@ higher-block recoding (a shift-commuting conjugacy, so pressures and
 spectra are unchanged).  ``BetaFunction`` reduces a potential and builds
 and solves its tilts A(qf): pressure, the Gibbs measure, the normalized
 potential, the Jacobians and the audit read q = 1, spectrum and sim the rest.
-Every A(qf), single or stacked, is one math.exp map over the scaled table.
+Every A(qf), single or stacked, is one math.exp map over the scaled table,
+and every Gibbs measure, single or stacked, is one ``_gibbs`` pass over a
+tilt and its Perron data.  ``BetaFunction.read`` reads a q grid for
+spectrum: alpha, the entropy rate and the Gibbs check of each point.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from types import MappingProxyType
 from typing import NoReturn
 
 import numpy as np
-from .errors import PotentialRangeError, StochasticityError, WordLengthError
+from .errors import MarkovSpectraError, PotentialRangeError, StochasticityError, WordLengthError
 from .perron import PerronTriple, perron, perron_stack, stationary_distribution
 from .shiftspace import BlockRecoding, TransitionMatrix, Word, admissible_words, higher_block_recode
 
@@ -236,53 +239,35 @@ class MarkovMeasure:
         return cls(base, P, stationary_distribution(P))
 
 
-def _gibbs_rows(A: np.ndarray, root, right: np.ndarray) -> tuple:
-    """P_ij = A_ij v_j / (lambda v_i) from A and its Perron root and right
-    vector, before normalization, with P's row sums, the defect
-    max|row sum - 1| and whether an entry of A's support underflows to 0 in
-    P; rows of a stack alike.  Both reductions are ufunc reductions: in
-    ``np.max`` and ``np.count_nonzero(..., axis=...)`` a Python wrapper
-    costs more than the work on one small matrix."""
+def _gibbs(base: TransitionMatrix, A: np.ndarray, root, left: np.ndarray, right: np.ndarray) -> tuple:
+    """The Gibbs-Markov measure of the tilt A = A(qf) from its Perron data
+    (lambda, u, v), with the defect max|row sum - 1| of its rows
+    P_ij = A_ij v_j / (lambda v_i) before normalization and whether an entry
+    of A's support underflows to 0 in P, which ``_gibbs_error`` reads; rows
+    of a stack alike.  P is normalized to its row sums, and pi = u v / (u.v)
+    under the library's eigenvector normalization.  Both reductions are
+    ufunc reductions: in ``np.max`` and ``np.count_nonzero(..., axis=...)``
+    a Python wrapper costs more than the work on one small matrix."""
     lam = np.asarray(root)[..., np.newaxis, np.newaxis]
     P = A * right[..., np.newaxis, :] / (lam * right[..., :, np.newaxis])
     sums = P.sum(axis=-1)
     defect = np.maximum.reduce(np.abs(sums - 1.0), axis=-1)
     underflow = np.logical_or.reduce((P == 0) > (A == 0), axis=(-2, -1))
-    return P, sums, defect, underflow
+    # absorb the last few ulps of eigenvector error so the rows are exactly
+    # stochastic for downstream consumers
+    pi = left * right
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in rows that fail their check
+        mu = MarkovMeasure(base, P / sums[..., np.newaxis], pi / pi.sum(axis=-1, keepdims=True))
+    return mu, defect.tolist(), underflow.tolist()
 
 
 def _gibbs_error(defect: float, underflow: bool) -> StochasticityError | None:
-    """The error of Gibbs rows that ``_gibbs_rows`` finds not stochastic, else None."""
+    """The error of Gibbs rows that ``_gibbs`` finds not stochastic, else None."""
     if defect > 1e-8:
         return StochasticityError(f"Gibbs matrix rows stochastic only within {defect:.3e}")
     if underflow:
         return StochasticityError("Gibbs transition probabilities underflow to 0 on the support")
     return None
-
-
-def _gibbs_measure(
-    base: TransitionMatrix, P: np.ndarray, sums: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> MarkovMeasure:
-    """The measure of checked rows P and sums of ``_gibbs_rows`` from the
-    Perron vectors u and v: P normalized to its row sums and pi = u v / (u.v),
-    with a stack axis when P has one."""
-    # absorb the last few ulps of eigenvector error so the rows are exactly
-    # stochastic for downstream consumers
-    pi = left * right
-    return MarkovMeasure(base, P / sums[..., np.newaxis], pi / pi.sum(axis=-1, keepdims=True))
-
-
-def _gibbs(f2: Potential, A: np.ndarray, triple: PerronTriple) -> MarkovMeasure:
-    """Gibbs-Markov measure of the order-2 f2 from A(f2) and its Perron triple.
-
-    P(f)_ij = A(f)_ij v_j / (lambda v_i); the stationary vector is u_i v_i
-    under the library's eigenvector normalization.
-    """
-    P, sums, defect, underflow = _gibbs_rows(A, triple.root, triple.right)
-    error = _gibbs_error(defect, underflow)
-    if error is not None:
-        raise error
-    return _gibbs_measure(f2.base, P, sums, triple.left, triple.right)
 
 
 def _alpha(table: np.ndarray, pressure: float, A: np.ndarray, root, left: np.ndarray, right: np.ndarray):
@@ -299,8 +284,9 @@ def _alpha(table: np.ndarray, pressure: float, A: np.ndarray, root, left: np.nda
 class BetaFunction:
     """The Perron table of f's tilts A(qf), and beta(q) = P(qf) - qP(f).  Each
     q caches A(qf) once it is built and its Perron triple once it is solved;
-    ``solve`` fills a grid of q in stacked blocks, and any other q is built
-    and solved on its own when first asked for."""
+    ``solve`` fills a grid of q in stacked blocks, ``read`` reads one block
+    by block, and any other q is built and solved on its own when first
+    asked for."""
 
     def __init__(self, f: Potential):
         self.f2, _ = reduce_to_order2(f)
@@ -349,15 +335,55 @@ class BetaFunction:
                     float(t.root[i]), t.left[i], t.right[i], float(t.residual[i]), int(t.iterations[i])
                 )
 
+    def read(self, qs) -> tuple[list[float], list[float], list[StochasticityError | None], Exception | None]:
+        """alpha, the entropy rate of the Gibbs measure and the error of its
+        rows' check (``_gibbs_error``, None where they pass) of each q of
+        ``qs`` in order, up to the first q whose ``triple`` raises, and that
+        q's error (None where no q raises).  Each ``_blocks`` block is
+        solved (``solve``) and then read in one array pass over its stacked
+        tilts and Perron vectors: bit for bit ``alpha``, ``gibbs`` and
+        ``entropy_rate`` of each q."""
+        n = self.f2.base.n_symbols
+        alphas, rates, errors, failure = [], [], [], None
+        for block in _blocks(list(qs), n * n):
+            self.solve(block)
+            triples = []
+            for q in block:
+                try:
+                    triples.append(self.triple(q))
+                except (MarkovSpectraError, np.linalg.LinAlgError) as exc:
+                    failure = exc
+                    break
+            if triples:
+                matrices = [self._matrices[q] for q in block[: len(triples)]]
+                if n == 2:
+                    # solved twice only because the benchmark pins their
+                    # perron calls: delete this if when ROADMAP item 2b re-pins them
+                    triples = [perron(A) for A in matrices]
+                A, root = np.stack(matrices), np.array([t.root for t in triples])
+                left, right = np.stack([t.left for t in triples]), np.stack([t.right for t in triples])
+                alphas += _alpha(self.dense_table, self.pressure, A, root, left, right)
+                mu, defect, underflow = _gibbs(self.f2.base, A, root, left, right)
+                rates += entropy_rate(mu)
+                errors += map(_gibbs_error, defect, underflow)
+            if failure is not None:
+                break
+        return alphas, rates, errors, failure
+
     def triple(self, q: float) -> PerronTriple:
         if q not in self._triples:
             self._triples[q] = perron(self.matrix(q))
         return self._triples[q]
 
     def gibbs(self, q: float) -> MarkovMeasure:
-        """The Gibbs-Markov measure of qf, from the matrix and triple solved at q."""
+        """The Gibbs-Markov measure of qf, from the matrix and triple solved at
+        q; rows that fail their check raise ``_gibbs_error``'s error."""
         t = self.triple(q)
-        return _gibbs(self.f2, self._matrices[q], t)
+        mu, defect, underflow = _gibbs(self.f2.base, self._matrices[q], t.root, t.left, t.right)
+        error = _gibbs_error(defect, underflow)
+        if error is not None:
+            raise error
+        return mu
 
     def beta(self, q: float) -> float:
         return math.log(self.triple(q).root) - q * self.pressure
@@ -429,6 +455,7 @@ def birkhoff_sum(f: Potential, w: Word, m: int) -> float:
         raise WordLengthError(
             f"word of length {len(w)} cannot determine S_{m} of an order-{f.order} potential"
         )
+    w = tuple(w)  # its slices are the table's keys
     # an explicit left-to-right fold: sum() compensates float sums on
     # Python >= 3.12, and the Gibbs audit accumulates in this order
     total = 0.0
@@ -490,12 +517,13 @@ def eigen_measure_cylinder(f: Potential, w: Word) -> float:
 
 def entropy_rate(mu: MarkovMeasure):
     """Kolmogorov-Sinai entropy of a stationary Markov measure: a float, or
-    for a measure with a stack axis (``_gibbs_measure``) the list of each
-    row's."""
+    for a measure with a stack axis (``_gibbs``) the list of each row's.
+    Rows of a stack that fail their Gibbs check may hold inf or nan, and
+    raise no warning."""
     P = mu.P
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(P > 0, P * np.log(P), 0.0)
-    return (-mu.pi[..., np.newaxis, :] @ plogp.sum(axis=-1)[..., np.newaxis])[..., 0, 0].tolist()
+        return (-mu.pi[..., np.newaxis, :] @ plogp.sum(axis=-1)[..., np.newaxis])[..., 0, 0].tolist()
 
 
 def potential_integral(mu: MarkovMeasure, f: Potential) -> float:

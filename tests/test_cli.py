@@ -211,7 +211,7 @@ class TestCompare:
 
     def test_unequal_with_witness(self, capsys):
         code, out, _ = run(capsys, "compare", P1_THIRD, P1_QUARTER)
-        assert code == EXIT_OK  # verdict commands exit 0 on valid input
+        assert code == EXIT_OK  # an unequal verdict exits 0, as an equal one does
         data = json.loads(out)
         assert not data["equal"]
         assert data["witness_q"] is not None and data["beta_gap"] > 1e-9

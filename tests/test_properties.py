@@ -44,7 +44,7 @@ from markovspectra import thermo
 from markovspectra.cli import main
 from markovspectra.errors import MarkovSpectraError, NonConvergenceError
 from markovspectra.perron import perron, perron_stack
-from markovspectra.thermo import _gibbs
+from markovspectra.thermo import _gibbs, _gibbs_error
 from conftest import random_aperiodic_base, random_potential, reference_sample_spectrum
 
 
@@ -238,7 +238,12 @@ def test_cross_check_reads_what_a_per_q_re_solve_gives(f_grid):
     for q in grid:
         A = bf.matrix(q)
         try:
-            h = entropy_rate(_gibbs(bf.f2, A, perron(A)))
+            t = perron(A)
+            mu, defect, underflow = _gibbs(bf.f2.base, A, t.root, t.left, t.right)
+            error = _gibbs_error(defect, underflow)
+            if error is not None:
+                raise error
+            h = entropy_rate(mu)
         except MarkovSpectraError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 bf.gibbs(q)

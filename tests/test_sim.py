@@ -20,7 +20,7 @@ from markovspectra import (
     log_p1_potential,
     sample_path,
 )
-from markovspectra.sim import _log_masses, _pcg64_seeds, _trial_rngs, _trial_uniforms
+from markovspectra.sim import _log_masses, _pcg64_seeds, _trial_draws, _trial_uniforms
 from conftest import random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -278,8 +278,9 @@ class TestTrialStreams:
         st.integers(1, 20),
     )
     def test_streams_equal_default_rng(self, seed, key, trials, n):
-        got = [rng.random(n).tobytes() for rng in _trial_rngs(seed, key, trials)]
-        assert got == [_trial_uniforms(seed, key, t, n).tobytes() for t in trials]
+        out = np.empty((len(trials), n))
+        _trial_draws(out, seed, key, trials)
+        assert [row.tobytes() for row in out] == [_trial_uniforms(seed, key, t, n).tobytes() for t in trials]
 
     @settings(max_examples=60, deadline=10_000, derandomize=True, database=None)
     @given(st.integers(1, 9), st.integers(0, 300), st.integers(0, 2**32 - 1))
@@ -300,7 +301,7 @@ class TestTrialStreams:
         with pytest.raises(ValueError, match="non-negative"):
             np.random.default_rng((seed, *key, trial))
         with pytest.raises(ValueError, match="non-negative"):
-            next(_trial_rngs(seed, key, range(trial, trial + 2)))
+            _trial_draws(np.empty((2, 1)), seed, key, range(trial, trial + 2))
 
     def test_negative_seed_or_trial_refused_by_sample_path(self, mu_half):
         for seed, trial in ((-1, 0), (0, -1)):

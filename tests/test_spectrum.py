@@ -264,7 +264,8 @@ class TestPerronCache:
             bf.solve([-3.0, q, 0.25])
             expected = gibbs_markov(bf.f2.scale(q))
             A = bf.matrix(q)
-            for mu in (bf.gibbs(q), thermo._gibbs(bf.f2, A, spectrum.perron(A))):
+            t = spectrum.perron(A)
+            for mu in (bf.gibbs(q), thermo._gibbs(bf.f2.base, A, t.root, t.left, t.right)[0]):
                 assert (mu.P == expected.P).all() and (mu.pi == expected.pi).all()
             assert bf.matrix(q) is A
 
@@ -461,11 +462,12 @@ class TestSampleSpectrum:
         with pytest.raises(NonConvergenceError):
             perron(bf.matrix(9.5))
         A = bf.matrix(9.25)
-        with pytest.raises(StochasticityError) as single:
-            thermo._gibbs(bf.f2, A, perron(A))
+        t = perron(A)
+        single = thermo._gibbs_error(*thermo._gibbs(bf.f2.base, A, t.root, t.left, t.right)[1:])
+        assert isinstance(single, StochasticityError)
         with pytest.raises(StochasticityError) as raised:
             sample_spectrum(f, [9.25, 9.5])
-        assert str(raised.value) == str(single.value) and "within 2.576e-03" in str(single.value)
+        assert str(raised.value) == str(single) and "within 2.576e-03" in str(single)
 
     def test_a_failing_cross_check_before_a_refused_row_raises_first(self, ring, monkeypatch):
         # every q now fails its cross-check: q = 2 is first, before ring_steep's

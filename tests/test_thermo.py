@@ -398,6 +398,14 @@ class TestBirkhoffSum:
         with pytest.raises(ValueError, match="m must be non-negative, got -2"):
             birkhoff_sum(f_p1_third, (1, 2), -2)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_list_word_is_the_tuple_word(self, full2, order):
+        # a list word raised TypeError: unhashable type: 'list'
+        f = random_potential(full2, seed=order, order=order)
+        w = (1, 2, 1, 1, 2, 2)
+        for m in range(len(w) - order + 2):
+            assert birkhoff_sum(f, list(w), m) == birkhoff_sum(f, w, m)
+
 
 class TestNormalizePotential:
     def test_p1_third_values(self, f_p1_third):
