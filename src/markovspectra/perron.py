@@ -27,8 +27,8 @@ half's Newton right-hand side is summed left to right (a cumulative sum),
 the order in which NumPy sums the rows of the F-ordered view B.T and in
 which the pinned bits were recorded; a plain sum along the row is pairwise
 from 8 entries on and moves last bits.  A stack records each row's failure
-and solves its other rows; a caller that needs the error of a failing row
-asks that row's own ``perron``.  ``perron`` keeps its own dense path:
+and solves its other rows; ``thermo.solve_tables``, which must fail on a
+failing row, asks that row's own ``perron`` for its error.  ``perron`` keeps its own dense path:
 as row 0 of a stack of one, a solve cost 1.30, 1.20 and 1.14 times as much
 at n = 3, 8 and 16 (medians of 600 interleaved rounds, 2-vCPU x86-64).
 

@@ -6,7 +6,8 @@ two Bernoulli-type families (away from alpha = 1/2), and on the non-full
 shifts every potential is rigid.  For larger alphabets only the
 distinct-value membership and the degree condition are reported.  The
 seeded density probe takes each trial's perturbations in one draw from
-its stream and solves all trials' tables in stacks.
+its stream and solves all trials' tables, then all members' balls, with
+one ``thermo.solve_tables`` each.
 """
 
 from __future__ import annotations
@@ -16,19 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PotentialRangeError
 from .families import log_p1_potential, log_p2_potential
-from .perron import perron, perron_stack
+from .perron import perron
 from .shiftspace import TransitionMatrix, Word, out_degrees
-from .sim import _trial_draws
-from .thermo import (
-    Potential,
-    _blocks,
-    _exp_on_support,
-    _normalized_table,
-    gibbs_markov,
-    normalize_potential,
-    reduce_to_order2,
-)
+from .sim import trial_draws
+from .thermo import Potential, gibbs_markov, normalize_potential, normalized_table, reduce_to_order2, solve_tables
 
 ROW_TOL = 1e-10
 HALF_TOL = 1e-10
@@ -114,7 +108,7 @@ def appendix_condition_check(Af: np.ndarray, orientation: str = "right-v") -> li
     triple = perron(Af)
     w = triple.right if orientation == "right-v" else 1.0 / triple.left
     f = Potential.from_matrix_log(base, Af)
-    _, _, collisions = _distinct_values(_normalized_table(f, triple.left, f.table)[np.newaxis])
+    _, _, collisions = _distinct_values(normalized_table(f, triple.left, f.table)[np.newaxis])
     colliding = np.zeros((len(f.words),) * 2, dtype=bool)
     for e, e2 in collisions.get(0, []):
         colliding[e, e2] = colliding[e2, e] = True
@@ -157,6 +151,12 @@ def bernoulli_twin(alpha_detected: float, kind: str) -> Potential:
     raise ValueError("kind must be 'P1' or 'P2'")
 
 
+def _rows_agree(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two rows of transition probabilities agree entrywise to within
+    ROW_TOL relative to the larger: entries decades apart never agree."""
+    return bool((np.abs(a - b) <= ROW_TOL * np.maximum(a, b)).all())
+
+
 def classify_2x2(f: Potential) -> RigidityReport:
     """Complete rigidity verdict for order-<=2 potentials on a 2x2 shift."""
     if f.base.n_symbols != 2:
@@ -176,11 +176,13 @@ def classify_2x2(f: Potential) -> RigidityReport:
     P = gibbs_markov(f2).P
     alpha = float(P[0, 1])
     kind = None
-    if np.max(np.abs(P[0] - P[1])) <= ROW_TOL:
+    if _rows_agree(P[0], P[1]):
         kind = "P1"
-    elif np.max(np.abs(P[0] - P[1][::-1])) <= ROW_TOL:
+    elif _rows_agree(P[0], P[1][::-1]):
         kind = "P2"
     in_E = kind is None or abs(alpha - 0.5) <= HALF_TOL
+    if not (in_E or 0.0 < alpha < 1.0):
+        raise PotentialRangeError(f"{kind} parameter alpha rounds to {alpha!r}: its twin has no finite table")
     twin = None if in_E else bernoulli_twin(alpha, kind)
     return RigidityReport(
         "full-2-shift",
@@ -213,50 +215,29 @@ class DensityProbeResult:
     openness_violations: int
 
 
-def _member_rows(f2: Potential, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g_n_membership(...).margin of each row of a (k, E) stack of f2's
-    tables and the scale its gaps are divided by, solved in stacked blocks
-    (``thermo._blocks``).  A table that ``perron`` refuses raises that
-    refusal."""
-    margins, scales = [np.empty(0)], [np.empty(0)]
-    for rows in _blocks(tables, f2.base.n_symbols**2):
-        A = _exp_on_support(f2, table=rows)
-        t, refused = perron_stack(A)
-        # perron refuses each row the stack fails: a 2x2 one with a zero
-        # off-diagonal entry, solved densely there, has a zero vector entry
-        if refused.any():
-            perron(A[np.argmax(refused)])
-        margin, scale, _ = _distinct_values(_normalized_table(f2, t.left, rows))
-        margins.append(margin)
-        scales.append(scale)
-    return np.concatenate(margins), np.concatenate(scales)
-
-
-def _certified_radius(f2: Potential, tables: np.ndarray, margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """c (margin - GAP_TOL) scale / (2L) of each row of a (k, E) stack of
-    member tables of f2, with their ``_member_rows`` margins and scales and
-    c = BALL_SAFETY: the radius of the ball around each that holds members
-    only (``density_probe`` proves it).
+def _certified_radius(f2: Potential, A: np.ndarray, margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """c (margin - GAP_TOL) scale / (2L) of each member table of f2, from the
+    (k, n, n) stack A of their matrices (``solve_tables``) and their
+    ``_distinct_values`` margins and scales, with c = BALL_SAFETY: the
+    radius of the ball around each that holds members only
+    (``density_probe`` proves it).
 
     L = 1 + 2p / (1 - tau) = 1 + p (1 + exp(Delta / 2)), where tau =
     tanh(Delta / 4) is the Birkhoff contraction coefficient of B = A^p, p =
     f2.base.aperiodicity_power and Delta = max log(B_ik B_jl / (B_il B_jk))
     is B's projective diameter; a B with a zero or non-finite entry gives L
-    = inf and radius 0.  One stacked ``matrix_power`` a block
-    (``thermo._blocks``) of A = np.exp of the tables: a bound needs no last
+    = inf and radius 0.  One stacked ``matrix_power``, and the spread one
+    row i at a time, so the work array is A's size: a bound needs no last
     bits of A."""
-    n, p = f2.base.n_symbols, f2.base.aperiodicity_power
-    src, dst = f2.base.edge_index
-    diameters = [np.empty(0)]
+    p = f2.base.aperiodicity_power
     with np.errstate(all="ignore"):
-        for rows in _blocks(tables, n**3):
-            A = np.zeros((len(rows), n, n))
-            A[:, src, dst] = np.exp(rows)
-            R = np.log(np.linalg.matrix_power(A, p))
-            # spread[m, i, j] = max_k (R_ik - R_jk); Delta = max (spread + its transpose)
-            spread = (R[:, :, np.newaxis, :] - R[:, np.newaxis, :, :]).max(axis=3)
-            diameters.append((spread + spread.transpose(0, 2, 1)).reshape(len(rows), -1).max(axis=1))
-        L = 1.0 + p * (1.0 + np.exp(np.concatenate(diameters) / 2.0))
+        R = np.log(np.linalg.matrix_power(A, p))
+        # spread[m, i, j] = max_k (R_ik - R_jk); Delta = max (spread + its transpose)
+        spread = np.empty_like(R)
+        for i in range(R.shape[1]):
+            spread[:, i] = (R[:, i, np.newaxis, :] - R).max(axis=2)
+        diameter = (spread + spread.transpose(0, 2, 1)).max(axis=(1, 2), initial=-np.inf)
+        L = 1.0 + p * (1.0 + np.exp(diameter / 2.0))
     return BALL_SAFETY * (margin - GAP_TOL) * scale / (2.0 * np.where(np.isnan(L), np.inf, L))
 
 
@@ -269,7 +250,7 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
 
     Member m's ball has radius r_m = min(radius / 100, c (margin_m -
     GAP_TOL) scale_m / (2 L_m)) (``_certified_radius``), with c =
-    BALL_SAFETY and margin_m and scale_m from ``_member_rows``.  Every
+    BALL_SAFETY and margin_m and scale_m from ``_distinct_values``.  Every
     table in it is a member in exact arithmetic, so a violation reports a
     fault of the solve, not a ball the set need not contain.  Proof, in
     Hilbert's projective metric d_H with Birkhoff's contraction
@@ -297,6 +278,8 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
     not cut keeps its draws bit for bit."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials!r}")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     if not (radius >= 0 and math.isfinite(2.0 * radius)):
         raise ValueError(f"radius must be non-negative, with 2 * radius finite, got {radius!r}")
     f2, _ = reduce_to_order2(f)
@@ -305,17 +288,19 @@ def density_probe(f: Potential, radius: float, trials: int, seed: int) -> Densit
     # Each trial's stream draws its table's perturbation, then its ball's:
     # uniform(low, high) is low + (high - low) u of the stream's next doubles.
     draws = np.empty((trials, 1 + OPENNESS_SUBTRIALS, size))
-    _trial_draws(draws, seed, (), range(trials))
+    trial_draws(draws, seed, (), range(trials))
     low = np.array([-radius] + [-shrunk] * OPENNESS_SUBTRIALS)[:, np.newaxis]
     draws *= np.array([radius] + [shrunk] * OPENNESS_SUBTRIALS)[:, np.newaxis] - low
     draws += low
     tables = f2.table + draws[:, 0]
-    margin, scale = _member_rows(f2, tables)
+    A, t = solve_tables(f2, tables)
+    margin, scale, _ = _distinct_values(normalized_table(f2, t.left, tables))
     members = np.flatnonzero(margin > GAP_TOL)
-    certified = _certified_radius(f2, tables[members], margin[members], scale[members])
+    certified = _certified_radius(f2, A[members], margin[members], scale[members])
     # radius 0 draws only zeros, which need no cut
     cut = np.minimum(shrunk, certified) / shrunk if shrunk else np.ones(members.size)
-    balls = tables[members, np.newaxis] + draws[members, 1:] * cut[:, np.newaxis, np.newaxis]
-    openness = _member_rows(f2, balls.reshape(-1, size))[0] > GAP_TOL
+    balls = (tables[members, np.newaxis] + draws[members, 1:] * cut[:, np.newaxis, np.newaxis]).reshape(-1, size)
+    _, t = solve_tables(f2, balls)
+    openness = _distinct_values(normalized_table(f2, t.left, balls))[0] > GAP_TOL
     fraction = members.size / trials if trials else 0.0
     return DensityProbeResult(fraction, members.size, trials, openness.size, int(openness.size - openness.sum()))

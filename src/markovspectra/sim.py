@@ -3,7 +3,7 @@
 Every trial consumes its own counter-derived stream ``default_rng((seed,
 *key, trial))``, so batching, chunking or parallel partitioning of trials
 cannot change any output.  A batch's streams are seeded together and
-drawn into one array (`_trial_draws`: each SeedSequence stage hashes every
+drawn into one array (`trial_draws`: each SeedSequence stage hashes every
 trial's rows in one uint32 pass, and one call fills every trial's row), and
 its paths are walked in blocks of BLOCK time steps.
 """
@@ -40,7 +40,7 @@ class PathSample:
 
 
 def _trial_uniforms(seed: int, key: tuple[int, ...], trial: int, n: int) -> np.ndarray:
-    """The definition of a trial's stream; _trial_draws draws the same numbers."""
+    """The definition of a trial's stream; trial_draws draws the same numbers."""
     return np.random.default_rng((seed, *key, trial)).random(n)
 
 
@@ -104,7 +104,7 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return state[0::2] | state[1::2] << 32
 
 
-def _trial_draws(out: np.ndarray, seed: int, key: tuple[int, ...], trials: range) -> None:
+def trial_draws(out: np.ndarray, seed: int, key: tuple[int, ...], trials: range) -> None:
     """Fill row i of ``out``, in order, with the first doubles of trial
     trials[i]'s stream ``np.random.default_rng((seed, *key, trial))``.
 
@@ -168,7 +168,7 @@ def _log_masses(
 
     batch = len(trials)
     U = np.empty((batch, n))
-    _trial_draws(U, seed, key, trials)
+    trial_draws(U, seed, key, trials)
     words = np.empty((n, batch), dtype=np.int64) if return_words else None
     # Row 0 of each block holds the state before it and the running total,
     # so one reduce down the time axis is the left-to-right sum of the steps.
@@ -229,7 +229,13 @@ def empirical_local_entropy(mu: MarkovMeasure, n: int, trials: int, seed: int) -
     if trials < 100:
         raise ValueError("at least 100 trials are required")
     exponents = _exponent_batches(mu, mu, n, trials, seed)
-    counts, edges = np.histogram(exponents, bins=HISTOGRAM_BINS)
+    # np.histogram's own range and edges, save that a range too narrow for
+    # HISTOGRAM_BINS distinct edges widens by NumPy's rule for an empty one
+    low, high = exponents.min(), exponents.max()
+    edges = np.linspace(low, high, HISTOGRAM_BINS + 1)
+    if (edges[:-1] >= edges[1:]).any():
+        low, high = low - 0.5, high + 0.5
+    counts, edges = np.histogram(exponents, bins=HISTOGRAM_BINS, range=(low, high))
     std = exponents.std(ddof=1)
     return LocalEntropyResult(
         float(exponents.mean()),
@@ -267,6 +273,8 @@ def empirical_spectrum_histogram(
         raise ValueError("path length must be at least 1")
     if trials < 2:
         raise ValueError("at least 2 trials are required for a standard error")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     qs = [float(q) for q in q_list]
     bad = [q for q in qs if not math.isfinite(q)]
     if bad:

@@ -260,6 +260,22 @@ class TestClassify:
         data = json.loads(out)
         assert data["in_E"] and data["g2_member"] and data["twin"] is None
 
+    def test_rows_decades_apart_are_no_bernoulli_family(self, capsys):
+        # Gibbs matrix [[8.5e-64, 1], [1, 2.6e-149]]: its diagonal entries
+        # differ by 85 decades, so it is not P2, however small both are
+        values = {"11": -98.25713882820801, "12": -150.75193951194183, "21": 244.6921852928573, "22": -295.1591352509652}
+        model = json.dumps({"transition": [[1, 1], [1, 1]], "potential": {"order": 2, "values": values}})
+        code, out, _ = run(capsys, "classify", model)
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["in_E"] is True and data["twin_kind"] is None and data["alpha_detected"] is None
+
+    def test_p1_whose_alpha_rounds_to_one_exits_math(self, capsys):
+        model = json.dumps({"transition": [[1, 1], [1, 1]], "potential": {"order": 1, "values": {"1": -200, "2": 250}}})
+        code, out, err = run(capsys, "classify", model)
+        assert code == EXIT_MATH and out == ""
+        assert "P1 parameter alpha rounds to 1.0" in err
+
     def test_ring_partial(self, capsys):
         _, out, _ = run(capsys, "classify", "models/ring3_zero.json")
         data = json.loads(out)
@@ -290,6 +306,23 @@ class TestGibbsAudit:
 
 
 class TestSample:
+    def test_near_deterministic_chain_histogram(self, capsys, tmp_path):
+        # every exponent is log(2) / 20 to a few ulps: too narrow a range for
+        # 50 distinct edges, so the histogram widens it by NumPy's rule for
+        # an empty range
+        model = json.dumps(
+            {"transition": [[1, 1], [1, 1]], "potential": {"order": 2, "values": {"11": -30, "12": 0, "21": 0, "22": -30.5}}}
+        )
+        out_csv = tmp_path / "hist.csv"
+        code, out, _ = run(capsys, "sample", model, "--n", "20", "--trials", "100", "--out", str(out_csv))
+        assert code == EXIT_OK
+        mean = json.loads(out)["mean"]
+        with open(out_csv) as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 50 and sum(int(r["count"]) for r in rows) == 100
+        assert float(rows[0]["bucket_low"]) == pytest.approx(mean - 0.5, abs=1e-12)
+        assert float(rows[-1]["bucket_high"]) == pytest.approx(mean + 0.5, abs=1e-12)
+
     def test_sample_summary_and_histogram(self, capsys, tmp_path):
         out_csv = tmp_path / "hist.csv"
         code, out, _ = run(

@@ -1,9 +1,8 @@
 """Private names stay in their module: the ``_``-prefixed names that each
 module of the package takes from another, read from its source with ``ast``.
 
-A private import ties two modules to one implementation detail.  The
-modules that need none must not start to, and rigidity's list may only
-shrink."""
+A private import ties two modules to one implementation detail: no
+module of the package takes one."""
 
 import ast
 from pathlib import Path
@@ -40,15 +39,6 @@ def private_imports(module: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("module", ["spectrum", "cli", "modelio", "families", "sim"])
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
 def test_no_private_imports(module):
     assert private_imports(module) == set()
-
-
-def test_rigidity_private_imports_are_the_four_listed():
-    assert private_imports("rigidity") == {
-        "thermo._blocks",
-        "thermo._exp_on_support",
-        "thermo._normalized_table",
-        "sim._trial_draws",
-    }

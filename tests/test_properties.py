@@ -43,6 +43,7 @@ from markovspectra import (
 from markovspectra import thermo
 from markovspectra.cli import main
 from markovspectra.errors import MarkovSpectraError, NonConvergenceError
+from markovspectra.modelio import word_key
 from markovspectra.perron import perron, perron_stack
 from markovspectra.thermo import _gibbs, _gibbs_error
 from conftest import random_aperiodic_base, random_potential, reference_sample_spectrum
@@ -437,3 +438,43 @@ def test_cli_fuzz_keeps_the_exit_code_contract(argv):
     else:
         assert out.getvalue() == ""
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@st.composite
+def valid_models(draw) -> str:
+    """A random valid model as JSON text: 2-4 symbols on a random aperiodic
+    support, order 1-3, values uniform in +-s for s from 0.1 to 300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_aperiodic_base(rng, draw(st.integers(2, 4)))
+    order = draw(st.integers(1, 3))
+    s = draw(st.sampled_from([0.1, 1.0, 5.0, 20.0, 60.0, 300.0]))
+    values = {word_key(w): rng.uniform(-s, s) for w in admissible_words(base, order)}
+    return json.dumps({"transition": base.entries.tolist(), "potential": {"order": order, "values": values}})
+
+
+VALID_MODEL_REQUESTS = [
+    ["pressure"],
+    ["pressure", "--oracle-depth", "5"],
+    ["spectrum"],
+    ["compare"],
+    ["classify"],
+    ["gibbs-audit", "--depth", "4"],
+    ["sample", "--n", "20", "--trials", "100"],
+]
+
+
+@bounded(100)
+@given(valid_models())
+def test_valid_models_never_exit_parse(model):
+    # valid input exits 0, 3, 4 or 5, never 2, and no exception escapes
+    for command, *flags in VALID_MODEL_REQUESTS:
+        argv = [command, model] + [model] * (command == "compare") + flags
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3, 4, 5), (argv, err.getvalue())
+        if code in (0, 4):
+            json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+

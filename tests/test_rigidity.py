@@ -33,6 +33,7 @@ from markovspectra.errors import AperiodicityError, NonConvergenceError, Potenti
 from markovspectra.perron import perron, perron_stack
 from markovspectra.rigidity import GAP_TOL, OPENNESS_SUBTRIALS, DensityProbeResult, PairCheck
 from markovspectra.shiftspace import TransitionMatrix
+from markovspectra.thermo import normalized_table, solve_tables
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -469,8 +470,8 @@ class TestDensityProbeReference:
         f = log_p1_potential(a)
         f = Potential(f.base, 2, f.words, f.table + shift)
         solved, certified = [], []
-        member_rows, certified_radius = rigidity._member_rows, rigidity._certified_radius
-        monkeypatch.setattr(rigidity, "_member_rows", lambda f2, t: solved.append(t) or member_rows(f2, t))
+        solve, certified_radius = rigidity.solve_tables, rigidity._certified_radius
+        monkeypatch.setattr(rigidity, "solve_tables", lambda f2, t: solved.append(t) or solve(f2, t))
         monkeypatch.setattr(
             rigidity, "_certified_radius", lambda *args: certified.append(certified_radius(*args)) or certified[-1]
         )
@@ -500,7 +501,7 @@ class TestDensityProbeReference:
             return perron_stack(A)
 
         monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", rows * n * n)
-        monkeypatch.setattr("markovspectra.rigidity.perron_stack", spy)
+        monkeypatch.setattr("markovspectra.thermo.perron_stack", spy)
         assert density_probe(f, 0.05, 7, 3) == reference_density_probe(f, 0.05, 7, 3)
         assert shapes and all(k <= rows and m == n for k, m, _ in shapes)
 
@@ -530,8 +531,22 @@ class TestDensityProbeReference:
         with pytest.raises(ValueError, match="trials" if trials < 0 else "radius"):
             density_probe(f_p1_third, radius, trials, 0)
 
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_negative_seed_refused_without_a_draw(self, f_p1_third, trials):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            density_probe(f_p1_third, 1e-3, trials, -1)
+
     def test_no_trials(self, f_p1_third):
         assert density_probe(f_p1_third, 1e-3, 0, 0) == DensityProbeResult(0.0, 0, 0, 0, 0)
+
+
+def member_margins(f2, tables):
+    """The matrices of a (k, E) stack of f2's tables, and each table's
+    g_n_membership margin and the scale its gaps are divided by, as
+    density_probe reads them from one stacked solve."""
+    A, t = solve_tables(f2, tables)
+    margin, scale, _ = rigidity._distinct_values(normalized_table(f2, t.left, tables))
+    return A, margin, scale
 
 
 @st.composite
@@ -558,13 +573,13 @@ class TestCertifiedBall:
         # balls at the full certified radius, at corners of the cube and
         # uniform inside it
         f2, tables, rng = case
-        margin, scale = rigidity._member_rows(f2, tables)
+        A, margin, scale = member_margins(f2, tables)
         members = margin > GAP_TOL
-        radius = rigidity._certified_radius(f2, tables[members], margin[members], scale[members])
+        radius = rigidity._certified_radius(f2, A[members], margin[members], scale[members])
         assert (radius > 0).all()
         shape = (members.sum(), 2 * OPENNESS_SUBTRIALS, f2.table.size)
         corner = np.arange(shape[1])[:, np.newaxis] % 2 == 1
         moves = np.where(corner, rng.choice([-1.0, 1.0], shape), rng.uniform(-1.0, 1.0, shape))
         balls = tables[members, np.newaxis] + moves * radius[:, np.newaxis, np.newaxis]
-        margins, _ = rigidity._member_rows(f2, balls.reshape(-1, f2.table.size))
+        _, margins, _ = member_margins(f2, balls.reshape(-1, f2.table.size))
         assert (margins > GAP_TOL).all()

@@ -20,7 +20,7 @@ from markovspectra import (
     log_p1_potential,
     sample_path,
 )
-from markovspectra.sim import _log_masses, _pcg64_seeds, _trial_draws, _trial_uniforms
+from markovspectra.sim import _log_masses, _pcg64_seeds, _trial_uniforms, trial_draws
 from conftest import random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -128,6 +128,11 @@ class TestEmpiricalLocalEntropy:
         with pytest.raises(ValueError, match="path length must be at least 1"):
             empirical_local_entropy(mu_half, n=0, trials=100, seed=0)
 
+    def test_histogram_is_numpys_own(self, mu_third):
+        result = empirical_local_entropy(mu_third, n=100, trials=120, seed=11)
+        counts, edges = np.histogram(-_log_masses(mu_third, mu_third, 100, range(120), 11)[0] / 100, bins=50)
+        assert result.bin_edges.tobytes() == edges.tobytes() and result.counts.tolist() == counts.tolist()
+
     def test_deterministic(self, mu_third):
         a = empirical_local_entropy(mu_third, n=100, trials=120, seed=11)
         b = empirical_local_entropy(mu_third, n=100, trials=120, seed=11)
@@ -154,6 +159,10 @@ class TestEmpiricalSpectrumHistogram:
         monkeypatch.setattr(thermo, "perron", lambda A: pytest.fail("solved before q was checked"))
         with pytest.raises(ValueError, match=f"q must be finite, got {q!r}"):
             empirical_spectrum_histogram(f_p1_third, n=10, trials=10, q_list=[0.0, q], seed=0)
+
+    def test_negative_seed_refused_without_a_draw(self, f_p1_third):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            empirical_spectrum_histogram(f_p1_third, n=10, trials=10, q_list=[], seed=-1)
 
     def test_tilted_means_match_alpha(self, f_p1_third):
         rows = empirical_spectrum_histogram(
@@ -279,7 +288,7 @@ class TestTrialStreams:
     )
     def test_streams_equal_default_rng(self, seed, key, trials, n):
         out = np.empty((len(trials), n))
-        _trial_draws(out, seed, key, trials)
+        trial_draws(out, seed, key, trials)
         assert [row.tobytes() for row in out] == [_trial_uniforms(seed, key, t, n).tobytes() for t in trials]
 
     @settings(max_examples=60, deadline=10_000, derandomize=True, database=None)
@@ -301,7 +310,7 @@ class TestTrialStreams:
         with pytest.raises(ValueError, match="non-negative"):
             np.random.default_rng((seed, *key, trial))
         with pytest.raises(ValueError, match="non-negative"):
-            _trial_draws(np.empty((2, 1)), seed, key, range(trial, trial + 2))
+            trial_draws(np.empty((2, 1)), seed, key, range(trial, trial + 2))
 
     def test_negative_seed_or_trial_refused_by_sample_path(self, mu_half):
         for seed, trial in ((-1, 0), (0, -1)):

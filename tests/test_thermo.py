@@ -33,7 +33,8 @@ from markovspectra import (
 )
 from markovspectra.errors import PotentialRangeError, WordLengthError
 from markovspectra.cli import MAX_DEPTH
-from markovspectra.thermo import ORACLE_BUFFER_FLOATS, BetaFunction, _exp_on_support, _logsumexp
+from markovspectra.perron import perron
+from markovspectra.thermo import ORACLE_BUFFER_FLOATS, BetaFunction, _exp_on_support, _logsumexp, solve_tables
 from conftest import random_aperiodic_base, random_potential
 
 PHI = (1 + 5**0.5) / 2
@@ -191,6 +192,27 @@ class TestStackedExpBuild:
             _exp_on_support(f2, q, table)
         with pytest.raises(PotentialRangeError, match=rf"times q={q!r} is out"):
             _exp_on_support(f2, q)
+
+
+class TestSolveTables:
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    @pytest.mark.parametrize("name", ["full2", "ring"])
+    def test_rows_are_perron_bit_for_bit(self, request, monkeypatch, name, rows):
+        # one block, and blocks of two tables
+        f2 = random_potential(request.getfixturevalue(name), seed=3)
+        n = f2.base.n_symbols
+        tables = f2.table + np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, f2.table.size))
+        solved = [solve_tables(f2, tables)]
+        monkeypatch.setattr("markovspectra.thermo.ORACLE_BUFFER_FLOATS", 2 * n * n)
+        solved.append(solve_tables(f2, tables))
+        for A, t in solved:
+            assert A.shape == (rows, n, n) and t.left.shape == t.right.shape == (rows, n)
+            for i, row in enumerate(tables):
+                B = _exp_on_support(Potential(f2.base, 2, f2.words, row))
+                single = perron(B)
+                assert A[i].tobytes() == B.tobytes()
+                assert (t.root[i], t.residual[i], t.iterations[i]) == (single.root, single.residual, single.iterations)
+                assert t.left[i].tobytes() == single.left.tobytes() and t.right[i].tobytes() == single.right.tobytes()
 
 
 class TestPressure:
