@@ -6,15 +6,13 @@ is accurate relative to its own size.  ``perron_stack`` solves a
 ``(k, n, n)`` stack; row i of its result is ``perron(A[i])``, bit for bit,
 and its mask marks the rows that ``perron`` refuses.
 
-The 2x2 closed form has two twins.  ``perron`` evaluates it on Python
-floats (13 us a solve, against 65 us for the array form at k = 1; best of
-9 runs over 1,000 random matrices on a 2-vCPU Xeon): it reads the matrix
-once as floats, and each scalar step is one IEEE operation and rounds as
-in NumPy, with two exceptions kept in NumPy: ``np.hypot`` (``math.hypot``
-rounds differently on some inputs), and the products M v, u M and u . v,
-whose BLAS kernels fuse multiply-adds that plain float arithmetic would
-round twice.  The stack evaluates it on arrays, calling the same kernels
-through ``np.matmul``.
+The 2x2 closed form has two twins.  ``perron`` runs it and its acceptance
+check in one pass on Python floats (6.4 us a solve, against 47 us as a
+stack of one; best of 9 runs over 1,000 random matrices, 2-vCPU Xeon).
+Each step is one IEEE operation except ``np.hypot`` (``math.hypot`` rounds
+differently on some inputs) and the products M v, u M and u . v, which
+``ndarray.dot`` sends to the BLAS kernels that the stack's ``np.matmul``
+calls: they fuse multiply-adds that float arithmetic would round twice.
 
 Larger matrices have one kernel, ``_perron_vectors``: ``perron`` calls it
 on a stack of one and ``perron_stack`` on the whole stack.  It stacks the
@@ -113,10 +111,9 @@ def _perron_vectors(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return mu[:k], v[:k], v[k:], errors
 
 
-def _perron_2x2(a: float, b: float, c: float, d: float) -> tuple[float, np.ndarray, np.ndarray, list, list]:
-    """Closed form for the primitive 2x2 matrix [[a, b], [c, d]] (b, c > 0):
-    the root and the normalized left and right vectors, as arrays and as
-    lists of floats, before acceptance.
+def _perron_2x2(M: np.ndarray, a: float, b: float, c: float, d: float) -> PerronTriple:
+    """``perron`` of the primitive 2x2 matrix M = [[a, b], [c, d]] (b, c > 0)
+    in closed form, with ``_accepted_residual``'s check unrolled.
 
     All terms under the square root are non-negative and root - a is taken
     without cancellation (conjugate form when a dominates), so the result
@@ -128,13 +125,24 @@ def _perron_2x2(a: float, b: float, c: float, d: float) -> tuple[float, np.ndarr
         # other NaN or inf results fail the acceptance check.
         gap = 2.0 * b * c / (s + (a - d)) if a >= d else ((d - a) + s) / 2.0
         total = b + gap
-        r = [b / total, gap / total]
-        right = np.array(r)
-        dot = float(np.matmul(np.array([c, gap]), right))
-        l = [c / dot, gap / dot]
+        r0, r1 = b / total, gap / total
+        right = np.array((r0, r1))
+        dot = float(np.array((c, gap)).dot(right))
+        l0, l1 = c / dot, gap / dot
     except ZeroDivisionError as exc:
         raise NonConvergenceError("2x2 closed form divides by zero: an entry product under- or overflows") from exc
-    return a + gap, np.array(l), right, l, r
+    if not (0 < l0 < math.inf and 0 < l1 < math.inf and 0 < r0 < math.inf and 0 < r1 < math.inf):
+        raise NonConvergenceError("Perron eigenvectors are not strictly positive")
+    root = a + gap
+    if not 0 < root < math.inf:
+        raise NonConvergenceError(f"Perron root {root!r} is not positive and finite")
+    left = np.array((l0, l1))
+    (Mr0, Mr1), (lM0, lM1) = M.dot(right).tolist(), left.dot(M).tolist()
+    right_residual = max(abs(Mr0 - root * r0), abs(Mr1 - root * r1)) / max(r0, r1)
+    residual = max(right_residual, max(abs(lM0 - root * l0), abs(lM1 - root * l1)) / max(l0, l1))
+    if not (residual <= RESIDUAL_TOL * root and all(map(math.isfinite, (Mr0, Mr1, lM0, lM1)))):
+        raise NonConvergenceError(f"Perron residual {residual:.3e} exceeds tol={RESIDUAL_TOL} times the root")
+    return PerronTriple(root, left, right, residual, 0)
 
 
 def _closed_form_stack(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,10 +156,9 @@ def _closed_form_stack(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return a + gap, cg / np.matmul(cg[:, np.newaxis, :], right[:, :, np.newaxis])[:, 0], right
 
 
-def _accepted_residual(M: np.ndarray, root: float, left: np.ndarray, right: np.ndarray, l: list, r: list) -> float:
-    """Residual of a normalized Perron triple that passes the acceptance
-    check, else NonConvergenceError; ``l`` and ``r`` are ``left`` and
-    ``right`` as lists of floats.
+def _accepted_residual(M: np.ndarray, root: float, left: np.ndarray, right: np.ndarray) -> float:
+    """Residual of a dense solve's normalized Perron triple that passes the
+    acceptance check, else NonConvergenceError.
 
     The check asks for finite and strictly positive vectors, a finite
     positive root, and a max-normalized residual max|Mx - root x| / max x
@@ -159,10 +166,10 @@ def _accepted_residual(M: np.ndarray, root: float, left: np.ndarray, right: np.n
     Finiteness is tested entry by entry, because ``min`` and ``max`` over a
     list skip a NaN that is not first.  With finite vectors and root, a
     residual term is NaN only when a product overflows, which the last test
-    catches.  ``_accepted_residuals`` is its twin on stacks.
+    catches.  ``_perron_2x2`` inlines it, ``_accepted_residuals`` stacks it.
     """
-    lr = l + r
-    if not (all(map(math.isfinite, lr)) and min(lr) > 0):
+    l, r = left.tolist(), right.tolist()
+    if not (all(map(math.isfinite, l + r)) and min(l + r) > 0):
         raise NonConvergenceError("Perron eigenvectors are not strictly positive")
     if not 0 < root < math.inf:
         raise NonConvergenceError(f"Perron root {root!r} is not positive and finite")
@@ -194,21 +201,20 @@ def perron(A: np.ndarray) -> PerronTriple:
     """Perron root and positive left/right eigenvectors of the primitive
     non-negative array ``A``.
 
-    Primitive 2x2 matrices use the quadratic closed form in Python-float
-    arithmetic (``np.hypot`` and the three BLAS products stay in NumPy, for
-    their rounding; see the module docstring); larger ones are scaled to
-    M / max(M) and solved by ``_perron_vectors`` as a stack of one: one
-    dgeev (which balances each matrix itself) for M and its transpose, and
-    one Newton solve for both vectors, warnings silenced.  Both paths return
-    only a triple that passes ``_accepted_residual``, else raise
-    NonConvergenceError.
+    Primitive 2x2 matrices take ``_perron_2x2``: the closed form and its
+    acceptance check in one pass on Python floats, with ``np.hypot`` and
+    the three products (``ndarray.dot``) in NumPy for their rounding.
+    Larger ones are scaled to M / max(M) and solved by ``_perron_vectors``
+    as a stack of one: one dgeev (which balances each matrix itself) for M
+    and its transpose, and one Newton solve for both vectors, warnings
+    silenced, then checked by ``_accepted_residual``.  Both return only an
+    accepted triple, else raise NonConvergenceError.
     """
     M = np.asarray(A, dtype=float)
     if M.shape == (2, 2):
         (a, b), (c, d) = M.tolist()
         if b > 0 and c > 0:
-            root, left, right, l, r = _perron_2x2(a, b, c, d)
-            return PerronTriple(root, left, right, _accepted_residual(M, root, left, right, l, r), 0)
+            return _perron_2x2(M, a, b, c, d)
     # Work on M / max(M): the root scales linearly and extreme magnitudes
     # (e.g. strongly tilted matrices) stay representable.
     magnitude = float(np.max(M))
@@ -221,7 +227,7 @@ def perron(A: np.ndarray) -> PerronTriple:
         root = float(mu[0]) * magnitude
         right = right[0] / right[0].sum()
         left = left[0] / float(left[0] @ right)
-        residual = _accepted_residual(M, root, left, right, left.tolist(), right.tolist())
+        residual = _accepted_residual(M, root, left, right)
     return PerronTriple(root, left, right, residual, 1)
 
 

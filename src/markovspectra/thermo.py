@@ -602,27 +602,31 @@ def gibbs_constant_audit(f: Potential, depth: int = 12) -> GibbsAudit:
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
     sign = np.array([[1.0], [-1.0]])  # rows: max, -min
 
-    reach = sign * (pi / v)
-    for _ in range(min(depth - 1, f2.base.aperiodicity_power)):
-        reach = np.maximum(reach, np.maximum.reduceat(reach[:, src], starts, axis=1))
-    head = sign * reach * v * triple.root
-    theo_min = float((head[1] / A.max(axis=1)).min())
-    theo_max = float((head[0] / np.where(A > 0, A, np.inf).min(axis=1)).max())
-    constant = max(theo_max, 1.0 / theo_min)
+    with np.errstate(all="ignore"):
+        reach = sign * (pi / v)
+        for _ in range(min(depth - 1, f2.base.aperiodicity_power)):
+            reach = np.maximum(reach, np.maximum.reduceat(reach[:, src], starts, axis=1))
+        head = sign * reach * v * triple.root
+        theo_min = float((head[1] / A.max(axis=1)).min())
+        theo_max = float((head[0] / np.where(A > 0, A, np.inf).min(axis=1)).max())
 
-    gain = P_press - f2.table[by_dst]  # -f_ij + P
-    step = np.log(mu.P[src, dst]) + gain  # log P_ij - f_ij + P
-    gain, step, ends = sign * gain, sign * step, sign * np.log(pi)
-    extreme = np.full(2, -np.inf)
-    for _ in range(depth):
-        tail = ends[:, src]
-        extreme = np.maximum(extreme, (tail + gain).max(axis=1))
-        ends = np.maximum.reduceat(tail + step, starts, axis=1)
-    # exp is monotone, so exp of the extreme log-ratio is the extreme ratio
-    observed_max, observed_min = math.exp(extreme[0]), math.exp(-extreme[1])
+        gain = P_press - f2.table[by_dst]  # -f_ij + P
+        step = np.log(mu.P[src, dst]) + gain  # log P_ij - f_ij + P
+        gain, step, ends = sign * gain, sign * step, sign * np.log(pi)
+        extreme = np.full(2, -np.inf)
+        for _ in range(depth):
+            tail = ends[:, src]
+            extreme = np.maximum(extreme, (tail + gain).max(axis=1))
+            ends = np.maximum.reduceat(tail + step, starts, axis=1)
+    try:
+        # exp is monotone, so exp of the extreme log-ratio is the extreme ratio
+        observed_max, observed_min = math.exp(extreme[0]), math.exp(-extreme[1])
+        constant = max(theo_max, 1.0 / theo_min)
+    except (OverflowError, ZeroDivisionError):
+        observed_max = observed_min = constant = math.inf
+    if not all(map(math.isfinite, (theo_min, theo_max, constant, observed_min, observed_max))):
+        raise PotentialRangeError("the Gibbs audit constant or an observed extreme ratio is out of floating-point range")
 
     slack = 1e-10 * max(1.0, constant)
-    within = bool(
-        1.0 / constant - slack <= observed_min and observed_max <= constant + slack
-    )
+    within = bool(1.0 / constant - slack <= observed_min and observed_max <= constant + slack)
     return GibbsAudit(P_press, constant, observed_min, observed_max, theo_min, theo_max, depth, within)

@@ -304,6 +304,25 @@ class TestGibbsAudit:
         assert code == EXIT_AUDIT
         assert json.loads(out)["within_bounds"] is False
 
+    def test_ratio_past_float_range_exits_math(self, capsys, tmp_path):
+        # values of a few hundred: the theoretical constant's division
+        # overflows and exp of the observed extreme log-ratio raises
+        values = {
+            "111": -293.99110620156443,
+            "112": 228.4327235173829,
+            "121": 98.43711840462498,
+            "122": 279.6109803482709,
+            "211": -235.06037117255266,
+            "212": -155.6824435825251,
+            "221": 30.071675977383165,
+            "222": -294.183803239102,
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"transition": [[1, 1], [1, 1]], "potential": {"order": 3, "values": values}}))
+        code, out, err = run(capsys, "gibbs-audit", str(path), "--depth", "4")
+        assert code == EXIT_MATH and out == ""
+        assert err == "error: the Gibbs audit constant or an observed extreme ratio is out of floating-point range\n"
+
 
 class TestSample:
     def test_near_deterministic_chain_histogram(self, capsys, tmp_path):

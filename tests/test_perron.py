@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -14,12 +15,14 @@ from markovspectra import (
     stationary_distribution,
 )
 from markovspectra import perron as perron_module
+from markovspectra.modelio import parse_model
 from markovspectra.perron import CycleMeanExtremes, _perron_vectors, perron, perron_stack
 from markovspectra.spectrum import COMPARE_GRID
 from markovspectra.errors import NonConvergenceError, SingularSystemError, StochasticityError
 from conftest import random_aperiodic_base, random_potential, random_support_matrix
 
 PHI = (1 + 5**0.5) / 2
+DIVIDES_BY_ZERO = "2x2 closed form divides by zero: an entry product under- or overflows"
 # two blocks with the same Perron root 4, relabelled: dgeev's vectors are
 # positive, and the Newton system is singular
 NOT_SIMPLE = [
@@ -95,17 +98,22 @@ class TestPerron:
         assert np.abs(t.left @ M / (t.root * t.left) - 1).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "M",
+        "M, message",
         [
-            [[1e308, 1e308, 1e308]] * 3,  # the root, 3e308, overflows
+            # the root, 3e308, overflows
+            ([[1e308, 1e308, 1e308]] * 3, "Perron root inf is not positive and finite"),
             # u's first entry, c / (u . v) = 7e306 / 1.8e-4, overflows
-            [[2.6234821987362867e-24, 1.13289034e-315], [6.961317086450217e306, 1.141741848314e-312]],
+            (
+                [[2.6234821987362867e-24, 1.13289034e-315], [6.961317086450217e306, 1.141741848314e-312]],
+                "Perron eigenvectors are not strictly positive",
+            ),
         ],
         ids=["root", "left-entry"],
     )
-    def test_overflowing_result_rejected(self, M):
-        with pytest.raises(NonConvergenceError):
+    def test_overflowing_result_rejected(self, M, message):
+        with pytest.raises(NonConvergenceError) as error:
             perron(np.array(M))
+        assert str(error.value) == message
 
     def test_underflowing_perron_vector_rejected(self):
         # 1 -> 2 -> 3 -> 1 with two weights of 1e-200: the right vector's
@@ -327,17 +335,34 @@ class TestClosedForm:
         assert np.abs(t.right - x).max() <= 1e-13 * x.max()
 
     @pytest.mark.parametrize(
-        "M",
+        "M, message",
         [
-            [[1.0, 1e-200], [1e-200, 1.0]],  # b*c underflows: 0/0
-            [[1e300, 1e300], [1e300, 1e300]],  # b*c overflows: inf/inf
-            [[0.0, 1e-170], [1e-170, 0.0]],  # b*c underflows and the root is 0
+            ([[1.0, 1e-200], [1e-200, 1.0]], DIVIDES_BY_ZERO),  # b*c underflows: 0/0
+            # b*c overflows: inf/inf
+            ([[1e300, 1e300], [1e300, 1e300]], "Perron eigenvectors are not strictly positive"),
+            ([[0.0, 1e-170], [1e-170, 0.0]], DIVIDES_BY_ZERO),  # b*c underflows and the root is 0
         ],
+        ids=["M0", "M1", "M2"],
     )
-    def test_degenerate_inputs_raise_without_warning(self, M):
+    def test_degenerate_inputs_raise_without_warning(self, M, message):
         # pytest turns warnings into errors, so a NumPy RuntimeWarning fails here
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError) as error:
             perron(np.array(M))
+        assert str(error.value) == message
+
+    def test_compare_grid_bits_pinned(self):
+        # the benchmark's pinned twin compare: every COMPARE_GRID tilt of the
+        # P1 and P2 models, 322 closed-form solves, each triple's hex repr
+        # hashed in grid order
+        digest = hashlib.sha256()
+        for name in ("full2_p1_third", "full2_p2_third"):
+            bf = BetaFunction(parse_model(f"models/{name}.json").potential)
+            bf.solve(COMPARE_GRID)
+            for q in COMPARE_GRID:
+                t = perron(bf.matrix(q))
+                assert t.iterations == 0
+                digest.update(repr(hex_triple(t)).encode())
+        assert digest.hexdigest() == "a1df9154c02777e3828a52318fb77cb65ff4bb52da799ab94e2fc340f6c1542c"
 
 
 class TestLinearSolve:
