@@ -4,8 +4,8 @@ Every trial consumes its own counter-derived stream ``default_rng((seed,
 *key, trial))``, so batching, chunking or parallel partitioning of trials
 cannot change any output.  A batch's streams are seeded together and
 drawn into one array (`trial_draws`: each SeedSequence stage hashes every
-trial's rows in one uint32 pass, and one call fills every trial's row), and
-its paths are walked in blocks of BLOCK time steps.
+trial's rows in one uint32 pass, and NumPy's PCG64 seeded with a trial's
+hashed words fills its row), and its paths are walked in BLOCK-step blocks.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ CHUNK = 512
 BLOCK = 64
 HISTOGRAM_BINS = 50
 
-# numpy.random.SeedSequence's hash constants and pool size, and PCG64's
-# 128-bit multiplier.
+# numpy.random.SeedSequence's hash constants and pool size.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -104,43 +102,44 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return state[0::2] | state[1::2] << 32
 
 
+@dataclass
+class _SeedWords:
+    """A trial's hashed seed, 4 C-contiguous uint64 words, as numpy.random's
+    ISeedSequence.  PCG64 reads them as raw memory: other requests raise."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"seed words are 4 uint64 words, not {n_words} of {dtype!r}")
+        return self.words
+
+
 def trial_draws(out: np.ndarray, seed: int, key: tuple[int, ...], trials: range) -> None:
     """Fill row i of ``out``, in order, with the first doubles of trial
     trials[i]'s stream ``np.random.default_rng((seed, *key, trial))``.
 
-    The SeedSequence hashing runs on uint32 arrays across the trials and
-    PCG64's two seeding steps on Python ints; one Generator is set to each
-    trial's state in turn and fills that trial's row.  An empty range draws
-    nothing, so its seed and key are not checked.
+    The SeedSequence hashing runs on uint32 arrays across the trials, and
+    each trial's row is filled by a Generator on NumPy's PCG64, seeded with
+    that trial's hashed words.  An empty range draws nothing, so its seed
+    and key are not checked.
     """
     if not trials:
         return
     if trials.start < 0:
         raise ValueError("expected non-negative integer")
+    # registered on first use, so importing the package leaves numpy.random unimported
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     prefix = [word for value in (seed, *key) for word in _words(value)]
-    rng = np.random.Generator(np.random.PCG64())
     rows = iter(out)
-    # Trials sharing their words above the lowest differ in one entropy row.
-    start = trials.start
-    while start < trials.stop:
-        stop = min(trials.stop, (start >> 32) + 1 << 32)
-        high = _words(start >> 32) if start >> 32 else []
-        words = prefix + [0] + high
-        entropy = np.empty((len(words), stop - start), dtype=np.uint32)
-        entropy[:] = np.array(words, dtype=np.uint32)[:, np.newaxis]
-        low = start & _MASK32
-        entropy[len(prefix)] = np.arange(low, low + stop - start, dtype=np.uint64)
-        for s0, s1, i0, i1 in zip(*_pcg64_seeds(entropy).tolist()):
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            rng.random(out=next(rows))
-        start = stop
+    # Segments end at multiples of 2**32: within one, trials differ in one entropy row.
+    cuts = [trials.start, *range((trials.start >> 32) + 1 << 32, trials.stop, 1 << 32), trials.stop]
+    for start, stop in zip(cuts, cuts[1:]):
+        words = prefix + [0] + (_words(start >> 32) if start >> 32 else [])
+        entropy = np.array(words, dtype=np.uint32)[:, np.newaxis].repeat(stop - start, axis=1)
+        entropy[len(prefix)] = np.arange(stop - start, dtype=np.uint64) + (start & _MASK32)
+        for hashed in np.ascontiguousarray(_pcg64_seeds(entropy).T):
+            np.random.Generator(np.random.PCG64(_SeedWords(hashed))).random(out=next(rows))
 
 
 def _log_masses(

@@ -272,21 +272,21 @@ def _gibbs(base: TransitionMatrix, A: np.ndarray, root, left: np.ndarray, right:
     ufunc reductions: in ``np.max`` and ``np.count_nonzero(..., axis=...)``
     a Python wrapper costs more than the work on one small matrix."""
     lam = np.asarray(root)[..., np.newaxis, np.newaxis]
-    P = A * right[..., np.newaxis, :] / (lam * right[..., :, np.newaxis])
-    sums = P.sum(axis=-1)
-    defect = np.maximum.reduce(np.abs(sums - 1.0), axis=-1)
-    underflow = np.logical_or.reduce((P == 0) > (A == 0), axis=(-2, -1))
-    # absorb the last few ulps of eigenvector error so the rows are exactly
-    # stochastic for downstream consumers
-    pi = left * right
     with np.errstate(divide="ignore", invalid="ignore"):  # only in rows that fail their check
+        P = A * right[..., np.newaxis, :] / (lam * right[..., :, np.newaxis])
+        sums = P.sum(axis=-1)
+        defect = np.maximum.reduce(np.abs(sums - 1.0), axis=-1)
+        underflow = np.logical_or.reduce((P == 0) > (A == 0), axis=(-2, -1))
+        # absorb the last few ulps of eigenvector error so the rows are exactly
+        # stochastic for downstream consumers
+        pi = left * right
         mu = MarkovMeasure(base, P / sums[..., np.newaxis], pi / pi.sum(axis=-1, keepdims=True))
     return mu, defect.tolist(), underflow.tolist()
 
 
 def _gibbs_error(defect: float, underflow: bool) -> StochasticityError | None:
     """The error of Gibbs rows that ``_gibbs`` finds not stochastic, else None."""
-    if defect > 1e-8:
+    if not defect <= 1e-8:  # a NaN defect fails too
         return StochasticityError(f"Gibbs matrix rows stochastic only within {defect:.3e}")
     if underflow:
         return StochasticityError("Gibbs transition probabilities underflow to 0 on the support")
@@ -343,7 +343,8 @@ class BetaFunction:
         todo = [q for q in qs if q not in self._matrices]
         for rows in _blocks(todo, n * n):
             try:
-                A = _exp_on_support(self.f2, table=np.multiply.outer(rows, self.f2.table))
+                with np.errstate(over="ignore"):  # a product that overflows fails the range check
+                    A = _exp_on_support(self.f2, table=np.multiply.outer(rows, self.f2.table))
             except PotentialRangeError:
                 continue
             A.setflags(write=False)

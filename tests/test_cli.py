@@ -51,6 +51,7 @@ FULL2_ORDER4 = json.dumps(
     }
 )
 RING_40_VALUES = (40.0, -40.0, 40.0, -40.0, -40.0, -40.0)
+STEEP_2_VALUES = {"11": 10.0, "12": -3.0, "21": 2.0, "22": 5.0}
 # The full 2-shift at order 6 recodes to 32 order-2 symbols.
 FULL2_ORDER6 = json.dumps(
     {
@@ -602,6 +603,21 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert out == "" and err.startswith("error: out of memory") and err.count("\n") == 1
 
+    def test_overflowing_stacked_tilt_prints_one_error_line(self):
+        # q * f overflows in the stacked grid build: the block is skipped and
+        # q's own build raises its range error, with no NumPy warning on stderr
+        model = {"transition": [[1, 1], [1, 1]], "potential": {"order": 2, "values": STEEP_2_VALUES}}
+        src = Path(markovspectra.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "markovspectra.cli", "spectrum", json.dumps(model), "--qmin=1e308", "--qmax=1e308"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_MATH and result.stdout == ""
+        assert result.stderr == "error: exp of the potential value 10.0 times q=1e+308 is out of floating-point range\n"
+
     def test_library_value_error_exits_parse(self, capsys):
         code, out, err = run(capsys, "spectrum", P1_THIRD, "--qmin", "5", "--qmax", "-5")
         assert code == EXIT_PARSE
@@ -658,3 +674,18 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_numpy_random():
+    # sim.trial_draws registers its seed words with numpy.random on first use
+    src = Path(markovspectra.__file__).resolve().parents[1]
+    probe = "import sys, markovspectra, markovspectra.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"

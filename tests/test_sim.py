@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import markovspectra.sim as sim
@@ -286,6 +286,10 @@ class TestTrialStreams:
         trial_ranges(),
         st.integers(1, 20),
     )
+    # a trial's entropy grows by a word within one call
+    @example(2**70, (3, 2**40), range(2**32 - 2, 2**32 + 2), 5)
+    @example(2**70, (3, 2**40), range(2**64 - 2, 2**64 + 2), 5)
+    @example(0, (), range(2**32 - 1, 2**32 + 1), 5)
     def test_streams_equal_default_rng(self, seed, key, trials, n):
         out = np.empty((len(trials), n))
         trial_draws(out, seed, key, trials)
@@ -304,6 +308,34 @@ class TestTrialStreams:
         assert got.dtype == np.uint64 and got.shape == (4, lanes)
         for lane, column in zip(got.T, entropy.T.tolist()):
             assert lane.tolist() == np.random.SeedSequence(column).generate_state(4, np.uint64).tolist()
+
+    def test_pcg64_reads_four_contiguous_words(self, monkeypatch):
+        # PCG64 reads the buffer as raw memory: a strided view of the
+        # (4, trials) words would seed wrong streams without an error
+        handed = []
+        generate = sim._SeedWords.generate_state
+
+        def spy(self, *request):
+            handed.append(generate(self, *request))
+            return handed[-1]
+
+        monkeypatch.setattr(sim._SeedWords, "generate_state", spy)
+        trial_draws(np.empty((3, 2)), 5, (1,), range(7, 10))
+        assert len(handed) == 3
+        for t, words in zip(range(7, 10), handed):
+            assert words.dtype == np.uint64 and words.shape == (4,) and words.flags.c_contiguous
+            assert words.tolist() == np.random.SeedSequence([5, 1, t]).generate_state(4, np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "request_",
+        [(4,), (4, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64), (4, "uint64")],
+        ids=["default-dtype", "uint32", "2-words", "8-words", "int64", "dtype-name"],
+    )
+    def test_seed_words_refuse_any_other_request(self, request_):
+        words = sim._SeedWords(np.zeros(4, dtype=np.uint64))
+        assert words.generate_state(4, np.uint64) is words.words
+        with pytest.raises(ValueError, match="seed words are 4 uint64 words"):
+            words.generate_state(*request_)
 
     @pytest.mark.parametrize("seed, key, trial", [(-1, (), 0), (0, (-3,), 1), (0, (), -2), (2**64, (2,), -1)])
     def test_negative_entropy_refused_as_by_default_rng(self, seed, key, trial):

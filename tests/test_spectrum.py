@@ -12,6 +12,7 @@ from markovspectra import (
     entropy_spectrum,
     gibbs_markov,
     log_p1_potential,
+    parse_model,
     pressure,
     sample_spectrum,
     spectra_equal,
@@ -393,6 +394,16 @@ class TestSampleSpectrum:
         alphas = [s.alpha for s in curve.samples]
         assert (np.diff(alphas) < 0).all()
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_stacked_tilt_raises_its_range_error(self, n):
+        # q * f overflows to inf in the stacked build, with no NumPy warning:
+        # the block is skipped and q's own build names the first value
+        symbols = range(1, n + 1)
+        values = {f"{i}{j}": 10.0 if i == j == 1 else float(i - 2 * j) for i in symbols for j in symbols}
+        f = parse_model({"transition": [[1] * n] * n, "potential": {"order": 2, "values": values}}).potential
+        with pytest.raises(PotentialRangeError, match=r"value 10\.0 times q=1e\+308 is out"):
+            sample_spectrum(f, [1e308])
+
     def test_unsorted_grid_rejected(self, f_p1_third):
         with pytest.raises(ValueError):
             sample_spectrum(f_p1_third, [1.0, 0.0])
@@ -468,6 +479,21 @@ class TestSampleSpectrum:
         with pytest.raises(StochasticityError) as raised:
             sample_spectrum(f, [9.25, 9.5])
         assert str(raised.value) == str(single) and "within 2.576e-03" in str(single)
+
+    def test_gibbs_rows_that_divide_zero_by_zero_fail_without_a_warning(self):
+        # at q = 10, lambda times the least right-vector entry (5.6e-123 times
+        # 3.7e-203) underflows to 0: that row of the Gibbs matrix is 0 / 0
+        base = [[1, 1, 0], [1, 1, 1], [1, 1, 0]]
+        values = {"1": -48.19056944397241, "2": -54.72116478482316, "3": -1.579558287582131}
+        f = parse_model({"transition": base, "potential": {"order": 1, "values": values}}).potential
+        bf = BetaFunction(f)
+        A = bf.matrix(10.0)
+        t = perron(A)
+        _, defect, _ = thermo._gibbs(bf.f2.base, A, t.root, t.left, t.right)
+        assert math.isnan(defect)
+        assert isinstance(thermo._gibbs_error(defect, False), StochasticityError)
+        with pytest.raises(StochasticityError, match="underflow to 0"):
+            sample_spectrum(f, np.arange(-10.0, 10.25, 0.5))
 
     def test_a_failing_cross_check_before_a_refused_row_raises_first(self, ring, monkeypatch):
         # every q now fails its cross-check: q = 2 is first, before ring_steep's
