@@ -30,6 +30,16 @@ failing row, asks that row's own ``perron`` for its error.  ``perron`` keeps its
 as row 0 of a stack of one, a solve cost 1.30, 1.20 and 1.14 times as much
 at n = 3, 8 and 16 (medians of 600 interleaved rounds, 2-vCPU x86-64).
 
+A stack's acceptance check reduces across the stack.  NumPy reduces a
+short trailing axis of a C-ordered (k, n) stack one row at a time (a max
+over a (400, 2) stack took 19 us, over its F-ordered copy 2 us; 2-vCPU
+Xeon), so ``_accepted_residuals`` takes its maxima and ``all`` on F-ordered
+copies.  Only such order-free reductions move across the stack; every sum
+keeps its order and every ``np.matmul`` stays, so no accepted row's bit
+moves.  (Which of 0.0 and -0.0, or of two NaNs, a max keeps depends on its
+order, and NumPy reduces long rows in SIMD lanes: a refused row's residual,
+which holds no solution, may differ there from a row-wise max.)
+
 Normalization convention used throughout the library: the right eigenvector
 v has unit coordinate sum and the left eigenvector u satisfies u . v = 1.
 With this choice the Gibbs-Markov stationary vector is u_i v_i directly.
@@ -151,9 +161,11 @@ def _closed_form_stack(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
     s = np.hypot(a - d, 2.0 * np.sqrt(b * c))
     gap = np.where(a >= d, 2.0 * b * c / (s + (a - d)), ((d - a) + s) / 2.0)
-    right = np.stack([b, gap], axis=1) / (b + gap)[:, np.newaxis]
-    cg = np.stack([c, gap], axis=1)
-    return a + gap, cg / np.matmul(cg[:, np.newaxis, :], right[:, :, np.newaxis])[:, 0], right
+    right, cg = np.empty((len(M), 2)), np.empty((len(M), 2))
+    right[:, 0], right[:, 1], cg[:, 0], cg[:, 1] = b, gap, c, gap
+    right /= (b + gap)[:, np.newaxis]
+    cg /= np.matmul(cg[:, np.newaxis, :], right[:, :, np.newaxis])[:, 0]
+    return a + gap, cg, right
 
 
 def _accepted_residual(M: np.ndarray, root: float, left: np.ndarray, right: np.ndarray) -> float:
@@ -188,6 +200,9 @@ def _accepted_residuals(M: np.ndarray, root: np.ndarray, left: np.ndarray, right
     mask of the rows that pass."""
     Mr = np.matmul(M, right[:, :, np.newaxis])[:, :, 0]
     lM = np.matmul(left[:, np.newaxis, :], M)[:, 0]
+    # F-ordered, a (k, n) array is reduced along its rows one column at a
+    # time across the stack, not one row of n at a time
+    Mr, lM, left, right = map(np.asfortranarray, (Mr, lM, left, right))
     residual = np.maximum(
         np.abs(Mr - root[:, np.newaxis] * right).max(axis=1) / right.max(axis=1),
         np.abs(lM - root[:, np.newaxis] * left).max(axis=1) / left.max(axis=1),

@@ -7,7 +7,11 @@ shifts every potential is rigid.  For larger alphabets only the
 distinct-value membership and the degree condition are reported.  The
 seeded density probe takes each trial's perturbations in one draw from
 its stream and solves all trials' tables, then all members' balls, with
-one ``thermo.solve_tables`` each.
+one ``thermo.solve_tables`` each.  Their checks reduce across the stack:
+``_distinct_values`` and ``_certified_radius`` take their maxima and minima
+on F-ordered arrays, which NumPy reduces one column at a time over the
+whole stack rather than along each short row (``perron`` says why), and
+keep every sum in its order.
 """
 
 from __future__ import annotations
@@ -49,12 +53,18 @@ def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[i
     monotone, so along a sorted row the gaps from one value never fall: the
     least is an adjacent one, and a forward sweep stops at its first gap
     above the tolerance."""
-    order = np.argsort(values, axis=1, kind="stable")
-    ranked = np.take_along_axis(values, order, axis=1)
-    scale = np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))
-    gaps = np.diff(ranked, axis=1) / scale[:, np.newaxis]
+    # F-ordered, each row's scale and least gap are taken one column at a
+    # time across the stack.  Which of two zeros or NaNs of opposite signs a
+    # minimum returns depends on its order; abs leaves neither (a -0.0 ranked
+    # after a 0.0 gives a gap of -0.0, inf / inf a NaN of either sign).
+    ranked = np.asfortranarray(np.sort(values, axis=1, kind="stable"))
+    scale = np.maximum(1.0, np.abs(ranked).max(axis=1, initial=0.0))
+    gaps = np.abs((ranked[:, 1:] - ranked[:, :-1]) / scale[:, np.newaxis])
+    hits = np.nonzero(gaps <= GAP_TOL)
+    # a stable argsort ranks each row as np.sort did; only collisions need it
+    order = np.argsort(values, axis=1, kind="stable") if hits[0].size else None
     collisions: dict[int, list[tuple[int, int]]] = {}
-    for row, start in zip(*np.nonzero(gaps <= GAP_TOL)):
+    for row, start in zip(*hits):
         pairs = collisions.setdefault(int(row), [])
         end = start + 1
         while end < ranked.shape[1] and (ranked[row, end] - ranked[row, start]) / scale[row] <= GAP_TOL:
@@ -227,11 +237,11 @@ def _certified_radius(f2: Potential, A: np.ndarray, margin: np.ndarray, scale: n
     f2.base.aperiodicity_power and Delta = max log(B_ik B_jl / (B_il B_jk))
     is B's projective diameter; a B with a zero or non-finite entry gives L
     = inf and radius 0.  One stacked ``matrix_power``, and the spread one
-    row i at a time, so the work array is A's size: a bound needs no last
-    bits of A."""
+    row i at a time, so the work arrays are A's size: a bound needs no last
+    bits of A.  They are F-ordered, so each maximum runs across the stack."""
     p = f2.base.aperiodicity_power
     with np.errstate(all="ignore"):
-        R = np.log(np.linalg.matrix_power(A, p))
+        R = np.asfortranarray(np.log(np.linalg.matrix_power(A, p)))
         # spread[m, i, j] = max_k (R_ik - R_jk); Delta = max (spread + its transpose)
         spread = np.empty_like(R)
         for i in range(R.shape[1]):

@@ -121,9 +121,12 @@ def trial_draws(out: np.ndarray, seed: int, key: tuple[int, ...], trials: range)
 
     The SeedSequence hashing runs on uint32 arrays across the trials, and
     each trial's row is filled by a Generator on NumPy's PCG64, seeded with
-    that trial's hashed words.  An empty range draws nothing, so its seed
-    and key are not checked.
+    that trial's hashed words.  A range with a step other than 1 is
+    refused; an empty one draws nothing, so its seed and key are not
+    checked.
     """
+    if trials.step != 1:
+        raise ValueError(f"trials must be a range of step 1, got step {trials.step}")
     if not trials:
         return
     if trials.start < 0:

@@ -276,6 +276,68 @@ class TestDenseBits:
         assert hex_triple(t) == bits
 
 
+def row_wise_accepted_residuals(M, root, left, right):
+    """``_accepted_residuals``' expressions with each reduction taken along
+    the row: ``.max(axis=1)`` and ``.all(axis=1)`` on C-ordered arrays."""
+    Mr = np.matmul(M, right[:, :, np.newaxis])[:, :, 0]
+    lM = np.matmul(left[:, np.newaxis, :], M)[:, 0]
+    residual = np.maximum(
+        np.abs(Mr - root[:, np.newaxis] * right).max(axis=1) / right.max(axis=1),
+        np.abs(lM - root[:, np.newaxis] * left).max(axis=1) / left.max(axis=1),
+    )
+    finite = np.isfinite(left) & np.isfinite(right) & np.isfinite(Mr) & np.isfinite(lM)
+    ok = (finite & (left > 0) & (right > 0)).all(axis=1) & (root > 0) & (root < math.inf)
+    return residual, ok & (residual <= perron_module.RESIDUAL_TOL * root)
+
+
+class TestAcceptedResiduals:
+    """Reduced across the stack, the acceptance check gives the row-wise
+    reductions' mask and residual bits."""
+
+    @settings(max_examples=60, deadline=10_000, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(1, 30))
+    def test_equal_row_wise_reductions(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        M = np.exp(rng.uniform(-2.0, 2.0, (k, n, n)))
+        t, _ = perron_stack(M)
+        root, left, right = t.root.copy(), t.left.copy(), t.right.copy()
+        # in about half the rows, a third of the entries of each input become
+        # NaN, +-inf, 0 or negative.  Which of 0.0 and -0.0 (or of two NaNs)
+        # a row's max keeps depends on its order, and NumPy reduces a long
+        # row in SIMD lanes (with AVX-512 from 9 entries on), so those two
+        # enter only at n = 2, which every CPU reduces one entry at a time
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.5] + ([-0.0, -np.nan] if n == 2 else [])
+        rows = rng.random(k) < 0.5
+        for a in (M, root, left, right):
+            hit = (rng.random(a.shape) < 0.3) & rows.reshape((k,) + (1,) * (a.ndim - 1))
+            a[hit] = rng.choice(special, hit.sum())
+        with np.errstate(all="ignore"):
+            residual, ok = perron_module._accepted_residuals(M, root, left, right)
+            expected, expected_ok = row_wise_accepted_residuals(M, root, left, right)
+        assert ok.tolist() == expected_ok.tolist()
+        assert residual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "M, root, left, right",
+        [
+            ([[3.0, 1.0], [1.0, 3.0]], 4.0, [1.0, 1.0], [0.5, 0.5]),
+            # the second eigenpair: exact, with a negative entry
+            ([[3.0, 1.0], [1.0, 3.0]], 2.0, [1.0, -1.0], [0.5, -0.5]),
+            # reducible: exact, with a zero entry
+            ([[1.0, 0.0], [1.0, 2.0]], 2.0, [0.5, 0.5], [0.0, 1.0]),
+            ([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]], 4.0, [1.0, 1.0, 0.0], [0.5, 0.5, 0.0]),
+        ],
+        ids=["perron", "negative-entry", "zero-entry", "zero-entry-3x3"],
+    )
+    def test_exact_eigenpair_needs_positive_vectors(self, M, root, left, right):
+        # the residual is 0: only the sign test refuses these rows
+        args = [np.array([x], dtype=float) for x in (M, root, left, right)]
+        residual, ok = perron_module._accepted_residuals(*args)
+        expected, expected_ok = row_wise_accepted_residuals(*args)
+        assert residual.tolist() == [0.0] and residual.tobytes() == expected.tobytes()
+        assert ok.tolist() == expected_ok.tolist() == [min(left + right) > 0]
+
+
 class TestClosedForm:
     """The 2x2 closed form: exact bits, agreement with the dense solve, and
     a clean NonConvergenceError (no NumPy warning) where it breaks down."""

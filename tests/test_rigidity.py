@@ -134,6 +134,60 @@ class TestGnMembershipReference:
             assert report.collisions
 
 
+def pairwise_distinct_values(row):
+    """Least gap |v_i - v_j| / scale over every pair of the row, the scale
+    max(1, max |v|), and the pairs with gap <= GAP_TOL in combinations order."""
+    scale = max(1.0, max(abs(v) for v in row))
+    gaps = {pair: abs(row[pair[0]] - row[pair[1]]) / scale for pair in itertools.combinations(range(len(row)), 2)}
+    return min(gaps.values(), default=math.inf), scale, [pair for pair, gap in gaps.items() if gap <= GAP_TOL]
+
+
+def assert_rows_equal_per_row_calls(values):
+    """A stacked _distinct_values gives each row's own call bit for bit:
+    margin (sign of zero included), scale, and collision pairs in order; and
+    each is the row's pairwise one."""
+    margin, scale, collisions = rigidity._distinct_values(values)
+    for i, row in enumerate(values):
+        m, s, c = rigidity._distinct_values(row[np.newaxis])
+        assert (margin[i].tobytes(), scale[i].tobytes()) == (m[0].tobytes(), s[0].tobytes())
+        assert collisions.get(i) == c.get(0)
+        pairwise_margin, pairwise_scale, pairs = pairwise_distinct_values(row.tolist())
+        assert np.array([pairwise_margin, pairwise_scale]).tobytes() == np.array([margin[i], scale[i]]).tobytes()
+        assert collisions.get(i, []) == pairs
+    assert list(collisions) == sorted(collisions)
+    return margin
+
+
+class TestDistinctValuesStack:
+    """The stack's least gaps and scales are reduced across the stack, a
+    row's own call along its row: the two give the same bits."""
+
+    @settings(max_examples=60, deadline=10_000, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 40))
+    def test_planted_ties(self, seed, width, k):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-3.0, 3.0, (k, width))
+        # exact ties, ties within GAP_TOL, and 0.0 / -0.0 pairs
+        values[rng.random(values.shape) < 0.3] = 0.25
+        near = rng.random(values.shape) < 0.2
+        values[near] = 0.25 + rng.uniform(-GAP_TOL, GAP_TOL, near.sum())
+        values[rng.random(values.shape) < 0.15] = 0.0
+        values[rng.random(values.shape) < 0.15] = -0.0
+        assert_rows_equal_per_row_calls(values)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_signed_zeros(self, width):
+        # every pattern of 0.0 and -0.0, then one value apart: a -0.0 ranked
+        # after a 0.0 leaves a gap of -0.0, and NumPy reduces a long row in
+        # SIMD lanes (with AVX-512 from 8 gaps on), so the least gap must not
+        # depend on which zero a minimum keeps
+        zeros = np.array(list(itertools.product([0.0, -0.0], repeat=width)))
+        values = np.hstack([zeros, np.full((len(zeros), 1), 0.5)])
+        margin = assert_rows_equal_per_row_calls(values)
+        expected = 0.0 if width > 1 else 0.5
+        assert margin.tobytes() == np.full(len(zeros), expected).tobytes()
+
+
 def reference_appendix_checks(Af, orientation):
     """appendix_condition_check as a Python loop over itertools.permutations,
     one frozenset lookup per pair."""
@@ -583,3 +637,22 @@ class TestCertifiedBall:
         balls = tables[members, np.newaxis] + moves * radius[:, np.newaxis, np.newaxis]
         _, margins, _ = member_margins(f2, balls.reshape(-1, f2.table.size))
         assert (margins > GAP_TOL).all()
+
+    @settings(max_examples=40, deadline=10_000, derandomize=True, database=None)
+    @given(near_boundary_members())
+    def test_radius_equals_a_loop_over_each_matrix(self, case):
+        # the projective diameters are reduced across the stack; a loop over
+        # one matrix's entries at a time gives the same bits
+        f2, tables, _ = case
+        A, margin, scale = member_margins(f2, tables)
+        p = f2.base.aperiodicity_power
+        diameters = []
+        for R in np.log(np.linalg.matrix_power(A, p)).tolist():
+            n = len(R)
+            diameters.append(max(
+                max(R[i][k] - R[j][k] for k in range(n)) + max(R[j][k] - R[i][k] for k in range(n))
+                for i in range(n) for j in range(n)
+            ))
+        L = 1.0 + p * (1.0 + np.exp(np.array(diameters) / 2.0))
+        expected = rigidity.BALL_SAFETY * (margin - GAP_TOL) * scale / (2.0 * L)
+        assert rigidity._certified_radius(f2, A, margin, scale).tobytes() == expected.tobytes()

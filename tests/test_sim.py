@@ -344,6 +344,14 @@ class TestTrialStreams:
         with pytest.raises(ValueError, match="non-negative"):
             trial_draws(np.empty((2, 1)), seed, key, range(trial, trial + 2))
 
+    @pytest.mark.parametrize("trials", [range(0, 6, 2), range(3, 0, -1), range(0, 0, 2)])
+    def test_stepped_range_refused(self, trials):
+        # rows are filled for consecutive trials, so only step 1 names the trials drawn
+        out = np.zeros((len(trials), 2))
+        with pytest.raises(ValueError, match=f"step {trials.step}"):
+            trial_draws(out, 0, (), trials)
+        assert not out.any()
+
     def test_negative_seed_or_trial_refused_by_sample_path(self, mu_half):
         for seed, trial in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="non-negative"):
